@@ -1,6 +1,6 @@
 """Stochastic gradient / heavy-ball momentum convergence laboratory."""
 
-from . import bounds, cli, estimators, geometry, harness, optimizers, problems, schedules
+from . import bounds, estimators, geometry, harness, optimizers, problems, schedules
 
 __all__ = [
     "bounds", "cli", "estimators", "geometry", "harness", "optimizers",

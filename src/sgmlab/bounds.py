@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import StepSchedule, MomentumSchedule, ZeroMomentum
+from .schedules import StepSchedule, MomentumSchedule
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,15 @@ class RateEnvelope:
         return 1.0 / ((1.0 - self.beta) * (N + 1.0) ** self.beta)
 
     def at(self, N):
+        """constant * shape(N); N >= 1 (accepted as real for testing)."""
         if self.constant is None:
             raise ValueError("envelope constant is uncalibrated")
+        if np.any(np.asarray(N) < 1):
+            raise ValueError("N must be >= 1")
         return self.constant * self.shape(N)
 
     def calibrated(self, constant: float) -> "RateEnvelope":
         return RateEnvelope(case=self.case, constant=constant, beta=self.beta)
-
-
-def rate_envelope(envelope: RateEnvelope, N) -> float:
-    """Evaluate constant * shape(N); N >= 1 (accepted as real for testing)."""
-    if np.any(np.asarray(N) < 1):
-        raise ValueError("N must be >= 1")
-    out = envelope.at(N)
-    return float(out) if np.ndim(N) == 0 else out
 
 
 def _steps(step: StepSchedule, N: int) -> np.ndarray:

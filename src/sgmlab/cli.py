@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation/config failure, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import estimators as est_mod
 from . import geometry, problems, schedules
 from .harness import (ExperimentConfig, default_checkpoints, dominance_check,
                       fit_rate, run_multistage, run_replicates)
@@ -43,6 +43,8 @@ MULTISTAGE_KEYS = {
     "theta0", "replicates", "master_seed", "workers",
 }
 
+RUN_REQUIRED = {"problem", "domain", "noise", "variant", "step", "momentum",
+                "horizon", "replicates"}
 RUN_DEFAULTS = {
     "estimator": "last",
     "suffix_start": 0,
@@ -54,72 +56,131 @@ RUN_DEFAULTS = {
     "recursion_bound": None,
     "fit_window": None,
 }
+MULTISTAGE_REQUIRED = {"problem", "domain", "noise", "momentum", "stages",
+                       "replicates"}
+MULTISTAGE_DEFAULTS = {"variant": "sgm", "qhm_v": None,
+                       "theta0": "random-interior", "master_seed": 0}
 
 
 def _fail_closed(cfg: dict, allowed: set, required: set, where: str):
+    """The one key checker for every config section."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected an object")
     unknown = set(cfg) - allowed
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     missing = required - set(cfg)
     if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+
+
+def _kind(spec, section: str, kinds) -> tuple:
+    """Split a single-key `{kind: params}` object; kind must be in `kinds`."""
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise ConfigError(f"{section}: expected a single-key object")
+    (kind, params), = spec.items()
+    if kind not in kinds:
+        raise ConfigError(f"unknown {section} kind {kind!r} "
+                          f"(expected one of {', '.join(kinds)})")
+    return kind, params
+
+
+# The config format: section -> kind -> class. A class's init fields are the
+# keys of its params object (minus the ones the caller supplies, such as a
+# problem's domain and noise), and `float`/`int` fields are coerced.
+CONFIG_KINDS = {
+    "domain": {"ball": geometry.Ball, "box": geometry.Box},
+    "noise": {"gaussian": problems.Gaussian,
+              "bounded_rademacher": problems.BoundedRademacher,
+              "minibatch": problems.Minibatch},
+    "problem": {"quadratic": problems.Quadratic,
+                "quad_plus_l1": problems.QuadPlusL1,
+                "erm_csv": problems.ErmLeastSquares},
+    "step": {"polynomial": schedules.PolynomialStep,
+             "constant": schedules.ConstantStep,
+             "staged": schedules.StagedStep},
+    "momentum": {"zero": schedules.ZeroMomentum,
+                 "constant": schedules.ConstantMomentum,
+                 "polynomial": schedules.PolynomialMomentum,
+                 "proportional": schedules.ProportionalToStep},
+}
+_COERCE = {"float": float, "int": int}
+
+
+def _coerce(value, type_name: str, where: str):
+    convert = _COERCE.get(type_name)
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _stages(stages, where: str) -> list:
+    """[(a, n)] from a list of {a, n} objects; n may be 'auto'."""
+    if not isinstance(stages, list):
+        raise ConfigError(f"{where}: expected a list of {{a, n}} objects")
+    pairs = []
+    for i, stage in enumerate(stages):
+        at = f"{where}[{i}]"
+        _fail_closed(stage, {"a", "n"}, {"a", "n"}, at)
+        n = stage["n"]
+        pairs.append((_coerce(stage["a"], "float", f"{at}.a"),
+                      n if n == "auto" else _coerce(n, "int", f"{at}.n")))
+    return pairs
+
+
+def from_config(section: str, spec, **context):
+    """Build the `section` object described by `{kind: params}`; `context`
+    supplies init fields that do not come from params."""
+    kind, params = _kind(spec, section, CONFIG_KINDS[section])
+    where = f"{section}.{kind}"
+    if kind == "erm_csv":   # a CSV path, not the class's fields
+        _fail_closed(params, {"path"}, {"path"}, where)
+        try:
+            return problems.load_erm_csv(str(params["path"]), **context)
+        except OSError as exc:
+            raise ConfigError(f"{where}: cannot read {params['path']!r}: "
+                              f"{exc.strerror}") from None
+    cls = CONFIG_KINDS[section][kind]
+    types = {f.name: f.type for f in dataclasses.fields(cls)
+             if f.init and f.name not in context}
+    _fail_closed(params, set(types), set(types), where)
+    kwargs = {k: _coerce(v, types[k], f"{where}.{k}") for k, v in params.items()}
+    if kind == "staged":    # a list of {a, n} objects
+        kwargs["stages"] = tuple(_stages(params["stages"], f"{where}.stages"))
+    try:
+        return cls(**kwargs, **context)
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def build_problem(cfg: dict) -> problems.Problem:
-    domain = geometry.domain_from_config(cfg["domain"])
-    noise = _build_noise(cfg["noise"])
-    spec = cfg["problem"]
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError("problem: expected a single-key object")
-    (kind, p), = spec.items()
-    if kind == "quadratic":
-        _fail_closed(p, {"hessian_diag", "theta_star"},
-                     {"hessian_diag", "theta_star"}, "problem.quadratic")
-        return problems.Quadratic(hessian_diag=p["hessian_diag"],
-                                  theta_star=p["theta_star"],
-                                  domain=domain, noise=noise)
-    if kind == "quad_plus_l1":
-        _fail_closed(p, {"hessian_diag", "theta_star", "l1_weight"},
-                     {"hessian_diag", "theta_star", "l1_weight"},
-                     "problem.quad_plus_l1")
-        return problems.QuadPlusL1(hessian_diag=p["hessian_diag"],
-                                   theta_star=p["theta_star"],
-                                   l1_weight=float(p["l1_weight"]),
-                                   domain=domain, noise=noise)
-    if kind == "erm_csv":
-        _fail_closed(p, {"path"}, {"path"}, "problem.erm_csv")
-        return problems.load_erm_csv(p["path"], domain, noise)
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    domain = from_config("domain", cfg["domain"])
+    noise = from_config("noise", cfg["noise"])
+    return from_config("problem", cfg["problem"], domain=domain, noise=noise)
 
 
-def _build_noise(cfg: dict):
-    if not isinstance(cfg, dict) or len(cfg) != 1:
-        raise ConfigError("noise: expected a single-key object")
-    (kind, p), = cfg.items()
-    if kind == "gaussian":
-        _fail_closed(p, {"sigma2"}, {"sigma2"}, "noise.gaussian")
-        return problems.Gaussian(sigma2=float(p["sigma2"]))
-    if kind == "bounded_rademacher":
-        _fail_closed(p, {"sigma2"}, {"sigma2"}, "noise.bounded_rademacher")
-        return problems.BoundedRademacher(sigma2=float(p["sigma2"]))
-    if kind == "minibatch":
-        _fail_closed(p, {"batch_size"}, {"batch_size"}, "noise.minibatch")
-        return problems.Minibatch(batch_size=int(p["batch_size"]))
-    raise ConfigError(f"unknown noise kind {kind!r}")
-
-
-def resolve_run_config(cfg: dict) -> dict:
-    """Fill defaults and normalize; the result reruns byte-identically."""
-    _fail_closed(cfg, RUN_KEYS,
-                 {"problem", "domain", "noise", "variant", "step", "momentum",
-                  "horizon", "replicates"}, "config")
-    resolved = dict(RUN_DEFAULTS)
-    resolved["workers"] = int(os.environ.get("SGMLAB_WORKERS", "1"))
-    resolved.update(cfg)
-    if resolved["checkpoints"] is None:
-        resolved["checkpoints"] = list(default_checkpoints(int(resolved["horizon"])))
+def resolve_config(cfg: dict, args, keys: set, required: set,
+                   defaults: dict) -> dict:
+    """Fill defaults, then --seed/--workers, then -O overrides, then the
+    derived defaults; the result reruns byte-identically."""
+    _fail_closed(cfg, keys, required, "config")
+    resolved = {**defaults,
+                "workers": int(os.environ.get("SGMLAB_WORKERS", "1")), **cfg}
+    if getattr(args, "seed", None) is not None:
+        resolved["master_seed"] = args.seed
+    if getattr(args, "workers", None) is not None:
+        resolved["workers"] = args.workers
+    _apply_overrides(resolved, args.override)
+    if _coerce(resolved["workers"], "int", "workers") < 1:
+        raise ConfigError(f"workers must be >= 1, got {resolved['workers']}")
+    if "checkpoints" in defaults and resolved["checkpoints"] is None:  # run only
+        resolved["checkpoints"] = list(default_checkpoints(
+            _coerce(resolved["horizon"], "int", "horizon"),
+            resolved["estimator"],
+            _coerce(resolved["suffix_start"], "int", "suffix_start")))
     return resolved
 
 
@@ -129,8 +190,8 @@ def build_experiment(resolved: dict, force_schedule: bool = False) -> Experiment
         return ExperimentConfig(
             problem=problem,
             variant=variant_from_name(resolved["variant"], resolved.get("qhm_v")),
-            step=schedules.step_schedule_from_config(resolved["step"]),
-            momentum=schedules.momentum_schedule_from_config(resolved["momentum"]),
+            step=from_config("step", resolved["step"]),
+            momentum=from_config("momentum", resolved["momentum"]),
             estimator=resolved["estimator"],
             suffix_start=int(resolved["suffix_start"]),
             theta0=resolved["theta0"],
@@ -141,7 +202,7 @@ def build_experiment(resolved: dict, force_schedule: bool = False) -> Experiment
             workers=int(resolved["workers"]),
             force_schedule=force_schedule,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -150,15 +211,21 @@ def _build_bound(resolved: dict, config: ExperimentConfig):
     if resolved.get("envelope") is not None:
         e = resolved["envelope"]
         _fail_closed(e, {"case", "constant", "beta"}, {"case"}, "envelope")
-        return bounds_mod.RateEnvelope(case=e["case"],
-                                       constant=e.get("constant"),
-                                       beta=e.get("beta"))
+        try:
+            return bounds_mod.RateEnvelope(case=e["case"],
+                                           constant=e.get("constant"),
+                                           beta=e.get("beta"))
+        except TypeError as exc:
+            raise ConfigError(f"envelope: {exc}") from None
     if resolved.get("recursion_bound") is not None:
         r = resolved["recursion_bound"]
         _fail_closed(r, {"kind", "E0"}, {"kind"}, "recursion_bound")
+        if r["kind"] not in ("sg", "sgm"):
+            raise ConfigError(f"unknown recursion_bound kind {r['kind']!r} "
+                              "(expected one of sg, sgm)")
         consts = config.problem.constants()
-        if "E0" in r and r["E0"] is not None:
-            E0 = float(r["E0"])
+        if r.get("E0") is not None:
+            E0 = _coerce(r["E0"], "float", "recursion_bound.E0")
         elif not isinstance(config.theta0, str):
             delta = config.theta0 - consts.theta_star
             E0 = float(delta @ delta)
@@ -168,11 +235,9 @@ def _build_bound(resolved: dict, config: ExperimentConfig):
             return bounds_mod.sg_recursion_bound(
                 E0, config.step, consts.m, consts.M, consts.sigma2,
                 config.horizon)
-        if r["kind"] == "sgm":
-            return bounds_mod.sgm_recursion_bound(
-                E0, config.step, config.momentum, consts.m, consts.M,
-                consts.sigma2, consts.L, config.horizon)
-        raise ConfigError(f"unknown recursion_bound kind {r['kind']!r}")
+        return bounds_mod.sgm_recursion_bound(
+            E0, config.step, config.momentum, consts.m, consts.M,
+            consts.sigma2, consts.L, config.horizon)
     return None
 
 
@@ -180,20 +245,19 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_summary_csv(path: Path, summary, bound=None, report=None):
+def write_summary_csv(path: Path, summary, report=None):
     lines = []
-    if bound is None:
+    if report is None:
         lines.append("checkpoint,mse_mean,mse_sem")
         for c, mean, sem in zip(summary.checkpoints, summary.mse_mean,
                                 summary.mse_sem):
             lines.append(f"{c},{_format_float(mean)},{_format_float(sem)}")
     else:
         lines.append("checkpoint,mse_mean,mse_sem,bound_value,verdict")
-        values = _bound_values(bound, summary, report)
         checked = set(report.checked)
         bad = {v[0] for v in report.violations}
         for c, mean, sem, bv in zip(summary.checkpoints, summary.mse_mean,
-                                    summary.mse_sem, values):
+                                    summary.mse_sem, report.bound_values):
             if c not in checked:
                 verdict = "calibration"
             else:
@@ -203,55 +267,42 @@ def write_summary_csv(path: Path, summary, bound=None, report=None):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _bound_values(bound, summary, report):
-    cps = np.asarray(summary.checkpoints)
-    if isinstance(bound, bounds_mod.BoundSequence):
-        return bound.at(cps)
-    env = bound
-    if env.constant is None:
-        env = env.calibrated(report.calibrated_constant)
-    return np.asarray(env.at(cps), dtype=float)
-
-
 def _check_output(path: Path, overwrite: bool):
     if path.exists() and not overwrite:
         raise ConfigError(f"{path} exists; pass --overwrite to replace it")
 
 
-def cmd_run(args) -> int:
-    cfg = _load_json(args.config)
-    resolved = resolve_run_config(cfg)
-    if args.seed is not None:
-        resolved["master_seed"] = args.seed
-    if args.workers is not None:
-        resolved["workers"] = args.workers
-    _apply_overrides(resolved, args.override)
-
+def _outputs(args, *names) -> list:
+    """Paths of the named files in --out, refusing to replace existing ones."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    targets = [out_dir / "summary.csv", out_dir / "summary.json",
-               out_dir / "config.resolved.json"]
+    targets = [out_dir / name for name in names]
     for t in targets:
         _check_output(t, args.overwrite)
+    return targets
+
+
+def cmd_run(args) -> int:
+    resolved = resolve_config(_load_json(args.config), args, RUN_KEYS,
+                              RUN_REQUIRED, RUN_DEFAULTS)
+    targets = _outputs(args, "summary.csv", "summary.json",
+                       "config.resolved.json")
 
     config = build_experiment(resolved, force_schedule=args.force_schedule)
-    report = schedules.validate(config.step, config.momentum,
-                                config.problem.constants().m, config.horizon)
-    if not report.ok:
-        if not args.force_schedule:
-            print(f"schedule validation failed:\n{report}", file=sys.stderr)
-            return EXIT_VALIDATION
-        print(f"schedule warnings (forced):\n{report}", file=sys.stderr)
-
     bound = _build_bound(resolved, config)
+    window = resolved.get("fit_window")
+    if window is not None:
+        if not isinstance(window, list) or len(window) != 2:
+            raise ConfigError(f"fit_window: expected [lo, hi], got {window!r}")
+        window = tuple(_coerce(x, "float", "fit_window") for x in window)
     summary = run_replicates(config)
+    if not summary.schedule_report.ok:
+        print(f"schedule warnings (forced):\n{summary.schedule_report}",
+              file=sys.stderr)
     dom = dominance_check(summary, bound) if bound is not None else None
-    fit = None
-    if resolved.get("fit_window") is not None:
-        lo, hi = resolved["fit_window"]
-        fit = fit_rate(summary, (lo, hi))
+    fit = None if window is None else fit_rate(summary, window)
 
-    write_summary_csv(targets[0], summary, bound, dom)
+    write_summary_csv(targets[0], summary, dom)
     payload = {
         "fit": None if fit is None else {
             "exponent": fit.exponent, "log_constant": fit.log_constant,
@@ -278,35 +329,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_multistage(args) -> int:
-    cfg = _load_json(args.config)
-    _fail_closed(cfg, MULTISTAGE_KEYS,
-                 {"problem", "domain", "noise", "momentum", "stages",
-                  "replicates"}, "config")
-    resolved = {"variant": "sgm", "qhm_v": None, "theta0": "random-interior",
-                "master_seed": 0,
-                "workers": int(os.environ.get("SGMLAB_WORKERS", "1"))}
-    resolved.update(cfg)
-    if args.seed is not None:
-        resolved["master_seed"] = args.seed
-    if args.workers is not None:
-        resolved["workers"] = args.workers
-    _apply_overrides(resolved, args.override)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    targets = [out_dir / "stages.csv", out_dir / "config.resolved.json"]
-    for t in targets:
-        _check_output(t, args.overwrite)
+    resolved = resolve_config(_load_json(args.config), args, MULTISTAGE_KEYS,
+                              MULTISTAGE_REQUIRED, MULTISTAGE_DEFAULTS)
+    targets = _outputs(args, "stages.csv", "config.resolved.json")
 
     problem = build_problem(resolved)
-    momentum = schedules.momentum_schedule_from_config(resolved["momentum"])
-    stages = [(s["a"], s["n"]) for s in resolved["stages"]]
-    theta0 = resolved["theta0"]
     reports = run_multistage(
-        problem, stages, momentum,
+        problem, _stages(resolved["stages"], "stages"),
+        from_config("momentum", resolved["momentum"]),
         variant=variant_from_name(resolved["variant"], resolved.get("qhm_v")),
-        theta0=theta0, replicates=int(resolved["replicates"]),
-        master_seed=int(resolved["master_seed"]),
+        theta0=resolved["theta0"],
+        replicates=_coerce(resolved["replicates"], "int", "replicates"),
+        master_seed=_coerce(resolved["master_seed"], "int", "master_seed"),
         workers=int(resolved["workers"]))
 
     lines = ["stage,step,length,burn_in,suffix_mse_mean,suffix_mse_sem,plateau"]
@@ -323,28 +357,21 @@ def cmd_multistage(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = _load_json(args.config)
     _fail_closed(cfg, {"bound"}, {"bound"}, "config")
-    spec = cfg["bound"]
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError("bound: expected a single-key object")
-    (kind, p), = spec.items()
+    kind, p = _kind(cfg["bound"], "bound", ("sg_recursion", "sgm_recursion"))
+    keys = {"E0", "step", "m", "M", "sigma2", "N"}
+    if kind == "sgm_recursion":
+        keys |= {"momentum", "L"}
+    _fail_closed(p, keys, keys, f"bound.{kind}")
+    num = {k: _coerce(p[k], "int" if k == "N" else "float", f"bound.{kind}.{k}")
+           for k in keys - {"step", "momentum"}}
+    step = from_config("step", p["step"])
     if kind == "sg_recursion":
-        _fail_closed(p, {"E0", "step", "m", "M", "sigma2", "N"},
-                     {"E0", "step", "m", "M", "sigma2", "N"},
-                     "bound.sg_recursion")
         seq = bounds_mod.sg_recursion_bound(
-            float(p["E0"]), schedules.step_schedule_from_config(p["step"]),
-            float(p["m"]), float(p["M"]), float(p["sigma2"]), int(p["N"]))
-    elif kind == "sgm_recursion":
-        _fail_closed(p, {"E0", "step", "momentum", "m", "M", "sigma2", "L", "N"},
-                     {"E0", "step", "momentum", "m", "M", "sigma2", "L", "N"},
-                     "bound.sgm_recursion")
-        seq = bounds_mod.sgm_recursion_bound(
-            float(p["E0"]), schedules.step_schedule_from_config(p["step"]),
-            schedules.momentum_schedule_from_config(p["momentum"]),
-            float(p["m"]), float(p["M"]), float(p["sigma2"]), float(p["L"]),
-            int(p["N"]))
+            num["E0"], step, num["m"], num["M"], num["sigma2"], num["N"])
     else:
-        raise ConfigError(f"unknown bound kind {kind!r}")
+        seq = bounds_mod.sgm_recursion_bound(
+            num["E0"], step, from_config("momentum", p["momentum"]),
+            num["m"], num["M"], num["sigma2"], num["L"], num["N"])
     print("j,bound")
     for j, v in enumerate(seq.values):
         print(f"{j},{_format_float(v)}")
@@ -352,14 +379,20 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    text = Path(args.summary).read_text().strip().splitlines()
-    header = text[0].split(",")
-    rows = [line.split(",") for line in text[1:]]
-    cps = tuple(int(r[0]) for r in rows)
-    mse = np.asarray([float(r[1]) for r in rows])
-    sem = np.asarray([float(r[2]) for r in rows])
+    try:
+        text = Path(args.summary).read_text().strip().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read summary {args.summary}: {exc}") from exc
+    header = text[0].split(",") if text else []
     if header[:3] != ["checkpoint", "mse_mean", "mse_sem"]:
         raise ConfigError(f"{args.summary}: unexpected header {header[:3]}")
+    try:
+        rows = [line.split(",") for line in text[1:]]
+        cps = tuple(int(r[0]) for r in rows)
+        mse = np.asarray([float(r[1]) for r in rows])
+        sem = np.asarray([float(r[2]) for r in rows])
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"{args.summary}: malformed row ({exc})") from None
     from .harness import RunSummary
 
     summary = RunSummary(checkpoints=cps, mse_mean=mse, mse_sem=sem,
@@ -372,9 +405,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_json(args.config)
-    resolved = resolve_run_config(cfg)
-    _apply_overrides(resolved, args.override)
+    resolved = resolve_config(_load_json(args.config), args, RUN_KEYS,
+                              RUN_REQUIRED, RUN_DEFAULTS)
     config = build_experiment(resolved)
     report = schedules.validate(config.step, config.momentum,
                                 config.problem.constants().m, config.horizon)

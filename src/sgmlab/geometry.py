@@ -136,48 +136,8 @@ def _check_dimension(domain: Domain, point) -> np.ndarray:
     return point
 
 
-def project(domain: Domain, point) -> np.ndarray:
-    """Euclidean-nearest point of the domain; idempotent and nonexpansive."""
-    return domain.project(point)
-
-
-def diameter(domain: Domain) -> float:
-    return domain.diameter()
-
-
 def contains(domain: Domain, point, tolerance: float = 0.0):
     """True iff distance(point, D) <= tolerance (closed-set convention)."""
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
     return domain.distance(point) <= tolerance
-
-
-def domain_from_config(cfg: dict) -> Domain:
-    """Build a domain from its config-file description."""
-    if not isinstance(cfg, dict) or len(cfg) != 1:
-        raise ValueError("domain config must be a single-key object")
-    (kind, params), = cfg.items()
-    if kind == "ball":
-        _require_keys(params, {"center", "radius"}, "domain.ball")
-        return Ball(center=params["center"], radius=float(params["radius"]))
-    if kind == "box":
-        _require_keys(params, {"lower", "upper"}, "domain.box")
-        return Box(lower=params["lower"], upper=params["upper"])
-    raise ValueError(f"unknown domain kind {kind!r} (expected 'ball' or 'box')")
-
-
-def domain_to_config(domain: Domain) -> dict:
-    if isinstance(domain, Ball):
-        return {"ball": {"center": domain.center.tolist(), "radius": domain.radius}}
-    return {"box": {"lower": domain.lower.tolist(), "upper": domain.upper.tolist()}}
-
-
-def _require_keys(params, expected: set, where: str):
-    if not isinstance(params, dict):
-        raise ValueError(f"{where} must be an object")
-    unknown = set(params) - expected
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = expected - set(params)
-    if missing:
-        raise ValueError(f"missing keys in {where}: {sorted(missing)}")

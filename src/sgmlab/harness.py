@@ -23,19 +23,24 @@ from . import problems as prob_mod
 from .bounds import BoundSequence, RateEnvelope, constant_step_plateau, stage_burn_in
 from .optimizers import NumericFailureError, SGM, Variant
 from .problems import Problem
-from .schedules import MomentumSchedule, StepSchedule, validate
+from .schedules import MomentumSchedule, StepSchedule, ValidityReport, validate
 
 NOISE_CHUNK = 2048
 
 
-def default_checkpoints(horizon: int) -> tuple:
-    """Geometric grid {ceil(1.3^i)} intersected with [1, horizon]."""
+def default_checkpoints(horizon: int, estimator: str = "last",
+                        suffix_start: int = 0) -> tuple:
+    """Geometric grid {ceil(1.3^i)} intersected with [1, horizon], plus the
+    horizon. The suffix estimator keeps only points at or past suffix_start:
+    before it the suffix average has no iterates."""
     pts = set()
     x = 1.0
     while x <= horizon:
         pts.add(int(np.ceil(x)))
         x *= 1.3
     pts.add(horizon)
+    if estimator == "suffix":
+        pts = {c for c in pts if c >= suffix_start}
     return tuple(sorted(pts))
 
 
@@ -62,14 +67,23 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if self.estimator not in est_mod.ESTIMATOR_NAMES:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        suffix = self.estimator == "suffix"
+        if suffix and self.suffix_start > self.horizon:
+            raise ValueError(f"suffix_start {self.suffix_start} exceeds "
+                             f"horizon {self.horizon}")
         cps = self.checkpoints
         if cps is None:
-            cps = default_checkpoints(self.horizon)
+            cps = default_checkpoints(self.horizon, self.estimator,
+                                      self.suffix_start)
         cps = tuple(int(c) for c in cps)
         if any(b <= a for a, b in zip(cps, cps[1:])) or not cps:
             raise ValueError("checkpoints must be strictly increasing")
         if cps[0] < 1 or cps[-1] > self.horizon:
             raise ValueError("checkpoints must lie in [1, horizon]")
+        if suffix and cps[0] < self.suffix_start:
+            raise ValueError(f"checkpoint {cps[0]} lies before suffix_start "
+                             f"{self.suffix_start}; the suffix average is "
+                             "empty there")
         object.__setattr__(self, "checkpoints", cps)
         if isinstance(self.theta0, str):
             if self.theta0 != "random-interior":
@@ -89,6 +103,7 @@ class RunSummary:
     master_seed: int
     config_hash: str
     wall_time: float
+    schedule_report: ValidityReport | None = None
 
 
 @dataclass(frozen=True)
@@ -104,6 +119,7 @@ class DominanceReport:
     violations: tuple              # (checkpoint, mse_mean, bound_value)
     first_violation: int | None
     calibrated_constant: float | None
+    bound_values: np.ndarray       # the bound at every checkpoint
 
     @property
     def passed(self) -> bool:
@@ -209,6 +225,21 @@ def _worker_ranges(replicates: int, workers: int):
     return [(int(a), int(b)) for a, b in zip(edges, edges[1:]) if b > a]
 
 
+def _map_blocks(block_fn, args: tuple, replicates: int,
+                workers: int) -> np.ndarray:
+    """block_fn(*args, rep_lo, rep_hi) over the worker ranges, in a process
+    pool when there is more than one; blocks are joined in replicate order."""
+    ranges = _worker_ranges(replicates, workers)
+    if len(ranges) == 1:
+        blocks = [block_fn(*args, *ranges[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            futures = [pool.submit(block_fn, *args, lo, hi)
+                       for lo, hi in ranges]
+            blocks = [f.result() for f in futures]
+    return np.concatenate(blocks, axis=1)
+
+
 def _fingerprint(obj) -> str:
     h = hashlib.sha256()
 
@@ -241,15 +272,8 @@ def run_replicates(config: ExperimentConfig) -> RunSummary:
         raise ValueError(f"schedule validation failed:\n{report}")
 
     start = time.perf_counter()
-    ranges = _worker_ranges(config.replicates, config.workers)
-    if len(ranges) == 1:
-        blocks = [_run_block(config, *ranges[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [pool.submit(_run_block, config, lo, hi)
-                       for lo, hi in ranges]
-            blocks = [f.result() for f in futures]
-    errors = np.concatenate(blocks, axis=1)   # (n_checkpoints, R)
+    errors = _map_blocks(_run_block, (config,), config.replicates,
+                         config.workers)   # (n_checkpoints, R)
     mse_mean = errors.mean(axis=1)
     mse_sem = errors.std(axis=1, ddof=1) / np.sqrt(config.replicates)
     return RunSummary(
@@ -261,6 +285,7 @@ def run_replicates(config: ExperimentConfig) -> RunSummary:
         master_seed=config.master_seed,
         config_hash=_fingerprint(config),
         wall_time=time.perf_counter() - start,
+        schedule_report=report,
     )
 
 
@@ -322,7 +347,8 @@ def dominance_check(summary: RunSummary,
     return DominanceReport(checked=tuple(int(cps[k]) for k in tested),
                            violations=tuple(violations),
                            first_violation=first,
-                           calibrated_constant=calibrated_constant)
+                           calibrated_constant=calibrated_constant,
+                           bound_values=values)
 
 
 def resolve_stages(problem: Problem, stages) -> list:
@@ -388,16 +414,9 @@ def run_multistage(problem: Problem, stages, momentum: MomentumSchedule, *,
     consts = problem.constants()
     if not isinstance(theta0, str):
         theta0 = np.asarray(theta0, dtype=float)
-    ranges = _worker_ranges(replicates, workers)
-    args = (problem, variant, momentum, resolved, theta0, master_seed)
-    if len(ranges) == 1:
-        blocks = [_run_multistage_block(*args, *ranges[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [pool.submit(_run_multistage_block, *args, lo, hi)
-                       for lo, hi in ranges]
-            blocks = [f.result() for f in futures]
-    errors = np.concatenate(blocks, axis=1)   # (n_stages, R)
+    errors = _map_blocks(_run_multistage_block,
+                         (problem, variant, momentum, resolved, theta0,
+                          master_seed), replicates, workers)   # (n_stages, R)
     reports = []
     for k, (a_k, length, burn) in enumerate(resolved):
         reports.append(StageReport(

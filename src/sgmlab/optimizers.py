@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, contains, project
+from .geometry import Domain, contains
 
 
 class NumericFailureError(RuntimeError):
@@ -124,7 +124,7 @@ def step(state: IterateState, g, params: StepParams, variant: Variant,
         proposal = theta - params.step * (
             (1.0 - variant.v) * g + variant.v * velocity)
 
-    theta_next = project(domain, proposal)
+    theta_next = domain.project(proposal)
     if not np.all(np.isfinite(theta_next)):
         raise NumericFailureError("non-finite iterate after update", state.j)
     return IterateState(theta_curr=theta_next, theta_prev=theta,

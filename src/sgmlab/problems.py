@@ -107,6 +107,28 @@ def _interior_margin(domain: Domain, point: np.ndarray) -> float:
     return float(np.min(np.minimum(point - domain.lower, domain.upper - point)))
 
 
+def _init_diagonal(problem):
+    """Normalize and check the fields shared by the diagonal-Hessian problems."""
+    object.__setattr__(problem, "hessian_diag",
+                       np.asarray(problem.hessian_diag, dtype=float))
+    object.__setattr__(problem, "theta_star",
+                       np.asarray(problem.theta_star, dtype=float))
+    if problem.hessian_diag.shape != problem.theta_star.shape:
+        raise ValueError("hessian_diag and theta_star shapes differ")
+    if not np.all(problem.hessian_diag > 0):
+        raise DegenerateProblemError("hessian_diag must be strictly positive")
+    _check_in_domain(problem.domain, problem.theta_star)
+    _check_interior(problem.domain, problem.theta_star)
+
+
+def _diagonal_constants(problem, sqrt_M: float) -> ProblemConstants:
+    m = float(np.min(problem.hessian_diag))
+    _require_positive_m(m)
+    return ProblemConstants(m=m, M=sqrt_M**2, sigma2=problem.noise.sigma2,
+                            L=problem.domain.diameter(),
+                            theta_star=problem.theta_star)
+
+
 @dataclass(frozen=True)
 class Quadratic:
     """f(theta) = 1/2 (theta - theta*)^T diag(h) (theta - theta*)."""
@@ -117,16 +139,7 @@ class Quadratic:
     noise: NoiseModel
 
     def __post_init__(self):
-        object.__setattr__(self, "hessian_diag",
-                           np.asarray(self.hessian_diag, dtype=float))
-        object.__setattr__(self, "theta_star",
-                           np.asarray(self.theta_star, dtype=float))
-        if self.hessian_diag.shape != self.theta_star.shape:
-            raise ValueError("hessian_diag and theta_star shapes differ")
-        if not np.all(self.hessian_diag > 0):
-            raise DegenerateProblemError("hessian_diag must be strictly positive")
-        _check_in_domain(self.domain, self.theta_star)
-        _check_interior(self.domain, self.theta_star)
+        _init_diagonal(self)
 
     @property
     def dimension(self) -> int:
@@ -138,16 +151,14 @@ class Quadratic:
         return float(0.5 * np.sum(self.hessian_diag * delta * delta))
 
     def subgradient(self, theta) -> np.ndarray:
-        theta = _check_in_domain(self.domain, theta)
+        return self._subgradient(_check_in_domain(self.domain, theta))
+
+    def _subgradient(self, theta) -> np.ndarray:
         return self.hessian_diag * (theta - self.theta_star)
 
     def constants(self) -> ProblemConstants:
-        m = float(np.min(self.hessian_diag))
-        _require_positive_m(m)
         far = self.domain.farthest_distance(self.theta_star)
-        sqrt_M = float(np.max(self.hessian_diag)) * far
-        return ProblemConstants(m=m, M=sqrt_M**2, sigma2=self.noise.sigma2,
-                                L=self.domain.diameter(), theta_star=self.theta_star)
+        return _diagonal_constants(self, float(np.max(self.hessian_diag)) * far)
 
 
 @dataclass(frozen=True)
@@ -161,18 +172,9 @@ class QuadPlusL1:
     noise: NoiseModel
 
     def __post_init__(self):
-        object.__setattr__(self, "hessian_diag",
-                           np.asarray(self.hessian_diag, dtype=float))
-        object.__setattr__(self, "theta_star",
-                           np.asarray(self.theta_star, dtype=float))
-        if self.hessian_diag.shape != self.theta_star.shape:
-            raise ValueError("hessian_diag and theta_star shapes differ")
-        if not np.all(self.hessian_diag > 0):
-            raise DegenerateProblemError("hessian_diag must be strictly positive")
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be nonnegative")
-        _check_in_domain(self.domain, self.theta_star)
-        _check_interior(self.domain, self.theta_star)
+        _init_diagonal(self)
 
     @property
     def dimension(self) -> int:
@@ -185,20 +187,19 @@ class QuadPlusL1:
         return float(quad + self.l1_weight * np.sum(np.abs(delta)))
 
     def subgradient(self, theta) -> np.ndarray:
+        return self._subgradient(_check_in_domain(self.domain, theta))
+
+    def _subgradient(self, theta) -> np.ndarray:
         # At a kink coordinate (theta_k == theta*_k) the l1 component is 0,
         # the minimal-norm deterministic selection.
-        theta = _check_in_domain(self.domain, theta)
         delta = theta - self.theta_star
         return self.hessian_diag * delta + self.l1_weight * np.sign(delta)
 
     def constants(self) -> ProblemConstants:
-        m = float(np.min(self.hessian_diag))
-        _require_positive_m(m)
         far = self.domain.farthest_distance(self.theta_star)
-        sqrt_M = (float(np.max(self.hessian_diag)) * far
-                  + self.l1_weight * np.sqrt(self.dimension))
-        return ProblemConstants(m=m, M=sqrt_M**2, sigma2=self.noise.sigma2,
-                                L=self.domain.diameter(), theta_star=self.theta_star)
+        return _diagonal_constants(
+            self, float(np.max(self.hessian_diag)) * far
+            + self.l1_weight * np.sqrt(self.dimension))
 
 
 @dataclass(frozen=True)
@@ -214,6 +215,7 @@ class ErmLeastSquares:
     domain: Domain
     noise: NoiseModel | Minibatch
     theta_star: np.ndarray = field(init=False)
+    _constants: ProblemConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.asarray(self.design, dtype=float)
@@ -227,7 +229,8 @@ class ErmLeastSquares:
 
         n = X.shape[0]
         gram = (X.T @ X) / n
-        m = float(np.min(np.linalg.eigvalsh(gram)))
+        eigenvalues = np.linalg.eigvalsh(gram)
+        m = float(np.min(eigenvalues))
         if m <= 1e-12:
             raise DegenerateProblemError(
                 f"(1/N) X^T X has smallest eigenvalue {m:.3e} <= 1e-12"
@@ -241,6 +244,13 @@ class ErmLeastSquares:
         if not np.all(contains(self.domain, theta_star, DOMAIN_TOL)):
             raise ValueError("least-squares solution lies outside the domain")
         _check_interior(self.domain, theta_star)
+        # grad f(theta) = A(theta - theta*) with A = gram; bound over D via
+        # the operator norm and the farthest point from theta*.
+        sqrt_M = (float(np.max(eigenvalues))
+                  * self.domain.farthest_distance(theta_star))
+        object.__setattr__(self, "_constants", ProblemConstants(
+            m=m, M=sqrt_M**2, sigma2=self._noise_sigma2(sqrt_M),
+            L=self.domain.diameter(), theta_star=theta_star))
 
     @property
     def dimension(self) -> int:
@@ -252,9 +262,11 @@ class ErmLeastSquares:
         return float(0.5 * np.mean(r * r))
 
     def subgradient(self, theta) -> np.ndarray:
-        theta = _check_in_domain(self.domain, theta)
-        n = self.design.shape[0]
-        return (self.design.T @ (self.design @ theta - self.targets)) / n
+        return self._subgradient(_check_in_domain(self.domain, theta))
+
+    def _subgradient(self, theta) -> np.ndarray:
+        resid = theta @ self.design.T - self.targets
+        return (resid @ self.design) / self.design.shape[0]
 
     def per_sample_gradient(self, theta, indices) -> np.ndarray:
         """Mean gradient over the given sample indices; batched over leading axes."""
@@ -265,18 +277,9 @@ class ErmLeastSquares:
         return np.einsum("...b,...bd->...d", resid, X_b) / resid.shape[-1]
 
     def constants(self) -> ProblemConstants:
-        n = self.design.shape[0]
-        gram = (self.design.T @ self.design) / n
-        m = float(np.min(np.linalg.eigvalsh(gram)))
-        _require_positive_m(m)
-        # grad f(theta) = A(theta - theta*) with A = gram; bound over D via
-        # the operator norm and the farthest point from theta*.
-        op_norm = float(np.max(np.linalg.eigvalsh(gram)))
-        sqrt_M = op_norm * self.domain.farthest_distance(self.theta_star)
-        return ProblemConstants(m=m, M=sqrt_M**2, sigma2=self._noise_sigma2(),
-                                L=self.domain.diameter(), theta_star=self.theta_star)
+        return self._constants
 
-    def _noise_sigma2(self) -> float:
+    def _noise_sigma2(self, sqrt_M: float) -> float:
         if not isinstance(self.noise, Minibatch):
             return self.noise.sigma2
         # Upper bound on the mini-batch gradient variance over D: each
@@ -289,14 +292,7 @@ class ErmLeastSquares:
             sup_resid = max(abs(lo - y_i), abs(hi - y_i))
             sup_per_sample = max(sup_per_sample,
                                  float(np.linalg.norm(x_i)) * sup_resid)
-        sqrt_M = self.constants_smooth_grad_bound()
         return (sup_per_sample + sqrt_M) ** 2 / self.noise.batch_size
-
-    def constants_smooth_grad_bound(self) -> float:
-        n = self.design.shape[0]
-        gram = (self.design.T @ self.design) / n
-        op_norm = float(np.max(np.linalg.eigvalsh(gram)))
-        return op_norm * self.domain.farthest_distance(self.theta_star)
 
 
 Problem = Quadratic | QuadPlusL1 | ErmLeastSquares
@@ -307,32 +303,13 @@ def _require_positive_m(m: float):
         raise DegenerateProblemError(f"strong-convexity constant {m:.3e} <= 1e-12")
 
 
-def value(problem: Problem, theta) -> float:
-    return problem.value(theta)
-
-
-def subgradient(problem: Problem, theta) -> np.ndarray:
-    return problem.subgradient(theta)
-
-
-def constants(problem: Problem) -> ProblemConstants:
-    return problem.constants()
-
-
 def subgradient_batch(problem: Problem, theta: np.ndarray) -> np.ndarray:
     """Deterministic subgradient for a batch of iterates, shape (..., d).
 
     Skips the domain check; the caller (the simulation engine) maintains
     feasibility by projecting every step.
     """
-    if isinstance(problem, Quadratic):
-        return problem.hessian_diag * (theta - problem.theta_star)
-    if isinstance(problem, QuadPlusL1):
-        delta = theta - problem.theta_star
-        return problem.hessian_diag * delta + problem.l1_weight * np.sign(delta)
-    n = problem.design.shape[0]
-    resid = theta @ problem.design.T - problem.targets
-    return (resid @ problem.design) / n
+    return problem._subgradient(theta)
 
 
 def noise_sample(problem: Problem, rng: np.random.Generator,
@@ -352,15 +329,6 @@ def minibatch_indices(problem: ErmLeastSquares, rng: np.random.Generator,
                       n_draws: int) -> np.ndarray:
     batch = problem.noise.batch_size
     return rng.integers(0, problem.design.shape[0], size=(n_draws, batch))
-
-
-def noisy_gradient(problem: Problem, theta, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic gradient sample g = s + n (or a mini-batch gradient)."""
-    theta = _check_in_domain(problem.domain, theta)
-    if isinstance(problem.noise, Minibatch):
-        idx = minibatch_indices(problem, rng, 1)[0]
-        return problem.per_sample_gradient(theta, idx)
-    return problem.subgradient(theta) + noise_sample(problem, rng, 1)[0]
 
 
 def load_erm_csv(path, domain: Domain, noise: NoiseModel | Minibatch) -> ErmLeastSquares:

@@ -133,18 +133,6 @@ class ProportionalToStep:
 MomentumSchedule = ZeroMomentum | ConstantMomentum | PolynomialMomentum | ProportionalToStep
 
 
-def step_size(schedule: StepSchedule, j):
-    """t_j; accepts a scalar or an index array."""
-    out = schedule.step_size(j)
-    return float(out) if np.ndim(j) == 0 else out
-
-
-def momentum_weight(schedule: MomentumSchedule, j, t_j):
-    """eta_j in [0, 1); ProportionalToStep clamps at 1 - 1e-12."""
-    out = schedule.weight(j, t_j)
-    return float(out) if np.ndim(j) == 0 else out
-
-
 @dataclass
 class ValidityReport:
     violations: list = field(default_factory=list)
@@ -226,69 +214,3 @@ def partial_sums(step: StepSchedule, momentum: MomentumSchedule, N: int) -> dict
         "sum_eta": float(np.sum(eta)),
         "sum_eta2": float(np.sum(eta * eta)),
     }
-
-
-def step_schedule_from_config(cfg: dict) -> StepSchedule:
-    (kind, p), = _single_item(cfg, "step")
-    if kind == "polynomial":
-        _expect_keys(p, {"gamma", "alpha"}, "step.polynomial")
-        return PolynomialStep(gamma=float(p["gamma"]), alpha=float(p["alpha"]))
-    if kind == "constant":
-        _expect_keys(p, {"a"}, "step.constant")
-        return ConstantStep(a=float(p["a"]))
-    if kind == "staged":
-        _expect_keys(p, {"stages"}, "step.staged")
-        return StagedStep(stages=tuple((s["a"], s["n"]) for s in p["stages"]))
-    raise ValueError(f"unknown step schedule kind {kind!r}")
-
-
-def momentum_schedule_from_config(cfg: dict) -> MomentumSchedule:
-    (kind, p), = _single_item(cfg, "momentum")
-    if kind == "zero":
-        _expect_keys(p, set(), "momentum.zero")
-        return ZeroMomentum()
-    if kind == "constant":
-        _expect_keys(p, {"eta"}, "momentum.constant")
-        return ConstantMomentum(eta=float(p["eta"]))
-    if kind == "polynomial":
-        _expect_keys(p, {"c", "beta"}, "momentum.polynomial")
-        return PolynomialMomentum(c=float(p["c"]), beta=float(p["beta"]))
-    if kind == "proportional":
-        _expect_keys(p, {"k"}, "momentum.proportional")
-        return ProportionalToStep(k=float(p["k"]))
-    raise ValueError(f"unknown momentum schedule kind {kind!r}")
-
-
-def step_schedule_to_config(s: StepSchedule) -> dict:
-    if isinstance(s, PolynomialStep):
-        return {"polynomial": {"gamma": s.gamma, "alpha": s.alpha}}
-    if isinstance(s, ConstantStep):
-        return {"constant": {"a": s.a}}
-    return {"staged": {"stages": [{"a": a, "n": n} for a, n in s.stages]}}
-
-
-def momentum_schedule_to_config(s: MomentumSchedule) -> dict:
-    if isinstance(s, ZeroMomentum):
-        return {"zero": {}}
-    if isinstance(s, ConstantMomentum):
-        return {"constant": {"eta": s.eta}}
-    if isinstance(s, PolynomialMomentum):
-        return {"polynomial": {"c": s.c, "beta": s.beta}}
-    return {"proportional": {"k": s.k}}
-
-
-def _single_item(cfg, where):
-    if not isinstance(cfg, dict) or len(cfg) != 1:
-        raise ValueError(f"{where} config must be a single-key object")
-    return cfg.items()
-
-
-def _expect_keys(params, expected, where):
-    if not isinstance(params, dict):
-        raise ValueError(f"{where} must be an object")
-    unknown = set(params) - expected
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = expected - set(params)
-    if missing:
-        raise ValueError(f"missing keys in {where}: {sorted(missing)}")

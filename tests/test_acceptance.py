@@ -18,12 +18,12 @@ from conftest import record_verdict
 from sgmlab.bounds import (RateEnvelope, constant_step_plateau,
                            sg_recursion_bound, stage_burn_in)
 from sgmlab.cli import main as cli_main
-from sgmlab.geometry import Ball, project
+from sgmlab.geometry import Ball
 from sgmlab.harness import (ExperimentConfig, dominance_check, drop_stages,
                             fit_rate, run_multistage, run_replicates)
 from sgmlab.optimizers import (QHM, SG, SGM, NormalizedSGM, StepParams, init,
                                map_qhm_to_nsgm, step)
-from sgmlab.problems import (BoundedRademacher, Gaussian, Quadratic, constants,
+from sgmlab.problems import (BoundedRademacher, Gaussian, Quadratic,
                              subgradient_batch)
 from sgmlab.schedules import (ConstantStep, PolynomialMomentum, PolynomialStep,
                               ZeroMomentum)
@@ -101,7 +101,7 @@ def test_criterion_4_recursion_dominance(label, stepsched, noise_label, noise):
         theta0=THETA0, horizon=5000, replicates=2000, master_seed=7,
         workers=WORKERS)
     summary = run_replicates(cfg)
-    c = constants(p)
+    c = p.constants()
     bound = sg_recursion_bound(1.0, stepsched, c.m, c.M, c.sigma2, 5000)
     dom = dominance_check(summary, bound)
     _report(4, dom.passed,
@@ -112,7 +112,7 @@ def test_criterion_4_recursion_dominance(label, stepsched, noise_label, noise):
 
 def test_criterion_5_plateau_level_and_scaling():
     p = _problem()
-    c = constants(p)
+    c = p.constants()
     tails = {}
     ok = True
     details = []
@@ -140,7 +140,7 @@ def test_criterion_5_plateau_level_and_scaling():
 
 def test_criterion_6_momentum_stage_plateau():
     p = _problem()
-    c = constants(p)
+    c = p.constants()
     a = 0.1
     cfg = ExperimentConfig(
         problem=p, variant=SGM(), step=ConstantStep(a),
@@ -203,11 +203,11 @@ def test_criterion_8_reductions_and_coupling():
 def test_criterion_9_assumption_verifiers():
     rng = np.random.default_rng(29)
     p = _problem()
-    c = constants(p)
+    c = p.constants()
     n = 10_000
     raw = rng.normal(size=(n, 2)) * 2.0
-    pts = project(DOMAIN, raw) * 0.999
-    ys = project(DOMAIN, rng.normal(size=(n, 2)) * 2.0) * 0.999
+    pts = DOMAIN.project(raw) * 0.999
+    ys = DOMAIN.project(rng.normal(size=(n, 2)) * 2.0) * 0.999
 
     fx = 0.5 * np.sum(pts ** 2, axis=1)
     fy = 0.5 * np.sum(ys ** 2, axis=1)
@@ -226,7 +226,7 @@ def test_criterion_9_assumption_verifiers():
 
     ra, rb = rng.normal(size=(n, 2)) * 3.0, rng.normal(size=(n, 2)) * 3.0
     nonexpansive = np.all(
-        np.linalg.norm(project(DOMAIN, ra) - project(DOMAIN, rb), axis=1)
+        np.linalg.norm(DOMAIN.project(ra) - DOMAIN.project(rb), axis=1)
         <= np.linalg.norm(ra - rb, axis=1) + 1e-12)
 
     ok = convexity and gap and grad_bound and noise_ok and nonexpansive

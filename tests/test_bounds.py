@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sgmlab.bounds import (EXPONENT_FORMS, BoundSequence, RateEnvelope,
-                           constant_step_plateau, rate_envelope,
+                           constant_step_plateau,
                            sg_exponential_bound, sg_recursion_bound,
                            sgm_recursion_bound, stage_burn_in)
 from sgmlab.schedules import (ConstantMomentum, ConstantStep, PolynomialStep,
@@ -23,21 +23,21 @@ class TestBoundSequence:
 class TestRateEnvelope:
     def test_inv_n_example(self):
         env = RateEnvelope(case="inv_n", constant=3.0)
-        assert rate_envelope(env, 2) == pytest.approx(1.0)
+        assert env.at(2) == pytest.approx(1.0)
 
     def test_log_n_over_n_example(self):
         env = RateEnvelope(case="log_n_over_n", constant=1.0)
-        assert rate_envelope(env, np.e - 1.0) == pytest.approx(1.0 / np.e)
+        assert env.at(np.e - 1.0) == pytest.approx(1.0 / np.e)
 
     def test_inv_n_beta_example(self):
         env = RateEnvelope(case="inv_n_beta", constant=1.0, beta=0.5)
-        assert rate_envelope(env, 3) == pytest.approx(1.0)
+        assert env.at(3) == pytest.approx(1.0)
 
     def test_uncalibrated_rejected(self):
         env = RateEnvelope(case="inv_n")
         with pytest.raises(ValueError, match="uncalibrated"):
-            rate_envelope(env, 10)
-        assert rate_envelope(env.calibrated(2.0), 1) == pytest.approx(1.0)
+            env.at(10)
+        assert env.calibrated(2.0).at(1) == pytest.approx(1.0)
 
     def test_bad_case(self):
         with pytest.raises(ValueError):
@@ -47,7 +47,7 @@ class TestRateEnvelope:
 
     def test_n_below_one_rejected(self):
         with pytest.raises(ValueError):
-            rate_envelope(RateEnvelope(case="inv_n", constant=1.0), 0)
+            RateEnvelope(case="inv_n", constant=1.0).at(0)
 
 
 class TestSgRecursion:

@@ -214,3 +214,160 @@ class TestGenConfig:
         cfg = gen_config("plateau")
         assert cfg["step"] == {"constant": {"a": 0.1}}
         assert cfg["recursion_bound"] == {"kind": "sg"}
+
+
+def _stderr_line(capsys) -> str:
+    """The single line a failing command prints on stderr."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    return err[0]
+
+
+def _checkpoints(out):
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    return [int(r.split(",")[0]) for r in rows]
+
+
+class TestSuffixStart:
+    def test_default_grid_starts_at_suffix_start(self, tmp_path):
+        cfg = _write(tmp_path, _base_run_config(horizon=200))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "-O", "estimator=suffix", "-O", "suffix_start=50"]) == 0
+        cps = _checkpoints(out)
+        assert cps[0] >= 50 and cps[-1] == 200
+
+    def test_explicit_checkpoint_before_start_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, _base_run_config(
+            horizon=200, estimator="suffix", suffix_start=50,
+            checkpoints=[10, 60, 200]))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "checkpoint 10" in _stderr_line(capsys)
+
+    def test_start_past_horizon_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, _base_run_config(
+            horizon=200, estimator="suffix", suffix_start=201))
+        assert main(["validate", "--config", cfg]) == 2
+        assert "suffix_start 201" in _stderr_line(capsys)
+
+
+class TestHorizonOverride:
+    @pytest.mark.parametrize("horizon", [100, 400])
+    def test_default_checkpoints_follow_horizon(self, tmp_path, horizon):
+        cfg = _write(tmp_path, _base_run_config(horizon=200))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "-O", f"horizon={horizon}"]) == 0
+        assert _checkpoints(out)[-1] == horizon
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        assert resolved["checkpoints"][-1] == horizon
+
+    def test_validate_sees_overridden_horizon(self, tmp_path):
+        cfg = _write(tmp_path, _base_run_config(horizon=200))
+        assert main(["validate", "--config", cfg, "-O", "horizon=100"]) == 0
+
+
+class TestWrongTypedValues:
+    @pytest.mark.parametrize("changes, override", [
+        ({}, 'step={"constant": {"a": [1]}}'),
+        ({"step": {"constant": {"a": None}}}, None),
+        ({"noise": {"gaussian": {"sigma2": [1]}}}, None),
+        ({"step": {"staged": {"stages": 5}}}, None),
+        ({"domain": {"ball": {"center": [0.0, 0.0], "radius": None}}}, None),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, changes, override):
+        cfg = _write(tmp_path, _base_run_config(**changes))
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "o")]
+        if override is not None:
+            argv += ["-O", override]
+        assert main(argv) == 2
+        assert _stderr_line(capsys).startswith("error: ")
+
+    def test_multistage_stages_not_a_list(self, tmp_path, capsys):
+        cfg = _base_run_config()
+        for key in ("variant", "step", "horizon"):
+            cfg.pop(key)
+        cfg["stages"] = 5
+        path = _write(tmp_path, cfg)
+        assert main(["multistage", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "stages" in _stderr_line(capsys)
+
+
+class TestErrorWording:
+    @pytest.mark.parametrize("section, spec, message", [
+        ("noise", {"laplace": {}}, "unknown noise kind 'laplace' (expected one of"),
+        ("step", {"constant": {"a": 0.1, "b": 1}},
+         "unknown keys in step.constant: ['b']"),
+        ("momentum", {"polynomial": {"c": 0.9}},
+         "missing keys in momentum.polynomial: ['beta']"),
+    ])
+    def test_one_form_for_all_sections(self, tmp_path, capsys, section, spec,
+                                       message):
+        cfg = _write(tmp_path, _base_run_config(**{section: spec}))
+        assert main(["validate", "--config", cfg]) == 2
+        assert message in _stderr_line(capsys)
+
+
+class TestBadCliInput:
+    def test_fit_empty_file(self, tmp_path, capsys):
+        p = tmp_path / "summary.csv"
+        p.write_text("")
+        assert main(["fit", "--summary", str(p), "--window", "1", "10"]) == 2
+        assert "unexpected header" in _stderr_line(capsys)
+
+    def test_fit_missing_file(self, tmp_path, capsys):
+        assert main(["fit", "--summary", str(tmp_path / "none.csv"),
+                     "--window", "1", "10"]) == 2
+        assert "cannot read" in _stderr_line(capsys)
+
+    def test_fit_checks_header_before_rows(self, tmp_path, capsys):
+        p = tmp_path / "summary.csv"
+        p.write_text("j,bound\n0,not-a-number\n")
+        assert main(["fit", "--summary", str(p), "--window", "1", "10"]) == 2
+        assert "unexpected header" in _stderr_line(capsys)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_flag(self, tmp_path, capsys, workers):
+        cfg = _write(tmp_path, _base_run_config())
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--workers", workers]) == 2
+        assert "workers" in _stderr_line(capsys)
+
+    def test_zero_workers_from_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SGMLAB_WORKERS", "0")
+        cfg = _write(tmp_path, _base_run_config())
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "workers" in _stderr_line(capsys)
+
+
+def test_forced_schedule_warnings_reach_stderr(tmp_path, capsys):
+    cfg = _write(tmp_path, _base_run_config(step={"constant": {"a": 2.0}}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--force-schedule"]) == 0
+    assert "schedule warnings (forced)" in capsys.readouterr().err
+
+
+def test_module_entry_point_has_no_runpy_warning():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "sgmlab.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("changes", [
+    {"envelope": {"case": "inv_n", "constant": "x"}},
+    {"fit_window": 5},
+    {"fit_window": ["a", 10]},
+])
+def test_bad_envelope_or_fit_window_exits_2(tmp_path, capsys, changes):
+    cfg = _write(tmp_path, _base_run_config(**changes))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert _stderr_line(capsys).startswith("error: ")

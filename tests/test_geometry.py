@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgmlab.geometry import (Ball, Box, contains, diameter, domain_from_config,
-                             domain_to_config, project)
+from sgmlab.cli import from_config
+from sgmlab.geometry import Ball, Box, contains
 
 
 UNIT_BALL = Ball(center=[0.0, 0.0], radius=1.0)
@@ -12,29 +12,29 @@ UNIT_BOX = Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])
 
 class TestProjectExamples:
     def test_ball_radial_scaling(self):
-        assert np.allclose(project(UNIT_BALL, [2.0, 0.0]), [1.0, 0.0])
+        assert np.allclose(UNIT_BALL.project([2.0, 0.0]), [1.0, 0.0])
 
     def test_box_per_coordinate_clamp(self):
-        np.testing.assert_array_equal(project(UNIT_BOX, [0.5, -2.0]), [0.5, -1.0])
+        np.testing.assert_array_equal(UNIT_BOX.project([0.5, -2.0]), [0.5, -1.0])
 
     def test_ball_interior_fixed_point(self):
         p = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(project(UNIT_BALL, p), p)
+        np.testing.assert_array_equal(UNIT_BALL.project(p), p)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            project(UNIT_BALL, [1.0, 2.0, 3.0])
+            UNIT_BALL.project([1.0, 2.0, 3.0])
 
 
 class TestDiameterExamples:
     def test_ball(self):
-        assert diameter(UNIT_BALL) == 2.0
+        assert UNIT_BALL.diameter() == 2.0
 
     def test_box_3_4_5(self):
-        assert diameter(Box(lower=[0.0, 0.0], upper=[3.0, 4.0])) == 5.0
+        assert Box(lower=[0.0, 0.0], upper=[3.0, 4.0]).diameter() == 5.0
 
     def test_box_1d(self):
-        assert diameter(Box(lower=[-1.0], upper=[1.0])) == 2.0
+        assert Box(lower=[-1.0], upper=[1.0]).diameter() == 2.0
 
 
 class TestContainsExamples:
@@ -77,7 +77,7 @@ def test_nonexpansiveness_bulk(domain):
     d = domain.dimension
     x = rng.normal(scale=5.0, size=(10_000, d))
     y = rng.normal(scale=5.0, size=(10_000, d))
-    lhs = np.linalg.norm(project(domain, x) - project(domain, y), axis=1)
+    lhs = np.linalg.norm(domain.project(x) - domain.project(y), axis=1)
     rhs = np.linalg.norm(x - y, axis=1)
     assert np.all(lhs <= rhs * (1 + 1e-12))
 
@@ -86,8 +86,8 @@ def test_nonexpansiveness_bulk(domain):
 def test_idempotence_bitwise(domain):
     rng = np.random.default_rng(11)
     x = rng.normal(scale=5.0, size=(10_000, domain.dimension))
-    once = project(domain, x)
-    twice = project(domain, once)
+    once = domain.project(x)
+    twice = domain.project(once)
     np.testing.assert_array_equal(once, twice)
 
 
@@ -95,14 +95,14 @@ def test_idempotence_bitwise(domain):
 def test_projection_membership(domain):
     rng = np.random.default_rng(13)
     x = rng.normal(scale=10.0, size=(10_000, domain.dimension))
-    assert np.all(contains(domain, project(domain, x), 1e-12))
+    assert np.all(contains(domain, domain.project(x), 1e-12))
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_pairwise_distance_below_diameter(domain):
     rng = np.random.default_rng(17)
-    x = project(domain, rng.normal(scale=10.0, size=(5_000, domain.dimension)))
-    y = project(domain, rng.normal(scale=10.0, size=(5_000, domain.dimension)))
+    x = domain.project(rng.normal(scale=10.0, size=(5_000, domain.dimension)))
+    y = domain.project(rng.normal(scale=10.0, size=(5_000, domain.dimension)))
     assert np.all(np.linalg.norm(x - y, axis=1) <= domain.diameter() * (1 + 1e-12))
 
 
@@ -110,22 +110,29 @@ def test_pairwise_distance_below_diameter(domain):
        y=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2))
 @settings(max_examples=200, deadline=None)
 def test_nonexpansiveness_hypothesis(x, y):
-    px, py = project(UNIT_BALL, x), project(UNIT_BALL, y)
+    px, py = UNIT_BALL.project(x), UNIT_BALL.project(y)
     assert np.linalg.norm(px - py) <= np.linalg.norm(np.subtract(x, y)) + 1e-12
 
 
 def test_config_round_trip():
     for domain in DOMAINS:
-        rebuilt = domain_from_config(domain_to_config(domain))
+        if isinstance(domain, Ball):
+            cfg = {"ball": {"center": domain.center.tolist(),
+                            "radius": domain.radius}}
+        else:
+            cfg = {"box": {"lower": domain.lower.tolist(),
+                           "upper": domain.upper.tolist()}}
+        rebuilt = from_config("domain", cfg)
         assert type(rebuilt) is type(domain)
         assert rebuilt.diameter() == domain.diameter()
 
 
 def test_config_unknown_kind():
     with pytest.raises(ValueError, match="unknown domain kind"):
-        domain_from_config({"simplex": {}})
+        from_config("domain", {"simplex": {}})
 
 
 def test_config_unknown_key():
     with pytest.raises(ValueError, match="unknown keys"):
-        domain_from_config({"ball": {"center": [0.0], "radius": 1.0, "bogus": 1}})
+        from_config("domain", {"ball": {"center": [0.0], "radius": 1.0,
+                                      "bogus": 1}})

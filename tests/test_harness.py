@@ -51,6 +51,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(theta0="origin")
 
+    def test_suffix_default_grid_starts_at_suffix_start(self):
+        cfg = _config(estimator="suffix", suffix_start=50)
+        assert cfg.checkpoints[0] >= 50 and cfg.checkpoints[-1] == 200
+        assert cfg.checkpoints == default_checkpoints(200, "suffix", 50)
+
+    def test_suffix_checkpoint_before_start_rejected(self):
+        with pytest.raises(ValueError, match="checkpoint 10 lies before"):
+            _config(estimator="suffix", suffix_start=50, checkpoints=(10, 60))
+
+    def test_suffix_start_past_horizon_rejected(self):
+        with pytest.raises(ValueError, match="exceeds horizon"):
+            _config(estimator="suffix", suffix_start=201)
+
 
 class TestRunReplicates:
     def test_noiseless_run_has_zero_sem(self):
@@ -94,6 +107,12 @@ class TestRunReplicates:
         forced = _config(step=ConstantStep(0.9), momentum=ConstantMomentum(0.9),
                          variant=SGM(), horizon=20, force_schedule=True)
         run_replicates(forced)   # no raise
+
+    def test_forced_run_carries_schedule_report(self):
+        forced = _config(step=ConstantStep(2.0), horizon=20,
+                         force_schedule=True)
+        assert not run_replicates(forced).schedule_report.ok
+        assert run_replicates(_config(horizon=20)).schedule_report.ok
 
     def test_momentum_run_stays_feasible(self):
         cfg = _config(variant=SGM(), momentum=ConstantMomentum(0.3),

@@ -4,8 +4,8 @@ import pytest
 from sgmlab.geometry import Ball, Box
 from sgmlab.problems import (BoundedRademacher, DegenerateProblemError,
                              ErmLeastSquares, Gaussian, Minibatch, QuadPlusL1,
-                             Quadratic, constants, load_erm_csv,
-                             noisy_gradient, subgradient, value)
+                             Quadratic, load_erm_csv, minibatch_indices,
+                             noise_sample)
 
 BALL2 = Ball(center=[0.0, 0.0], radius=2.0)
 BALL1D = Ball(center=[0.0], radius=5.0)
@@ -21,40 +21,40 @@ class TestValueExamples:
     def test_quadratic(self):
         p = Quadratic(hessian_diag=[1.0, 1.0], theta_star=[0.0, 0.0],
                       domain=BALL2, noise=NO_NOISE)
-        assert value(p, [1.0, 0.0]) == 0.5
+        assert p.value([1.0, 0.0]) == 0.5
 
     def test_quad_plus_l1(self):
         p = QuadPlusL1(hessian_diag=[1.0], theta_star=[0.0], l1_weight=2.0,
                        domain=BALL1D, noise=NO_NOISE)
-        assert value(p, [3.0]) == 10.5
+        assert p.value([3.0]) == 10.5
 
     def test_erm_identity(self):
         # two stacked identity blocks: f(theta) = ||theta||^2 / 4
         p = ErmLeastSquares(design=np.vstack([np.eye(2), np.eye(2)]),
                             targets=[0.0, 0.0, 0.0, 0.0],
                             domain=BALL2, noise=NO_NOISE)
-        assert value(p, [1.0, 1.0]) == 0.5
+        assert p.value([1.0, 1.0]) == 0.5
 
     def test_out_of_domain_rejected(self):
         p = quad2()
         with pytest.raises(ValueError, match="outside"):
-            value(p, [3.0, 0.0])
+            p.value([3.0, 0.0])
 
 
 class TestSubgradientExamples:
     def test_quadratic(self):
         p = quad2(diag=(2.0, 3.0))
-        np.testing.assert_array_equal(subgradient(p, [1.0, 1.0]), [2.0, 3.0])
+        np.testing.assert_array_equal(p.subgradient([1.0, 1.0]), [2.0, 3.0])
 
     def test_l1_kink_tie_break(self):
         p = QuadPlusL1(hessian_diag=[1.0], theta_star=[0.0], l1_weight=2.0,
                        domain=BALL1D, noise=NO_NOISE)
-        np.testing.assert_array_equal(subgradient(p, [0.0]), [0.0])
+        np.testing.assert_array_equal(p.subgradient([0.0]), [0.0])
 
     def test_l1_sign_rule(self):
         p = QuadPlusL1(hessian_diag=[1.0], theta_star=[0.0], l1_weight=2.0,
                        domain=BALL1D, noise=NO_NOISE)
-        np.testing.assert_array_equal(subgradient(p, [-1.0]), [-3.0])
+        np.testing.assert_array_equal(p.subgradient([-1.0]), [-3.0])
 
 
 class TestConstantsExamples:
@@ -62,7 +62,7 @@ class TestConstantsExamples:
         p = Quadratic(hessian_diag=[1.0, 4.0], theta_star=[0.0, 0.0],
                       domain=Ball(center=[0.0, 0.0], radius=1.0),
                       noise=NO_NOISE)
-        c = constants(p)
+        c = p.constants()
         assert c.m == 1.0
         assert c.sqrt_M == 4.0
         assert c.L == 2.0
@@ -72,7 +72,20 @@ class TestConstantsExamples:
         p = ErmLeastSquares(design=np.vstack([np.eye(2), np.eye(2)]),
                             targets=[0.0, 0.0, 0.0, 0.0],
                             domain=BALL2, noise=NO_NOISE)
-        assert constants(p).m == pytest.approx(0.5, rel=1e-12)
+        assert p.constants().m == pytest.approx(0.5, rel=1e-12)
+
+    def test_erm_constants_computed_once(self, monkeypatch):
+        calls = []
+        support = Ball.support
+        monkeypatch.setattr(Ball, "support",
+                            lambda self, d: calls.append(1) or support(self, d))
+        p = ErmLeastSquares(design=np.vstack([np.eye(2), np.eye(2)]),
+                            targets=[0.0, 0.0, 0.0, 0.0],
+                            domain=BALL2, noise=Minibatch(batch_size=2))
+        built = len(calls)
+        assert built == 2 * 4   # two support evaluations per row
+        assert p.constants() is p.constants()
+        assert len(calls) == built
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(DegenerateProblemError):
@@ -86,8 +99,9 @@ class TestNoisyGradient:
         p = quad2()
         rng = np.random.default_rng(0)
         theta = [0.3, -0.7]
-        np.testing.assert_array_equal(noisy_gradient(p, theta, rng),
-                                      subgradient(p, theta))
+        np.testing.assert_array_equal(
+            p.subgradient(theta) + noise_sample(p, rng, 1)[0],
+            p.subgradient(theta))
 
     def test_gaussian_mean_monte_carlo(self):
         # MC mean of g at theta=1 vs the 4 sigma / sqrt(n) confidence band
@@ -102,9 +116,9 @@ class TestNoisyGradient:
         p = Quadratic(hessian_diag=[1.0], theta_star=[0.0], domain=BALL1D,
                       noise=BoundedRademacher(sigma2=4.0))
         rng = np.random.default_rng(5)
-        s = float(subgradient(p, [1.0])[0])
+        s = float(p.subgradient([1.0])[0])
         for _ in range(200):
-            g = float(noisy_gradient(p, [1.0], rng)[0])
+            g = s + float(noise_sample(p, rng, 1)[0, 0])
             assert g in (s - 2.0, s + 2.0)
 
 
@@ -155,8 +169,8 @@ class TestMinibatch:
                             noise=Minibatch(batch_size=4))
         theta = p.theta_star + np.array([0.5, -0.25])
         rng = np.random.default_rng(77)
-        draws = np.stack([noisy_gradient(p, theta, rng) for _ in range(40_000)])
-        np.testing.assert_allclose(draws.mean(axis=0), subgradient(p, theta),
+        draws = p.per_sample_gradient(theta, minibatch_indices(p, rng, 40_000))
+        np.testing.assert_allclose(draws.mean(axis=0), p.subgradient(theta),
                                    atol=0.02)
 
     def test_minibatch_sigma2_covers_variance(self):
@@ -170,8 +184,8 @@ class TestMinibatch:
         c = p.constants()
         theta = p.theta_star
         rng = np.random.default_rng(8)
-        draws = np.stack([noisy_gradient(p, theta, rng) for _ in range(20_000)])
-        emp_var = float(np.mean(np.sum((draws - subgradient(p, theta)) ** 2,
+        draws = p.per_sample_gradient(theta, minibatch_indices(p, rng, 20_000))
+        emp_var = float(np.mean(np.sum((draws - p.subgradient(theta)) ** 2,
                                        axis=1)))
         assert emp_var <= c.sigma2
 
@@ -179,9 +193,8 @@ class TestMinibatch:
 # Assumption verifier suites (also exercised by the acceptance module).
 
 def _random_interior(domain, rng, n):
-    from sgmlab.geometry import project
-    pts = project(domain, rng.normal(scale=domain.diameter(),
-                                     size=(n, domain.dimension)))
+    pts = domain.project(rng.normal(scale=domain.diameter(),
+                                    size=(n, domain.dimension)))
     # pull strictly inside so finite differences stay in the domain
     if isinstance(domain, Ball):
         return domain.center + 0.99 * (pts - domain.center)
@@ -210,12 +223,12 @@ def test_gradient_vs_central_differences(p):
     pts = _random_interior(p.domain, rng, 100)
     h = 1e-6
     for theta in pts:
-        grad = subgradient(p, theta)
+        grad = p.subgradient(theta)
         fd = np.empty_like(grad)
         for k in range(len(theta)):
             e = np.zeros_like(theta)
             e[k] = h
-            fd[k] = (value(p, theta + e) - value(p, theta - e)) / (2 * h)
+            fd[k] = (p.value(theta + e) - p.value(theta - e)) / (2 * h)
         denom = max(np.linalg.norm(grad), 1.0)
         assert np.linalg.norm(fd - grad) / denom <= 1e-6
 
@@ -223,7 +236,7 @@ def test_gradient_vs_central_differences(p):
 @pytest.mark.parametrize("p", ALL_PROBLEMS)
 def test_strong_convexity_inequality(p):
     rng = np.random.default_rng(37)
-    m = constants(p).m
+    m = p.constants().m
     a = _random_interior(p.domain, rng, 10_000)
     b = _random_interior(p.domain, rng, 10_000)
     fa = _values(p, a)
@@ -237,7 +250,7 @@ def test_strong_convexity_inequality(p):
 @pytest.mark.parametrize("p", ALL_PROBLEMS)
 def test_optimality_gap_inequality(p):
     rng = np.random.default_rng(41)
-    c = constants(p)
+    c = p.constants()
     pts = _random_interior(p.domain, rng, 10_000)
     g = _subgradients(p, pts)
     delta = pts - c.theta_star
@@ -249,7 +262,7 @@ def test_optimality_gap_inequality(p):
 @pytest.mark.parametrize("p", ALL_PROBLEMS)
 def test_subgradient_norm_bound(p):
     rng = np.random.default_rng(43)
-    c = constants(p)
+    c = p.constants()
     pts = _random_interior(p.domain, rng, 10_000)
     norms = np.linalg.norm(_subgradients(p, pts), axis=1)
     assert np.max(norms) <= c.sqrt_M * (1 + 1e-12)

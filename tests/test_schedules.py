@@ -5,29 +5,28 @@ from hypothesis import given, settings, strategies as st
 from sgmlab.schedules import (ConstantMomentum, ConstantStep, PolynomialMomentum,
                               PolynomialStep, ProportionalToStep,
                               ScheduleExhaustedError, StagedStep, ZeroMomentum,
-                              momentum_schedule_from_config, momentum_weight,
-                              partial_sums, step_schedule_from_config,
-                              step_size, validate)
+                              partial_sums, validate)
+from sgmlab.cli import from_config
 
 
 class TestStepSize:
     def test_polynomial(self):
-        assert step_size(PolynomialStep(gamma=0.5, alpha=1.0), 4) == pytest.approx(0.1)
+        assert PolynomialStep(gamma=0.5, alpha=1.0).step_size(4) == pytest.approx(0.1)
 
     def test_constant(self):
         s = ConstantStep(a=0.05)
-        assert step_size(s, 0) == 0.05
-        assert step_size(s, 10**6) == 0.05
+        assert s.step_size(0) == 0.05
+        assert s.step_size(10**6) == 0.05
 
     def test_staged_second_stage(self):
         s = StagedStep(stages=((0.1, 2), (0.05, 4)))
-        assert step_size(s, 1) == 0.1
-        assert step_size(s, 2) == 0.05
+        assert s.step_size(1) == 0.1
+        assert s.step_size(2) == 0.05
 
     def test_staged_exhausted(self):
         s = StagedStep(stages=((0.1, 2), (0.05, 4)))
         with pytest.raises(ScheduleExhaustedError):
-            step_size(s, 6)
+            s.step_size(6)
 
     def test_staged_must_decrease(self):
         with pytest.raises(ValueError):
@@ -36,17 +35,17 @@ class TestStepSize:
 
 class TestMomentumWeight:
     def test_polynomial(self):
-        assert momentum_weight(PolynomialMomentum(c=1.0, beta=0.5), 3, 0.1) == 0.5
+        assert PolynomialMomentum(c=1.0, beta=0.5).weight(3, 0.1) == 0.5
 
     def test_proportional(self):
-        assert momentum_weight(ProportionalToStep(k=9.0), 0, 0.1) == pytest.approx(0.9)
+        assert ProportionalToStep(k=9.0).weight(0, 0.1) == pytest.approx(0.9)
 
     def test_proportional_clamps(self):
-        w = momentum_weight(ProportionalToStep(k=20.0), 0, 0.1)
+        w = ProportionalToStep(k=20.0).weight(0, 0.1)
         assert w == 1.0 - 1e-12
 
     def test_zero(self):
-        assert momentum_weight(ZeroMomentum(), 123, 0.5) == 0.0
+        assert ZeroMomentum().weight(123, 0.5) == 0.0
 
 
 class TestValidate:
@@ -99,9 +98,9 @@ class TestPartialSums:
 def test_purity(j):
     s = PolynomialStep(gamma=0.7, alpha=0.8)
     mom = PolynomialMomentum(c=0.9, beta=0.6)
-    t = step_size(s, j)
-    assert step_size(s, j) == t
-    assert momentum_weight(mom, j, t) == momentum_weight(mom, j, t)
+    t = s.step_size(j)
+    assert s.step_size(j) == t
+    assert mom.weight(j, t) == mom.weight(j, t)
 
 
 @given(n=st.integers(2, 500))
@@ -111,8 +110,8 @@ def test_partial_sums_telescoping(n):
     mom = ProportionalToStep(k=1.1)
     full = partial_sums(step, mom, n)
     prev = partial_sums(step, mom, n - 1)
-    t = step_size(step, n - 1)
-    eta = momentum_weight(mom, n - 1, t)
+    t = step.step_size(n - 1)
+    eta = mom.weight(n - 1, t)
     assert full["sum_t"] - prev["sum_t"] == pytest.approx(t, rel=1e-12)
     assert full["sum_eta"] - prev["sum_eta"] == pytest.approx(eta, rel=1e-12)
 
@@ -134,20 +133,27 @@ def test_square_summable_above_half(alpha):
 
 
 def test_config_round_trip():
-    from sgmlab.schedules import (momentum_schedule_to_config,
-                                  step_schedule_to_config)
-    steps = [PolynomialStep(gamma=0.5, alpha=0.9), ConstantStep(a=0.01),
-             StagedStep(stages=((0.1, 5), (0.05, 10)))]
-    for s in steps:
-        assert step_schedule_from_config(step_schedule_to_config(s)) == s
-    moms = [ZeroMomentum(), ConstantMomentum(eta=0.5),
-            PolynomialMomentum(c=0.9, beta=0.5), ProportionalToStep(k=2.0)]
-    for mschedule in moms:
-        assert momentum_schedule_from_config(
-            momentum_schedule_to_config(mschedule)) == mschedule
+    steps = [
+        (PolynomialStep(gamma=0.5, alpha=0.9),
+         {"polynomial": {"gamma": 0.5, "alpha": 0.9}}),
+        (ConstantStep(a=0.01), {"constant": {"a": 0.01}}),
+        (StagedStep(stages=((0.1, 5), (0.05, 10))),
+         {"staged": {"stages": [{"a": 0.1, "n": 5}, {"a": 0.05, "n": 10}]}}),
+    ]
+    for s, cfg in steps:
+        assert from_config("step", cfg) == s
+    moms = [
+        (ZeroMomentum(), {"zero": {}}),
+        (ConstantMomentum(eta=0.5), {"constant": {"eta": 0.5}}),
+        (PolynomialMomentum(c=0.9, beta=0.5),
+         {"polynomial": {"c": 0.9, "beta": 0.5}}),
+        (ProportionalToStep(k=2.0), {"proportional": {"k": 2.0}}),
+    ]
+    for mschedule, cfg in moms:
+        assert from_config("momentum", cfg) == mschedule
 
 
 def test_config_unknown_keys():
     with pytest.raises(ValueError, match="unknown keys"):
-        step_schedule_from_config({"polynomial": {"gamma": 1.0, "alpha": 1.0,
-                                                  "lr": 0.1}})
+        from_config("step", {"polynomial": {"gamma": 1.0, "alpha": 1.0,
+                                            "lr": 0.1}})
