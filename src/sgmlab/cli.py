@@ -19,8 +19,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, problems, schedules
-from .harness import (ExperimentConfig, default_checkpoints, dominance_check,
-                      fit_rate, run_multistage, run_replicates)
+from .harness import (ExperimentConfig, dominance_check, fit_rate,
+                      run_multistage, run_replicates)
 from .optimizers import NumericFailureError, variant_from_name
 
 EXIT_OK = 0
@@ -31,17 +31,6 @@ EXIT_NUMERIC = 3
 class ConfigError(ValueError):
     pass
 
-
-RUN_KEYS = {
-    "problem", "domain", "noise", "variant", "qhm_v", "step", "momentum",
-    "estimator", "suffix_start", "theta0", "horizon", "checkpoints",
-    "replicates", "master_seed", "workers", "envelope", "recursion_bound",
-    "fit_window",
-}
-MULTISTAGE_KEYS = {
-    "problem", "domain", "noise", "variant", "qhm_v", "momentum", "stages",
-    "theta0", "replicates", "master_seed", "workers",
-}
 
 RUN_REQUIRED = {"problem", "domain", "noise", "variant", "step", "momentum",
                 "horizon", "replicates"}
@@ -162,11 +151,11 @@ def build_problem(cfg: dict) -> problems.Problem:
     return from_config("problem", cfg["problem"], domain=domain, noise=noise)
 
 
-def resolve_config(cfg: dict, args, keys: set, required: set,
-                   defaults: dict) -> dict:
-    """Fill defaults, then --seed/--workers, then -O overrides, then the
-    derived defaults; the result reruns byte-identically."""
-    _fail_closed(cfg, keys, required, "config")
+def resolve_config(cfg: dict, args, required: set, defaults: dict) -> dict:
+    """Fill defaults, then --seed/--workers, then -O overrides; the keys are
+    the required ones, the defaulted ones and `workers`."""
+    _fail_closed(cfg, required | set(defaults) | {"workers"}, required,
+                 "config")
     resolved = {**defaults,
                 "workers": int(os.environ.get("SGMLAB_WORKERS", "1")), **cfg}
     if getattr(args, "seed", None) is not None:
@@ -176,11 +165,6 @@ def resolve_config(cfg: dict, args, keys: set, required: set,
     _apply_overrides(resolved, args.override)
     if _coerce(resolved["workers"], "int", "workers") < 1:
         raise ConfigError(f"workers must be >= 1, got {resolved['workers']}")
-    if "checkpoints" in defaults and resolved["checkpoints"] is None:  # run only
-        resolved["checkpoints"] = list(default_checkpoints(
-            _coerce(resolved["horizon"], "int", "horizon"),
-            resolved["estimator"],
-            _coerce(resolved["suffix_start"], "int", "suffix_start")))
     return resolved
 
 
@@ -196,7 +180,7 @@ def build_experiment(resolved: dict, force_schedule: bool = False) -> Experiment
             suffix_start=int(resolved["suffix_start"]),
             theta0=resolved["theta0"],
             horizon=int(resolved["horizon"]),
-            checkpoints=tuple(resolved["checkpoints"]),
+            checkpoints=resolved["checkpoints"],
             replicates=int(resolved["replicates"]),
             master_seed=int(resolved["master_seed"]),
             workers=int(resolved["workers"]),
@@ -245,7 +229,7 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_summary_csv(path: Path, summary, report=None):
+def summary_csv(summary, report=None) -> str:
     lines = []
     if report is None:
         lines.append("checkpoint,mse_mean,mse_sem")
@@ -264,7 +248,7 @@ def write_summary_csv(path: Path, summary, report=None):
                 verdict = "violation" if c in bad else "ok"
             lines.append(f"{c},{_format_float(mean)},{_format_float(sem)},"
                          f"{_format_float(bv)},{verdict}")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _check_output(path: Path, overwrite: bool):
@@ -282,9 +266,21 @@ def _outputs(args, *names) -> list:
     return targets
 
 
+def _write_outputs(targets: list, texts: list):
+    """Land each text, all built beforehand, whole on its target: write a
+    temp file beside it, then os.replace it onto the target name."""
+    for target, text in zip(targets, texts, strict=True):
+        tmp = target.with_name(f".{target.name}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+
 def cmd_run(args) -> int:
-    resolved = resolve_config(_load_json(args.config), args, RUN_KEYS,
-                              RUN_REQUIRED, RUN_DEFAULTS)
+    resolved = resolve_config(_load_json(args.config), args, RUN_REQUIRED,
+                              RUN_DEFAULTS)
     targets = _outputs(args, "summary.csv", "summary.json",
                        "config.resolved.json")
 
@@ -302,7 +298,6 @@ def cmd_run(args) -> int:
     dom = dominance_check(summary, bound) if bound is not None else None
     fit = None if window is None else fit_rate(summary, window)
 
-    write_summary_csv(targets[0], summary, dom)
     payload = {
         "fit": None if fit is None else {
             "exponent": fit.exponent, "log_constant": fit.log_constant,
@@ -323,13 +318,16 @@ def cmd_run(args) -> int:
             "wall_time_s": summary.wall_time,
         },
     }
-    targets[1].write_text(json.dumps(payload, indent=2) + "\n")
-    targets[2].write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    resolved["checkpoints"] = list(config.checkpoints)
+    _write_outputs(targets, [
+        summary_csv(summary, dom),
+        json.dumps(payload, indent=2) + "\n",
+        json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
 
 def cmd_multistage(args) -> int:
-    resolved = resolve_config(_load_json(args.config), args, MULTISTAGE_KEYS,
+    resolved = resolve_config(_load_json(args.config), args,
                               MULTISTAGE_REQUIRED, MULTISTAGE_DEFAULTS)
     targets = _outputs(args, "stages.csv", "config.resolved.json")
 
@@ -349,8 +347,9 @@ def cmd_multistage(args) -> int:
                      f"{_format_float(r.suffix_mse_mean)},"
                      f"{_format_float(r.suffix_mse_sem)},"
                      f"{_format_float(r.plateau)}")
-    targets[0].write_text("\n".join(lines) + "\n")
-    targets[1].write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    _write_outputs(targets, [
+        "\n".join(lines) + "\n",
+        json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
 
@@ -405,8 +404,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    resolved = resolve_config(_load_json(args.config), args, RUN_KEYS,
-                              RUN_REQUIRED, RUN_DEFAULTS)
+    resolved = resolve_config(_load_json(args.config), args, RUN_REQUIRED,
+                              RUN_DEFAULTS)
     config = build_experiment(resolved)
     report = schedules.validate(config.step, config.momentum,
                                 config.problem.constants().m, config.horizon)
@@ -482,7 +481,7 @@ def cmd_gen_config(args) -> int:
     cfg = gen_config(args.template)
     out = Path(args.out)
     _check_output(out, args.overwrite)
-    out.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    _write_outputs([out], [json.dumps(cfg, indent=2, sort_keys=True) + "\n"])
     print(f"wrote {out}")
     return EXIT_OK
 

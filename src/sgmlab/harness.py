@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, is_dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from . import problems as prob_mod
 from .bounds import BoundSequence, RateEnvelope, constant_step_plateau, stage_burn_in
 from .optimizers import NumericFailureError, SGM, Variant
 from .problems import Problem
-from .schedules import MomentumSchedule, StepSchedule, ValidityReport, validate
+from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
+                        ValidityReport, validate)
 
 NOISE_CHUNK = 2048
 
@@ -57,8 +58,10 @@ class ExperimentConfig:
     checkpoints: tuple | None = None
     replicates: int = 2
     master_seed: int = 0
-    workers: int = 1
-    force_schedule: bool = False
+    # Settings that do not change the result: left out of equality and so
+    # of config_hash.
+    workers: int = field(default=1, compare=False)
+    force_schedule: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.replicates < 2:
@@ -142,17 +145,14 @@ def _replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,)))
 
 
-def _init_block(problem: Problem, variant: Variant, theta0, master_seed: int,
-                rep_lo: int, rep_hi: int):
-    """Per-replicate streams and the batched initial state for a block."""
-    domain = problem.domain
-    rngs = [_replicate_rng(master_seed, r) for r in range(rep_lo, rep_hi)]
-    if isinstance(theta0, str):
-        theta0 = np.stack([domain.sample_interior(rng) for rng in rngs])
-    else:
-        theta0 = np.tile(theta0, (rep_hi - rep_lo, 1))
-    state = opt_mod.init(theta0, variant, domain)
-    return rngs, state
+def _init_block(config: ExperimentConfig, rep_lo: int, rep_hi: int):
+    """Per-replicate streams and starting iterates (block, d) of a block."""
+    rngs = [_replicate_rng(config.master_seed, r)
+            for r in range(rep_lo, rep_hi)]
+    if isinstance(config.theta0, str):
+        return rngs, np.stack([config.problem.domain.sample_interior(rng)
+                               for rng in rngs])
+    return rngs, np.tile(config.theta0, (rep_hi - rep_lo, 1))
 
 
 def _draw_noise(problem: Problem, rngs, n_steps: int):
@@ -170,23 +170,32 @@ def _gradient(problem: Problem, theta: np.ndarray, noise_slice) -> np.ndarray:
     return prob_mod.subgradient_batch(problem, theta) + noise_slice
 
 
-def _advance_block(problem, variant, state, rngs, t_arr, eta_arr, estimator,
-                   record_at: dict, out: np.ndarray, j_offset: int = 0,
-                   rep_lo: int = 0):
-    """Advance n = len(t_arr) steps, filling `out[k]` with per-replicate
-    squared estimator errors at recorded checkpoints."""
+def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
+                   rep_lo: int) -> tuple:
+    """Run one config from the iterates theta0 (block, d) with a fresh
+    optimizer state and estimator. Returns the final iterates and the
+    per-replicate squared estimator errors (checkpoints, block)."""
+    problem, variant = config.problem, config.variant
     theta_star = problem.theta_star
     domain = problem.domain
-    n_steps = len(t_arr)
+    state = opt_mod.init(theta0, variant, domain)
+    n_steps = config.horizon
+    t_arr = np.asarray(config.step.step_size(np.arange(n_steps)), float)
+    eta_arr = np.asarray(config.momentum.weight(np.arange(n_steps), t_arr),
+                         float)
+    estimator = est_mod.make_estimator(config.estimator, config.suffix_start)
+    estimator.observe(state.theta_curr, 0)
+    record_at = {c: k for k, c in enumerate(config.checkpoints)}
+    out = np.empty((len(config.checkpoints), len(rngs)))
     pos = 0
     while pos < n_steps:
         chunk = min(NOISE_CHUNK, n_steps - pos)
         noise = _draw_noise(problem, rngs, chunk)
         for i in range(chunk):
-            j = j_offset + pos + i
+            j = pos + i
             g = _gradient(problem, state.theta_curr, noise[:, i])
-            params = opt_mod.StepParams(step=float(t_arr[pos + i]),
-                                        weight=float(eta_arr[pos + i]))
+            params = opt_mod.StepParams(step=float(t_arr[j]),
+                                        weight=float(eta_arr[j]))
             try:
                 state = opt_mod.step(state, g, params, variant, domain)
             except NumericFailureError:
@@ -201,22 +210,22 @@ def _advance_block(problem, variant, state, rngs, t_arr, eta_arr, estimator,
                 delta = estimator.current() - theta_star
                 out[record_at[j + 1]] = np.sum(delta * delta, axis=-1)
         pos += chunk
-    return state
+    return state.theta_curr, out
 
 
-def _run_block(config: ExperimentConfig, rep_lo: int, rep_hi: int) -> np.ndarray:
-    rngs, state = _init_block(config.problem, config.variant, config.theta0,
-                              config.master_seed, rep_lo, rep_hi)
-    t_arr = np.asarray(config.step.step_size(np.arange(config.horizon)), float)
-    eta_arr = np.asarray(config.momentum.weight(np.arange(config.horizon), t_arr),
-                         float)
-    estimator = est_mod.make_estimator(config.estimator, config.suffix_start)
-    estimator.observe(state.theta_curr, 0)
-    record_at = {c: k for k, c in enumerate(config.checkpoints)}
-    out = np.empty((len(config.checkpoints), rep_hi - rep_lo))
-    _advance_block(config.problem, config.variant, state, rngs, t_arr, eta_arr,
-                   estimator, record_at, out, rep_lo=rep_lo)
-    return out
+def _run_block(stages: tuple, rep_lo: int, rep_hi: int) -> np.ndarray:
+    """Squared estimator errors (checkpoints of all stages, block) of the
+    replicates rep_lo..rep_hi-1 run through the stage configs in turn.
+
+    The first stage starts from its theta0, each later one from the previous
+    stage's final iterates with the momentum memory wiped and the schedule
+    index back at 0; the replicates' streams run on across stages."""
+    rngs, theta = _init_block(stages[0], rep_lo, rep_hi)
+    outs = []
+    for config in stages:
+        theta, out = _advance_block(config, theta, rngs, rep_lo)
+        outs.append(out)
+    return np.concatenate(outs)
 
 
 def _worker_ranges(replicates: int, workers: int):
@@ -240,14 +249,24 @@ def _map_blocks(block_fn, args: tuple, replicates: int,
     return np.concatenate(blocks, axis=1)
 
 
+def _mse(stages: tuple, replicates: int, workers: int) -> tuple:
+    """Mean and standard error over the replicates of the squared estimator
+    errors at every stage's checkpoints, aggregated in replicate order."""
+    errors = _map_blocks(_run_block, (stages,), replicates, workers)
+    return (errors.mean(axis=1),
+            errors.std(axis=1, ddof=1) / np.sqrt(replicates))
+
+
 def _fingerprint(obj) -> str:
+    """Hash of the fields that determine a result; a dataclass field with
+    compare=False (a derived cache, a worker count) is skipped."""
     h = hashlib.sha256()
 
     def feed(x):
         if is_dataclass(x) and not isinstance(x, type):
             feed(type(x).__name__)
             for f in fields(x):
-                if f.name.startswith("_"):
+                if not f.compare:
                     continue
                 feed(f.name)
                 feed(getattr(x, f.name))
@@ -272,10 +291,7 @@ def run_replicates(config: ExperimentConfig) -> RunSummary:
         raise ValueError(f"schedule validation failed:\n{report}")
 
     start = time.perf_counter()
-    errors = _map_blocks(_run_block, (config,), config.replicates,
-                         config.workers)   # (n_checkpoints, R)
-    mse_mean = errors.mean(axis=1)
-    mse_sem = errors.std(axis=1, ddof=1) / np.sqrt(config.replicates)
+    mse_mean, mse_sem = _mse((config,), config.replicates, config.workers)
     return RunSummary(
         checkpoints=config.checkpoints,
         mse_mean=mse_mean,
@@ -380,52 +396,27 @@ def drop_stages(a0: float, n0: int, num_stages: int) -> list:
     return [(a0 / 2 ** k, n0 * 2 ** k) for k in range(num_stages)]
 
 
-def _run_multistage_block(problem, variant, momentum, resolved, theta0,
-                          master_seed, rep_lo, rep_hi) -> np.ndarray:
-    rngs, state = _init_block(problem, variant, theta0, master_seed,
-                              rep_lo, rep_hi)
-    theta_star = problem.theta_star
-    out = np.empty((len(resolved), rep_hi - rep_lo))
-    for k, (a_k, length, _burn) in enumerate(resolved):
-        # Stage start: schedule index resets, momentum memory is wiped.
-        state = opt_mod.IterateState(theta_curr=state.theta_curr,
-                                     theta_prev=state.theta_curr,
-                                     velocity=np.zeros_like(state.velocity),
-                                     j=0)
-        t_arr = np.full(length, a_k)
-        eta_arr = np.asarray(momentum.weight(np.arange(length), t_arr), float)
-        estimator = est_mod.SuffixAverage(start_index=0)
-        estimator.observe(state.theta_curr, 0)
-        state = _advance_block(problem, variant, state, rngs, t_arr, eta_arr,
-                               estimator, {}, out[k:k], rep_lo=rep_lo)
-        delta = estimator.current() - theta_star
-        out[k] = np.sum(delta * delta, axis=-1)
-    return out
-
-
 def run_multistage(problem: Problem, stages, momentum: MomentumSchedule, *,
                    variant: Variant = SGM(), theta0="random-interior",
                    replicates: int = 2, master_seed: int = 0,
                    workers: int = 1) -> list:
-    """Constant-and-drop driver: per stage, a constant step a_k, re-initialized
-    momentum, and a fresh suffix average; stage k+1 continues from stage k's
-    final iterates. Returns one StageReport per stage."""
+    """Constant-and-drop driver: a chain of constant-step runs, one per stage,
+    each with re-initialized momentum and a suffix average over the whole
+    stage; stage k+1 continues from stage k's final iterates. Returns one
+    StageReport per stage."""
     resolved = resolve_stages(problem, stages)
     consts = problem.constants()
-    if not isinstance(theta0, str):
-        theta0 = np.asarray(theta0, dtype=float)
-    errors = _map_blocks(_run_multistage_block,
-                         (problem, variant, momentum, resolved, theta0,
-                          master_seed), replicates, workers)   # (n_stages, R)
-    reports = []
-    for k, (a_k, length, burn) in enumerate(resolved):
-        reports.append(StageReport(
-            step=a_k,
-            length=length,
-            burn_in=burn,
-            suffix_mse_mean=float(errors[k].mean()),
-            suffix_mse_sem=float(errors[k].std(ddof=1) / np.sqrt(replicates)),
-            plateau=constant_step_plateau(a_k, consts.m, consts.M,
-                                          consts.sigma2),
-        ))
-    return reports
+    configs = tuple(
+        ExperimentConfig(problem=problem, variant=variant,
+                         step=ConstantStep(a_k), momentum=momentum,
+                         estimator="suffix", theta0=theta0, horizon=length,
+                         checkpoints=(length,), replicates=replicates,
+                         master_seed=master_seed, workers=workers)
+        for a_k, length, _burn in resolved)
+    mse_mean, mse_sem = _mse(configs, replicates, workers)
+    return [StageReport(step=a_k, length=length, burn_in=burn,
+                        suffix_mse_mean=float(mse_mean[k]),
+                        suffix_mse_sem=float(mse_sem[k]),
+                        plateau=constant_step_plateau(a_k, consts.m, consts.M,
+                                                      consts.sigma2))
+            for k, (a_k, length, burn) in enumerate(resolved)]

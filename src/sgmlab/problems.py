@@ -10,6 +10,7 @@ and ``n`` is zero-mean noise with exactly known second moment.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,9 +78,26 @@ class ProblemConstants:
     L: float
     theta_star: np.ndarray
 
+    def __post_init__(self):
+        for name in ("m", "M", "sigma2", "L"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"problem constant {name} = {value} is not "
+                                 "finite")
+
     @property
     def sqrt_M(self) -> float:
         return float(np.sqrt(self.M))
+
+
+def _square(x: float) -> float:
+    """x**2, but inf past the float range, where a Python float raises
+    OverflowError and a numpy float warns; ProblemConstants rejects it."""
+    try:
+        with np.errstate(over="ignore"):
+            return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _check_in_domain(domain: Domain, theta) -> np.ndarray:
@@ -124,7 +142,8 @@ def _init_diagonal(problem):
 def _diagonal_constants(problem, sqrt_M: float) -> ProblemConstants:
     m = float(np.min(problem.hessian_diag))
     _require_positive_m(m)
-    return ProblemConstants(m=m, M=sqrt_M**2, sigma2=problem.noise.sigma2,
+    return ProblemConstants(m=m, M=_square(sqrt_M),
+                            sigma2=problem.noise.sigma2,
                             L=problem.domain.diameter(),
                             theta_star=problem.theta_star)
 
@@ -249,7 +268,7 @@ class ErmLeastSquares:
         sqrt_M = (float(np.max(eigenvalues))
                   * self.domain.farthest_distance(theta_star))
         object.__setattr__(self, "_constants", ProblemConstants(
-            m=m, M=sqrt_M**2, sigma2=self._noise_sigma2(sqrt_M),
+            m=m, M=_square(sqrt_M), sigma2=self._noise_sigma2(sqrt_M),
             L=self.domain.diameter(), theta_star=theta_star))
 
     @property
@@ -292,7 +311,7 @@ class ErmLeastSquares:
             sup_resid = max(abs(lo - y_i), abs(hi - y_i))
             sup_per_sample = max(sup_per_sample,
                                  float(np.linalg.norm(x_i)) * sup_resid)
-        return (sup_per_sample + sqrt_M) ** 2 / self.noise.batch_size
+        return _square(sup_per_sample + sqrt_M) / self.noise.batch_size
 
 
 Problem = Quadratic | QuadPlusL1 | ErmLeastSquares

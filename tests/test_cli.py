@@ -23,6 +23,14 @@ def _base_run_config(**overrides):
     return cfg
 
 
+def _multistage_config(**overrides):
+    cfg = _base_run_config(stages=[{"a": 0.2, "n": 50}, {"a": 0.1, "n": 100}])
+    for key in ("variant", "step", "horizon"):
+        cfg.pop(key)
+    cfg.update(overrides)
+    return cfg
+
+
 def _write(tmp_path, cfg, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -130,6 +138,18 @@ class TestMultistage:
         assert lines[0].startswith("stage,step,length,burn_in")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("changes", [{"theta0": "origin"},
+                                         {"replicates": 1}])
+    def test_rejects_what_run_rejects(self, tmp_path, capsys, changes):
+        run_cfg = _write(tmp_path, _base_run_config(**changes), "run.json")
+        assert main(["run", "--config", run_cfg,
+                     "--out", str(tmp_path / "r")]) == 2
+        run_error = _stderr_line(capsys)
+        assert main(["multistage", "--config",
+                     _write(tmp_path, _multistage_config(**changes)),
+                     "--out", str(tmp_path / "m")]) == 2
+        assert _stderr_line(capsys) == run_error
+
     def test_nondecreasing_stages_exit_2(self, tmp_path):
         cfg = _base_run_config()
         for key in ("variant", "step", "horizon"):
@@ -138,6 +158,38 @@ class TestMultistage:
         path = _write(tmp_path, cfg)
         assert main(["multistage", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
+
+
+class TestOutputs:
+    def test_failed_encoding_leaves_no_summary_csv(self, tmp_path,
+                                                   monkeypatch):
+        dumps = json.dumps
+
+        def failing_dumps(obj, **kwargs):
+            if "metadata" in obj:    # the summary.json payload
+                raise TypeError("not JSON serializable")
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        cfg = _write(tmp_path, _base_run_config())
+        out = tmp_path / "o"
+        with pytest.raises(TypeError):
+            main(["run", "--config", cfg, "--out", str(out)])
+        assert list(out.iterdir()) == []
+        monkeypatch.setattr(json, "dumps", dumps)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+
+    def test_config_hash_ignores_workers_and_forcing(self, tmp_path):
+        cfg = _write(tmp_path, _base_run_config(replicates=6))
+        hashes = set()
+        for flags in (["--workers", "1"], ["--workers", "2"],
+                      ["--force-schedule"]):
+            out = tmp_path / "o"
+            assert main(["run", "--config", cfg, "--out", str(out),
+                         "--overwrite"] + flags) == 0
+            meta = json.loads((out / "summary.json").read_text())["metadata"]
+            hashes.add(meta["config_hash"])
+        assert len(hashes) == 1
 
 
 class TestBoundsAndFit:
@@ -371,3 +423,15 @@ def test_bad_envelope_or_fit_window_exits_2(tmp_path, capsys, changes):
     cfg = _write(tmp_path, _base_run_config(**changes))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert _stderr_line(capsys).startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_overflowing_constants_exit_2(tmp_path, capsys, command):
+    cfg = _write(tmp_path, _base_run_config(problem={"quadratic": {
+        "hessian_diag": [1.0, 1e160], "theta_star": [0.0, 0.0]}}))
+    argv = [command, "--config", cfg]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert (_stderr_line(capsys)
+            == "error: problem constant M = inf is not finite")

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from sgmlab import harness
 from sgmlab.bounds import BoundSequence, RateEnvelope, constant_step_plateau
-from sgmlab.geometry import Ball
+from sgmlab.geometry import Ball, Box
 from sgmlab.harness import (ExperimentConfig, RunSummary, default_checkpoints,
                             dominance_check, drop_stages, fit_rate,
                             resolve_stages, run_multistage, run_replicates)
-from sgmlab.optimizers import SG, SGM
-from sgmlab.problems import Gaussian, Quadratic
+from sgmlab.optimizers import QHM, SG, SGM
+from sgmlab.problems import (BoundedRademacher, ErmLeastSquares, Gaussian,
+                             Minibatch, Quadratic)
 from sgmlab.schedules import (ConstantMomentum, ConstantStep, PolynomialStep,
                               ZeroMomentum)
 
@@ -245,3 +247,67 @@ class TestMultistage:
         for ra, rb in zip(a, b):
             assert ra.suffix_mse_mean == rb.suffix_mse_mean
             assert ra.suffix_mse_sem == rb.suffix_mse_sem
+
+    def test_stages_run_through_the_run_block(self, monkeypatch):
+        seen = []
+        run_block = harness._run_block
+
+        def recording(stages, rep_lo, rep_hi):
+            seen.append(stages)
+            return run_block(stages, rep_lo, rep_hi)
+
+        monkeypatch.setattr(harness, "_run_block", recording)
+        stages = drop_stages(0.2, 20, 2)
+        run_multistage(_quadratic(), stages, ZeroMomentum(), replicates=4)
+        run_replicates(_config(horizon=20))
+        multi, single = seen
+        assert [(c.step.a, c.horizon, c.checkpoints) for c in multi] == [
+            (a, n, (n,)) for a, n in stages]
+        assert len(single) == 1
+
+
+def _erm_minibatch():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 2))
+    y = X @ np.array([0.3, -0.2]) + 0.1 * rng.normal(size=30)
+    return ErmLeastSquares(design=X, targets=y,
+                           domain=Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+                           noise=Minibatch(batch_size=3))
+
+
+class TestNoiseChunkInvariance:
+    """The noise chunk size only sets how many steps of noise are drawn at a
+    time; no result may depend on it."""
+
+    CHUNKS = (1, 7, 2048)
+
+    @pytest.mark.parametrize("problem", [
+        _quadratic(),
+        Quadratic(hessian_diag=[1.0, 2.0], theta_star=[0.1, 0.0],
+                  domain=Ball(center=[0.0, 0.0], radius=2.0),
+                  noise=BoundedRademacher(sigma2=1.0)),
+        _erm_minibatch(),
+    ], ids=["gaussian", "bounded_rademacher", "minibatch"])
+    def test_run_replicates(self, monkeypatch, problem):
+        config = _config(problem=problem, variant=QHM(v=0.5),
+                         step=PolynomialStep(gamma=0.5, alpha=0.7),
+                         momentum=ConstantMomentum(0.5), estimator="weighted",
+                         horizon=30, replicates=5)
+        results = []
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(harness, "NOISE_CHUNK", chunk)
+            results.append(run_replicates(config))
+        for other in results[1:]:
+            np.testing.assert_array_equal(results[0].mse_mean, other.mse_mean)
+            np.testing.assert_array_equal(results[0].mse_sem, other.mse_sem)
+
+    def test_run_multistage(self, monkeypatch):
+        # a 5-step stage is shorter than a 7-step chunk, a 12-step one longer
+        stages = [(0.2, 5), (0.1, 12)]
+        reports = []
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(harness, "NOISE_CHUNK", chunk)
+            reports.append(run_multistage(_quadratic(), stages,
+                                          ConstantMomentum(0.5), replicates=5,
+                                          master_seed=8))
+        assert reports[1] == reports[0] and reports[2] == reports[0]

@@ -87,6 +87,14 @@ class TestConstantsExamples:
         assert p.constants() is p.constants()
         assert len(calls) == built
 
+    def test_erm_constants_overflow_rejected(self):
+        # sqrt_M is about 1e160, so M and the mini-batch sigma2 pass the
+        # float range
+        with pytest.raises(ValueError, match="not finite"):
+            ErmLeastSquares(design=1e80 * np.vstack([np.eye(2), np.eye(2)]),
+                            targets=[0.0, 0.0, 0.0, 0.0],
+                            domain=BALL2, noise=Minibatch(batch_size=2))
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(DegenerateProblemError):
             ErmLeastSquares(design=[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]],
