@@ -259,7 +259,11 @@ def _check_output(path: Path, overwrite: bool):
 def _outputs(args, *names) -> list:
     """Paths of the named files in --out, refusing to replace existing ones."""
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror}") from None
     targets = [out_dir / name for name in names]
     for t in targets:
         _check_output(t, args.overwrite)
@@ -274,6 +278,9 @@ def _write_outputs(targets: list, texts: list):
         try:
             tmp.write_text(text)
             os.replace(tmp, target)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {target}: "
+                              f"{exc.strerror}") from None
         finally:
             tmp.unlink(missing_ok=True)
 

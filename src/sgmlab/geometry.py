@@ -34,30 +34,51 @@ class Ball:
         return 2.0 * self.radius
 
     def project(self, point) -> np.ndarray:
-        point = _check_dimension(self, point).astype(float)
-        delta = point - self.center
-        nrm = np.linalg.norm(delta, axis=-1, keepdims=True)
-        outside = nrm > self.radius
-        if not np.any(outside):
-            return np.array(point, copy=True)
-        # A single rescale can land an ulp outside the ball (breaking
-        # bit-for-bit idempotence), and radius/nrm can even round to 1.0 for
-        # points barely outside. Shrink the scale one ulp at a time until
-        # every rescaled point tests inside; this terminates because the
-        # scale strictly decreases while the original delta stays fixed.
-        scale = np.where(outside, self.radius / np.where(outside, nrm, 1.0), 1.0)
+        point = _check_dimension(self, point)
+        out = np.array(point, copy=True)
+        outside = self._norm(point) > self.radius
+        if not outside.any():
+            return out
+        # Only the outside rows move: out[outside] is center + delta * scale
+        # with scale = radius / ||delta||. A single rescale can land an ulp
+        # outside the ball (breaking bit-for-bit idempotence), and
+        # radius/nrm can even round to 1.0 for points barely outside. Shrink
+        # the scale one ulp at a time until every rescaled point tests
+        # inside; this terminates because the scale strictly decreases while
+        # the original delta stays fixed.
+        rows = point[outside]
+        delta = rows - self.center
+        scale = self.radius / self._norm(rows)
         while True:
-            out = np.where(outside, self.center + delta * scale, point)
-            new_nrm = np.linalg.norm(out - self.center, axis=-1, keepdims=True)
-            still = outside & (new_nrm > self.radius)
-            if not np.any(still):
+            moved = self.center + delta * scale[:, None]
+            still = self._norm(moved) > self.radius
+            if not still.any():
+                out[outside] = moved
                 return out
-            scale = np.where(still, np.nextafter(scale, 0.0), scale)
+            scale[still] = np.nextafter(scale[still], 0.0)
+
+    def _norm(self, point) -> np.ndarray:
+        """||point - center|| over the last axis, bit for bit what
+        np.linalg.norm(point - center, axis=-1) returns. numpy adds fewer
+        than 8 squares left to right, so below 8 coordinates a fold over
+        whole columns gives the same sum without numpy's slow d-element
+        inner loops; from 8 on its pairwise order differs and the norm
+        itself is used."""
+        if not 0 < self.dimension < 8:
+            return np.linalg.norm(point - self.center, axis=-1)
+        total = None
+        for k, c in enumerate(self.center):
+            col = point[..., k] - c
+            col *= col
+            if total is None:
+                total = col
+            else:
+                total += col
+        return np.sqrt(total)
 
     def distance(self, point) -> np.ndarray:
         point = _check_dimension(self, point)
-        nrm = np.linalg.norm(point - self.center, axis=-1)
-        return np.maximum(nrm - self.radius, 0.0)
+        return np.maximum(self._norm(point) - self.radius, 0.0)
 
     def support(self, direction) -> float:
         """sup_{x in D} <direction, x>."""

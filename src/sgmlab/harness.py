@@ -155,13 +155,31 @@ def _init_block(config: ExperimentConfig, rep_lo: int, rep_hi: int):
     return rngs, np.tile(config.theta0, (rep_hi - rep_lo, 1))
 
 
-def _draw_noise(problem: Problem, rngs, n_steps: int):
-    """(block, n_steps, d) noise block, or index arrays for mini-batch mode."""
+def _noise_chunks(problem: Problem, rngs, n_steps: int):
+    """The noise of n_steps steps, one chunk of at most NOISE_CHUNK steps at
+    a time, step-major: chunk[i] is step i's (block, d) noise, or its
+    (block, batch) sample indices in mini-batch mode, so the step loop reads
+    contiguous rows. Each replicate draws its chunk from its own stream into
+    a replicate-major buffer, which is transposed once per chunk. Both
+    buffers are reused: a chunk holds only until the next one is drawn."""
     if isinstance(problem.noise, prob_mod.Minibatch):
-        return np.stack([prob_mod.minibatch_indices(problem, rng, n_steps)
-                         for rng in rngs])
-    return np.stack([prob_mod.noise_sample(problem, rng, n_steps)
-                     for rng in rngs])
+        draw, width, dtype = (prob_mod.minibatch_indices,
+                              problem.noise.batch_size, np.int64)
+    else:
+        draw, width, dtype = prob_mod.noise_sample, problem.dimension, float
+    size = min(NOISE_CHUNK, n_steps)
+    by_replicate = np.empty((len(rngs), size, width), dtype)
+    by_step = np.empty((size, len(rngs), width), dtype)
+    # One step of one replicate as a single opaque item: transposing the
+    # (block, chunk) grid of items moves width values per copy.
+    item = np.dtype((np.void, width * by_step.itemsize))
+    for pos in range(0, n_steps, size):
+        chunk = min(size, n_steps - pos)
+        for r, rng in enumerate(rngs):
+            by_replicate[r, :chunk] = draw(problem, rng, chunk)
+        by_step[:chunk].view(item)[..., 0] = (
+            by_replicate[:, :chunk].view(item)[..., 0].T)
+        yield by_step[:chunk]
 
 
 def _gradient(problem: Problem, theta: np.ndarray, noise_slice) -> np.ndarray:
@@ -187,13 +205,10 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
     estimator.observe(state.theta_curr, 0)
     record_at = {c: k for k, c in enumerate(config.checkpoints)}
     out = np.empty((len(config.checkpoints), len(rngs)))
-    pos = 0
-    while pos < n_steps:
-        chunk = min(NOISE_CHUNK, n_steps - pos)
-        noise = _draw_noise(problem, rngs, chunk)
-        for i in range(chunk):
-            j = pos + i
-            g = _gradient(problem, state.theta_curr, noise[:, i])
+    j = 0
+    for noise in _noise_chunks(problem, rngs, n_steps):
+        for noise_j in noise:
+            g = _gradient(problem, state.theta_curr, noise_j)
             params = opt_mod.StepParams(step=float(t_arr[j]),
                                         weight=float(eta_arr[j]))
             try:
@@ -209,7 +224,7 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
             if (j + 1) in record_at:
                 delta = estimator.current() - theta_star
                 out[record_at[j + 1]] = np.sum(delta * delta, axis=-1)
-        pos += chunk
+            j += 1
     return state.theta_curr, out
 
 

@@ -20,8 +20,14 @@ class NumericFailureError(RuntimeError):
     """Non-finite value encountered; carries the offending step index."""
 
     def __init__(self, message: str, step_index: int):
-        super().__init__(f"{message} at step {step_index}")
+        # Both go in args, so the error survives the pickle round trip out
+        # of a pool worker.
+        super().__init__(message, step_index)
         self.step_index = step_index
+
+    def __str__(self) -> str:
+        message, step_index = self.args
+        return f"{message} at step {step_index}"
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ def step(state: IterateState, g, params: StepParams, variant: Variant,
          domain: Domain) -> IterateState:
     """Advance one iteration and project back onto the domain."""
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(state.theta_curr)):
+    if not np.isfinite(g).all() or not np.isfinite(state.theta_curr).all():
         raise NumericFailureError("non-finite gradient or iterate", state.j)
 
     theta = state.theta_curr
@@ -125,7 +131,7 @@ def step(state: IterateState, g, params: StepParams, variant: Variant,
             (1.0 - variant.v) * g + variant.v * velocity)
 
     theta_next = domain.project(proposal)
-    if not np.all(np.isfinite(theta_next)):
+    if not np.isfinite(theta_next).all():
         raise NumericFailureError("non-finite iterate after update", state.j)
     return IterateState(theta_curr=theta_next, theta_prev=theta,
                         velocity=velocity, j=state.j + 1)

@@ -139,6 +139,19 @@ def _init_diagonal(problem):
     _check_interior(problem.domain, problem.theta_star)
 
 
+def _full_operands(problem, shape) -> tuple:
+    """hessian_diag and theta_star repeated to a contiguous `shape`, kept
+    for the last shape asked for. Against (R, d) iterates numpy runs a
+    broadcast (d,) operand d elements at a time; full-shape operands give
+    the same elementwise results in one pass."""
+    cached = problem._operands
+    if cached is None or cached[0].shape != shape:
+        cached = tuple(np.ascontiguousarray(np.broadcast_to(a, shape))
+                       for a in (problem.hessian_diag, problem.theta_star))
+        object.__setattr__(problem, "_operands", cached)
+    return cached
+
+
 def _diagonal_constants(problem, sqrt_M: float) -> ProblemConstants:
     m = float(np.min(problem.hessian_diag))
     _require_positive_m(m)
@@ -156,6 +169,8 @@ class Quadratic:
     theta_star: np.ndarray
     domain: Domain
     noise: NoiseModel
+    _operands: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         _init_diagonal(self)
@@ -173,7 +188,8 @@ class Quadratic:
         return self._subgradient(_check_in_domain(self.domain, theta))
 
     def _subgradient(self, theta) -> np.ndarray:
-        return self.hessian_diag * (theta - self.theta_star)
+        hessian_diag, theta_star = _full_operands(self, theta.shape)
+        return hessian_diag * (theta - theta_star)
 
     def constants(self) -> ProblemConstants:
         far = self.domain.farthest_distance(self.theta_star)
@@ -189,6 +205,8 @@ class QuadPlusL1:
     l1_weight: float
     domain: Domain
     noise: NoiseModel
+    _operands: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if self.l1_weight < 0:
@@ -211,8 +229,9 @@ class QuadPlusL1:
     def _subgradient(self, theta) -> np.ndarray:
         # At a kink coordinate (theta_k == theta*_k) the l1 component is 0,
         # the minimal-norm deterministic selection.
-        delta = theta - self.theta_star
-        return self.hessian_diag * delta + self.l1_weight * np.sign(delta)
+        hessian_diag, theta_star = _full_operands(self, theta.shape)
+        delta = theta - theta_star
+        return hessian_diag * delta + self.l1_weight * np.sign(delta)
 
     def constants(self) -> ProblemConstants:
         far = self.domain.farthest_distance(self.theta_star)

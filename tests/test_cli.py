@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +397,50 @@ class TestBadCliInput:
         assert "workers" in _stderr_line(capsys)
 
 
+class TestOutputPathErrors:
+    def test_run_out_is_an_existing_file(self, tmp_path, capsys):
+        cfg = _write(tmp_path, _base_run_config())
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert _stderr_line(capsys).startswith(
+            f"error: cannot create output directory {out}")
+
+    def test_gen_config_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["gen-config", "lemma1", "--out", str(out)]) == 2
+        assert _stderr_line(capsys).startswith(f"error: cannot write {out}")
+        assert not out.parent.exists()
+
+
+def _cli(*argv):
+    """`python -m sgmlab.cli *argv` in a fresh process on this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "sgmlab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_numeric_failure_exits_3_on_one_and_two_workers(tmp_path):
+    # A failure inside a pool worker must reach the parent as the same
+    # NumericFailureError, not break the pool.
+    cfg = gen_config("lemma1")
+    cfg.update(step={"constant": {"a": 1e300}},
+               noise={"gaussian": {"sigma2": 1e300}}, horizon=50,
+               replicates=4)
+    cfg.pop("checkpoints", None)
+    path = _write(tmp_path, cfg)
+    for workers in ("1", "2"):
+        proc = _cli("run", "--config", path, "--out",
+                    str(tmp_path / f"o{workers}"), "--force-schedule",
+                    "--workers", workers)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == (
+            "numeric failure: non-finite value in replicate 0 at step 0")
+
+
 def test_forced_schedule_warnings_reach_stderr(tmp_path, capsys):
     cfg = _write(tmp_path, _base_run_config(step={"constant": {"a": 2.0}}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -401,15 +449,7 @@ def test_forced_schedule_warnings_reach_stderr(tmp_path, capsys):
 
 
 def test_module_entry_point_has_no_runpy_warning():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-m", "sgmlab.cli", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _cli("--help")
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
 

@@ -136,3 +136,89 @@ def test_config_unknown_key():
     with pytest.raises(ValueError, match="unknown keys"):
         from_config("domain", {"ball": {"center": [0.0], "radius": 1.0,
                                       "bogus": 1}})
+
+
+def _norm_formula_project(ball, point):
+    """Ball.project as first written, on np.linalg.norm over the whole
+    batch: the reference the column-wise projection must match bit for
+    bit."""
+    point = np.asarray(point, dtype=float)
+    delta = point - ball.center
+    nrm = np.linalg.norm(delta, axis=-1, keepdims=True)
+    outside = nrm > ball.radius
+    if not np.any(outside):
+        return np.array(point, copy=True)
+    scale = np.where(outside, ball.radius / np.where(outside, nrm, 1.0), 1.0)
+    while True:
+        out = np.where(outside, ball.center + delta * scale, point)
+        new_nrm = np.linalg.norm(out - ball.center, axis=-1, keepdims=True)
+        still = outside & (new_nrm > ball.radius)
+        if not np.any(still):
+            return out
+        scale = np.where(still, np.nextafter(scale, 0.0), scale)
+
+
+def _ball_points(ball, rng, n, kinds=("near", "outside", "inside")):
+    """n points cycling through the kinds: within 3 ulp of the sphere,
+    outside it, inside it."""
+    direction = rng.normal(size=(n, ball.dimension))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    radii = {
+        "near": ball.radius + rng.integers(-3, 4, n) * np.spacing(ball.radius),
+        "outside": ball.radius * (1.0 + rng.exponential(2.0, n)),
+        "inside": ball.radius * rng.uniform(0.0, 1.0, n),
+    }
+    r = np.stack([radii[kinds[i % len(kinds)]][i] for i in range(n)])
+    return ball.center + r[:, None] * direction
+
+
+class TestBallProjectMatchesNormFormula:
+    """Ball.project sums squares column by column below 8 coordinates and
+    calls the norm from 8 on; both must give the norm formula's bits. The
+    golden outputs only reach d <= 2 on a ball."""
+
+    DIMENSIONS = (1, 2, 3, 7, 8, 10, 17)
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    @pytest.mark.parametrize("R", (1, 2, 200, 2000))
+    def test_batched(self, d, R):
+        rng = np.random.default_rng(100 * d + R)
+        ball = Ball(center=rng.normal(size=d), radius=1.7)
+        points = _ball_points(ball, rng, R)
+        got = ball.project(points)
+        assert got.shape == points.shape
+        assert np.array_equal(got, _norm_formula_project(ball, points))
+
+    @pytest.mark.parametrize("d", DIMENSIONS)
+    @pytest.mark.parametrize("kind", ("near", "outside", "inside"))
+    def test_single_point(self, d, kind):
+        rng = np.random.default_rng(d)
+        ball = Ball(center=rng.normal(size=d), radius=0.3)
+        for point in _ball_points(ball, rng, 50, kinds=(kind,)):
+            got = ball.project(point)
+            assert got.shape == (d,)
+            assert np.array_equal(got, _norm_formula_project(ball, point))
+
+    @pytest.mark.parametrize("d", (2, 10))
+    def test_leading_axes_and_input_untouched(self, d):
+        rng = np.random.default_rng(5)
+        ball = Ball(center=np.zeros(d), radius=1.0)
+        points = _ball_points(ball, rng, 24).reshape(2, 3, 4, d)
+        before = points.copy()
+        got = ball.project(points)
+        assert np.array_equal(got, _norm_formula_project(ball, points))
+        assert np.array_equal(points, before)
+        assert not np.shares_memory(got, points)
+
+    def test_near_points_reach_the_ulp_loop(self):
+        # Points an ulp or three outside need the scale shrunk past
+        # radius / norm; the batched case above must exercise that loop.
+        rng = np.random.default_rng(100 * 2 + 2000)
+        ball = Ball(center=rng.normal(size=2), radius=1.7)
+        points = _ball_points(ball, rng, 2000)
+        delta = points - ball.center
+        nrm = np.linalg.norm(delta, axis=-1, keepdims=True)
+        outside = nrm > ball.radius
+        once = np.linalg.norm(ball.center + delta * (ball.radius / nrm)
+                              - ball.center, axis=-1, keepdims=True)
+        assert np.any(outside & (once > ball.radius))

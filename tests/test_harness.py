@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sgmlab import harness
+from sgmlab import problems as prob_mod
 from sgmlab.bounds import BoundSequence, RateEnvelope, constant_step_plateau
 from sgmlab.geometry import Ball, Box
 from sgmlab.harness import (ExperimentConfig, RunSummary, default_checkpoints,
@@ -275,19 +276,22 @@ def _erm_minibatch():
                            noise=Minibatch(batch_size=3))
 
 
+_each_noise_kind = pytest.mark.parametrize("problem", [
+    _quadratic(),
+    Quadratic(hessian_diag=[1.0, 2.0], theta_star=[0.1, 0.0],
+              domain=Ball(center=[0.0, 0.0], radius=2.0),
+              noise=BoundedRademacher(sigma2=1.0)),
+    _erm_minibatch(),
+], ids=["gaussian", "bounded_rademacher", "minibatch"])
+
+
 class TestNoiseChunkInvariance:
     """The noise chunk size only sets how many steps of noise are drawn at a
     time; no result may depend on it."""
 
     CHUNKS = (1, 7, 2048)
 
-    @pytest.mark.parametrize("problem", [
-        _quadratic(),
-        Quadratic(hessian_diag=[1.0, 2.0], theta_star=[0.1, 0.0],
-                  domain=Ball(center=[0.0, 0.0], radius=2.0),
-                  noise=BoundedRademacher(sigma2=1.0)),
-        _erm_minibatch(),
-    ], ids=["gaussian", "bounded_rademacher", "minibatch"])
+    @_each_noise_kind
     def test_run_replicates(self, monkeypatch, problem):
         config = _config(problem=problem, variant=QHM(v=0.5),
                          step=PolynomialStep(gamma=0.5, alpha=0.7),
@@ -311,3 +315,31 @@ class TestNoiseChunkInvariance:
                                           ConstantMomentum(0.5), replicates=5,
                                           master_seed=8))
         assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+class TestStepMajorNoise:
+    """The step loop reads each chunk of noise step-major: row i of a chunk
+    holds step i of every replicate, drawn from that replicate's stream."""
+
+    @_each_noise_kind
+    def test_chunks_are_the_replicate_draws_transposed(self, monkeypatch,
+                                                       problem):
+        monkeypatch.setattr(harness, "NOISE_CHUNK", 7)
+        n_steps, reps = 18, 5            # chunks of 7, 7 and a short 4
+        if isinstance(problem.noise, Minibatch):
+            draw = prob_mod.minibatch_indices
+        else:
+            draw = prob_mod.noise_sample
+        rngs = [harness._replicate_rng(3, r) for r in range(reps)]
+        fresh = [harness._replicate_rng(3, r) for r in range(reps)]
+        sizes = []
+        for chunk in harness._noise_chunks(problem, rngs, n_steps):
+            # Compared before the next chunk reuses the buffers. The short
+            # last chunk must hold its 4 fresh steps and nothing left over
+            # from the 7-step chunk before it.
+            expected = np.stack([draw(problem, rng, len(chunk))
+                                 for rng in fresh], axis=1)
+            assert chunk.dtype == expected.dtype
+            assert np.array_equal(chunk, expected)
+            sizes.append(len(chunk))
+        assert sizes == [7, 7, 4]

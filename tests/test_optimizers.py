@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,15 @@ class TestStep:
         s = step(s, [1.0], StepParams(0.1, 0.0), SG(), BALL10)
         with pytest.raises(NumericFailureError, match="step 1"):
             step(s, [np.nan], StepParams(0.1, 0.0), SG(), BALL10)
+
+    def test_numeric_failure_survives_pickle(self):
+        # A pool worker's failure reaches the parent through pickle.
+        err = NumericFailureError("non-finite value in replicate 3", 5)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NumericFailureError
+        assert back.step_index == 5
+        assert str(back) == str(err) == ("non-finite value in replicate 3 "
+                                         "at step 5")
 
 
 def _run(variant, params_seq, gradients, domain, theta0):

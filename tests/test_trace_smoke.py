@@ -4,7 +4,8 @@ directory) still runs and still attributes time to the engine.
 The tracer patches sgmlab functions by name, so a refactor that renames or
 bypasses one of them would silently empty the per-layer figures; this runs
 one tiny two-worker `sgmlab run` the way the benchmark does and checks that
-the pool workers recorded engine and update-kernel spans.
+the pool workers recorded engine, update-kernel, noise, gradient and
+projection spans.
 """
 
 import json
@@ -44,3 +45,6 @@ def test_traced_pool_run_records_engine_spans(tmp_path):
     for record in workers:
         names = {span[0] for span in record["spans"]}
         assert {"harness._run_block", "optimizers.step"} <= names
+        # the noise, gradient and projection layers keep their own spans
+        assert {"problems.noise", "problems.grad",
+                "geometry.project"} <= names
