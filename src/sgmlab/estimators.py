@@ -34,10 +34,6 @@ class Last:
             raise EmptyEstimatorError("no iterates observed")
         return self._value
 
-    def reset(self):
-        self._value = None
-        self._last_j = -1
-
 
 class SuffixAverage:
     """Arithmetic mean of theta_i for i >= start_index."""
@@ -67,13 +63,6 @@ class SuffixAverage:
             raise EmptyEstimatorError("no iterates at or past start_index")
         return self._accumulator / self._count
 
-    def reset(self, start_index: int | None = None):
-        if start_index is not None:
-            self.start_index = start_index
-        self._accumulator = None
-        self._count = 0
-        self._last_j = -1
-
 
 class WeightedAverage:
     """(j+1)-weighted average: sum (i+1) theta_i / sum (i+1)."""
@@ -98,11 +87,6 @@ class WeightedAverage:
         if self._weight_total == 0.0:
             raise EmptyEstimatorError("no iterates observed")
         return self._accumulator / self._weight_total
-
-    def reset(self):
-        self._accumulator = None
-        self._weight_total = 0.0
-        self._last_j = -1
 
 
 RunningEstimator = Last | SuffixAverage | WeightedAverage

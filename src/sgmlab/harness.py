@@ -66,6 +66,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.estimator not in est_mod.ESTIMATOR_NAMES:
@@ -145,40 +147,24 @@ def _replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,)))
 
 
-def _init_block(config: ExperimentConfig, rep_lo: int, rep_hi: int):
-    """Per-replicate streams and starting iterates (block, d) of a block."""
-    rngs = [_replicate_rng(config.master_seed, r)
-            for r in range(rep_lo, rep_hi)]
-    if isinstance(config.theta0, str):
-        return rngs, np.stack([config.problem.domain.sample_interior(rng)
-                               for rng in rngs])
-    return rngs, np.tile(config.theta0, (rep_hi - rep_lo, 1))
-
-
 def _noise_chunks(problem: Problem, rngs, n_steps: int):
     """The noise of n_steps steps, one chunk of at most NOISE_CHUNK steps at
     a time, step-major: chunk[i] is step i's (block, d) noise, or its
     (block, batch) sample indices in mini-batch mode, so the step loop reads
-    contiguous rows. Each replicate draws its chunk from its own stream into
-    a replicate-major buffer, which is transposed once per chunk. Both
-    buffers are reused: a chunk holds only until the next one is drawn."""
+    contiguous rows. Each replicate draws its chunk from its own stream
+    straight into its column of one reused buffer: a chunk holds only until
+    the next one is drawn."""
     if isinstance(problem.noise, prob_mod.Minibatch):
         draw, width, dtype = (prob_mod.minibatch_indices,
                               problem.noise.batch_size, np.int64)
     else:
         draw, width, dtype = prob_mod.noise_sample, problem.dimension, float
     size = min(NOISE_CHUNK, n_steps)
-    by_replicate = np.empty((len(rngs), size, width), dtype)
     by_step = np.empty((size, len(rngs), width), dtype)
-    # One step of one replicate as a single opaque item: transposing the
-    # (block, chunk) grid of items moves width values per copy.
-    item = np.dtype((np.void, width * by_step.itemsize))
     for pos in range(0, n_steps, size):
         chunk = min(size, n_steps - pos)
         for r, rng in enumerate(rngs):
-            by_replicate[r, :chunk] = draw(problem, rng, chunk)
-        by_step[:chunk].view(item)[..., 0] = (
-            by_replicate[:, :chunk].view(item)[..., 0].T)
+            by_step[:chunk, r] = draw(problem, rng, chunk)
         yield by_step[:chunk]
 
 
@@ -213,13 +199,10 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
                                         weight=float(eta_arr[j]))
             try:
                 state = opt_mod.step(state, g, params, variant, domain)
-            except NumericFailureError:
-                bad = np.flatnonzero(~np.all(np.isfinite(g), axis=-1)
-                                     | ~np.all(np.isfinite(state.theta_curr),
-                                               axis=-1))
-                rep = rep_lo + (int(bad[0]) if bad.size else 0)
+            except NumericFailureError as err:
                 raise NumericFailureError(
-                    f"non-finite value in replicate {rep}", j) from None
+                    f"non-finite value in replicate {rep_lo + err.row}",
+                    j) from None
             estimator.observe(state.theta_curr, j + 1)
             if (j + 1) in record_at:
                 delta = estimator.current() - theta_star
@@ -234,40 +217,46 @@ def _run_block(stages: tuple, rep_lo: int, rep_hi: int) -> np.ndarray:
 
     The first stage starts from its theta0, each later one from the previous
     stage's final iterates with the momentum memory wiped and the schedule
-    index back at 0; the replicates' streams run on across stages."""
-    rngs, theta = _init_block(stages[0], rep_lo, rep_hi)
+    index back at 0; the replicates' streams run on across stages.
+
+    Overflow and invalid values are not warned about: each one ends up as a
+    non-finite iterate, which optimizers.step rejects."""
+    first = stages[0]
+    rngs = [_replicate_rng(first.master_seed, r)
+            for r in range(rep_lo, rep_hi)]
+    if isinstance(first.theta0, str):
+        theta = np.stack([first.problem.domain.sample_interior(rng)
+                          for rng in rngs])
+    else:
+        theta = np.tile(first.theta0, (rep_hi - rep_lo, 1))
     outs = []
-    for config in stages:
-        theta, out = _advance_block(config, theta, rngs, rep_lo)
-        outs.append(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for config in stages:
+            theta, out = _advance_block(config, theta, rngs, rep_lo)
+            outs.append(out)
     return np.concatenate(outs)
 
 
 def _worker_ranges(replicates: int, workers: int):
-    workers = max(1, min(workers, replicates))
+    workers = min(workers, replicates)
     edges = np.linspace(0, replicates, workers + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(edges, edges[1:]) if b > a]
 
 
-def _map_blocks(block_fn, args: tuple, replicates: int,
-                workers: int) -> np.ndarray:
-    """block_fn(*args, rep_lo, rep_hi) over the worker ranges, in a process
-    pool when there is more than one; blocks are joined in replicate order."""
-    ranges = _worker_ranges(replicates, workers)
-    if len(ranges) == 1:
-        blocks = [block_fn(*args, *ranges[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = [pool.submit(block_fn, *args, lo, hi)
-                       for lo, hi in ranges]
-            blocks = [f.result() for f in futures]
-    return np.concatenate(blocks, axis=1)
-
-
 def _mse(stages: tuple, replicates: int, workers: int) -> tuple:
     """Mean and standard error over the replicates of the squared estimator
-    errors at every stage's checkpoints, aggregated in replicate order."""
-    errors = _map_blocks(_run_block, (stages,), replicates, workers)
+    errors at every stage's checkpoints. The worker ranges run in a process
+    pool when there is more than one; the blocks are joined in replicate
+    order."""
+    ranges = _worker_ranges(replicates, workers)
+    if len(ranges) == 1:
+        blocks = [_run_block(stages, *ranges[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            futures = [pool.submit(_run_block, stages, lo, hi)
+                       for lo, hi in ranges]
+            blocks = [f.result() for f in futures]
+    errors = np.concatenate(blocks, axis=1)
     return (errors.mean(axis=1),
             errors.std(axis=1, ddof=1) / np.sqrt(replicates))
 

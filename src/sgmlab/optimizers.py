@@ -17,16 +17,18 @@ from .geometry import Domain, contains
 
 
 class NumericFailureError(RuntimeError):
-    """Non-finite value encountered; carries the offending step index."""
+    """Non-finite value encountered; carries the offending step index and,
+    for a batch of trajectories, the first offending row."""
 
-    def __init__(self, message: str, step_index: int):
-        # Both go in args, so the error survives the pickle round trip out
+    def __init__(self, message: str, step_index: int, row: int = 0):
+        # All go in args, so the error survives the pickle round trip out
         # of a pool worker.
-        super().__init__(message, step_index)
+        super().__init__(message, step_index, row)
         self.step_index = step_index
+        self.row = row
 
     def __str__(self) -> str:
-        message, step_index = self.args
+        message, step_index, _row = self.args
         return f"{message} at step {step_index}"
 
 
@@ -108,12 +110,23 @@ def init(theta0, variant: Variant, domain: Domain) -> IterateState:
                         velocity=velocity, j=0)
 
 
+def _first_non_finite_row(*arrays) -> int:
+    """Index of the first row, over the flattened leading axes, in which any
+    of the (..., d) arrays holds a non-finite value."""
+    bad = np.zeros((), bool)
+    for a in arrays:
+        bad = bad | ~np.isfinite(a).all(axis=-1)
+    return int(np.flatnonzero(bad)[0])
+
+
 def step(state: IterateState, g, params: StepParams, variant: Variant,
          domain: Domain) -> IterateState:
     """Advance one iteration and project back onto the domain."""
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all() or not np.isfinite(state.theta_curr).all():
-        raise NumericFailureError("non-finite gradient or iterate", state.j)
+        raise NumericFailureError(
+            "non-finite gradient or iterate", state.j,
+            _first_non_finite_row(g, state.theta_curr))
 
     theta = state.theta_curr
     velocity = state.velocity
@@ -132,7 +145,8 @@ def step(state: IterateState, g, params: StepParams, variant: Variant,
 
     theta_next = domain.project(proposal)
     if not np.isfinite(theta_next).all():
-        raise NumericFailureError("non-finite iterate after update", state.j)
+        raise NumericFailureError("non-finite iterate after update", state.j,
+                                  _first_non_finite_row(theta_next))
     return IterateState(theta_curr=theta_next, theta_prev=theta,
                         velocity=velocity, j=state.j + 1)
 

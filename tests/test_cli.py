@@ -422,6 +422,19 @@ def _cli(*argv):
                           timeout=60)
 
 
+def _failing_run_stderr(tmp_path, cfg):
+    """stderr of a forced `run` of cfg on 1 and on 2 workers; both exit 3."""
+    path = _write(tmp_path, cfg)
+    errs = []
+    for workers in ("1", "2"):
+        proc = _cli("run", "--config", path, "--out",
+                    str(tmp_path / f"o{workers}"), "--force-schedule",
+                    "--workers", workers)
+        assert proc.returncode == 3, proc.stderr
+        errs.append(proc.stderr)
+    return errs
+
+
 def test_numeric_failure_exits_3_on_one_and_two_workers(tmp_path):
     # A failure inside a pool worker must reach the parent as the same
     # NumericFailureError, not break the pool.
@@ -430,15 +443,24 @@ def test_numeric_failure_exits_3_on_one_and_two_workers(tmp_path):
                noise={"gaussian": {"sigma2": 1e300}}, horizon=50,
                replicates=4)
     cfg.pop("checkpoints", None)
-    path = _write(tmp_path, cfg)
-    for workers in ("1", "2"):
-        proc = _cli("run", "--config", path, "--out",
-                    str(tmp_path / f"o{workers}"), "--force-schedule",
-                    "--workers", workers)
-        assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.strip().splitlines()[-1] == (
+    for stderr in _failing_run_stderr(tmp_path, cfg):
+        assert "Traceback" not in stderr
+        assert stderr.strip().splitlines()[-1] == (
             "numeric failure: non-finite value in replicate 0 at step 0")
+        # no numpy RuntimeWarning before the one-line message
+        assert len(stderr.splitlines()) == 1, stderr
+
+
+def test_numeric_failure_names_the_overflowing_replicate(tmp_path):
+    # Only replicate 2 overflows, in the update itself; every worker count
+    # must name it.
+    cfg = gen_config("lemma1")
+    cfg.update(step={"constant": {"a": 1e308}}, horizon=1, replicates=4,
+               master_seed=2)
+    cfg.pop("fit_window")
+    for stderr in _failing_run_stderr(tmp_path, cfg):
+        assert stderr == (
+            "numeric failure: non-finite value in replicate 2 at step 0\n")
 
 
 def test_forced_schedule_warnings_reach_stderr(tmp_path, capsys):

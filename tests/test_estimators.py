@@ -30,13 +30,6 @@ class TestSuffixAverage:
         with pytest.raises(EmptyEstimatorError):
             est.current()
 
-    def test_reset(self):
-        est = SuffixAverage(start_index=0)
-        est.observe(np.array([3.0]), 0)
-        est.reset(start_index=0)
-        est.observe(np.array([7.0]), 0)
-        np.testing.assert_allclose(est.current(), [7.0])
-
 
 class TestWeightedAverage:
     def test_linear_weights(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ class TestConfigValidation:
     def test_suffix_start_past_horizon_rejected(self):
         with pytest.raises(ValueError, match="exceeds horizon"):
             _config(estimator="suffix", suffix_start=201)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            _config(workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_multistage(_quadratic(), drop_stages(0.2, 5, 2),
+                           ZeroMomentum(), replicates=4, workers=workers)
 
 
 class TestRunReplicates:
@@ -343,3 +353,18 @@ class TestStepMajorNoise:
             assert np.array_equal(chunk, expected)
             sizes.append(len(chunk))
         assert sizes == [7, 7, 4]
+
+    def test_one_chunk_buffer_alive(self):
+        # Each replicate draws straight into the reused step-major buffer,
+        # so draining the chunks holds about one chunk, not two.
+        problem, reps, n_steps = _quadratic(), 300, 2 * harness.NOISE_CHUNK
+        rngs = [harness._replicate_rng(0, r) for r in range(reps)]
+        chunk_bytes = harness.NOISE_CHUNK * reps * problem.dimension * 8
+        tracemalloc.start()
+        try:
+            for _chunk in harness._noise_chunks(problem, rngs, n_steps):
+                pass
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * chunk_bytes

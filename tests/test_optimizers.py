@@ -53,12 +53,23 @@ class TestStep:
         with pytest.raises(NumericFailureError, match="step 1"):
             step(s, [np.nan], StepParams(0.1, 0.0), SG(), BALL10)
 
+    def test_overflow_names_the_first_bad_row(self):
+        # Rows 0 and 2 stay finite; row 1's update overflows.
+        s = init(np.zeros((3, 1)), SG(), BALL10)
+        g = np.array([[1.0], [1e308], [1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailureError,
+                               match="after update at step 0") as info:
+                step(s, g, StepParams(10.0, 0.0), SG(), BALL10)
+        assert info.value.row == 1
+
     def test_numeric_failure_survives_pickle(self):
         # A pool worker's failure reaches the parent through pickle.
-        err = NumericFailureError("non-finite value in replicate 3", 5)
+        err = NumericFailureError("non-finite value in replicate 3", 5, 2)
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is NumericFailureError
         assert back.step_index == 5
+        assert back.row == 2
         assert str(back) == str(err) == ("non-finite value in replicate 3 "
                                          "at step 5")
 
