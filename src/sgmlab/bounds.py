@@ -18,7 +18,6 @@ class BoundSequence:
     """A bound trajectory values[j] >= E||theta_j - theta*||^2."""
 
     values: np.ndarray
-    description: str
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -70,6 +69,8 @@ class RateEnvelope:
 
 
 def _steps(step: StepSchedule, N: int) -> np.ndarray:
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     return np.asarray(step.step_size(np.arange(N)), dtype=float)
 
 
@@ -94,7 +95,7 @@ def sg_recursion_bound(E0: float, step: StepSchedule, m: float, M: float,
     for j in range(N):
         e = (1.0 - t[j] * m) * e + t[j] * t[j] * noise
         values[j + 1] = e
-    return BoundSequence(values=values, description="sg per-step recursion")
+    return BoundSequence(values=values)
 
 
 def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedule,
@@ -127,8 +128,7 @@ def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedul
         if cap:
             e = min(e, L2)
         values[j + 1] = e
-    return BoundSequence(values=values,
-                         description="sgm per-step recursion (worst-case momentum)")
+    return BoundSequence(values=values)
 
 
 EXPONENT_FORMS = ("proof", "statement", "appendix")

@@ -346,7 +346,11 @@ def cmd_multistage(args) -> int:
         theta0=resolved["theta0"],
         replicates=_coerce(resolved["replicates"], "int", "replicates"),
         master_seed=_coerce(resolved["master_seed"], "int", "master_seed"),
-        workers=int(resolved["workers"]))
+        workers=int(resolved["workers"]), force_schedule=args.force_schedule)
+    for k, r in enumerate(reports):
+        if not r.schedule_report.ok:
+            print(f"stage {k} schedule warnings (forced):\n"
+                  f"{r.schedule_report}", file=sys.stderr)
 
     lines = ["stage,step,length,burn_in,suffix_mse_mean,suffix_mse_sem,plateau"]
     for k, r in enumerate(reports):
@@ -526,10 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stochastic gradient / momentum convergence laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override master_seed")
         p.add_argument("--workers", type=int, default=None,
@@ -558,8 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE")
 
     p_gen = sub.add_parser("gen-config", help="write a template config")
-    p_gen.add_argument("template", choices=None,
-                       help=f"one of: {', '.join(TEMPLATES)}")
+    p_gen.add_argument("template", help=f"one of: {', '.join(TEMPLATES)}")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--overwrite", action="store_true")
     return parser

@@ -139,6 +139,7 @@ class StageReport:
     suffix_mse_mean: float
     suffix_mse_sem: float
     plateau: float
+    schedule_report: ValidityReport
 
 
 def _replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
@@ -154,11 +155,7 @@ def _noise_chunks(problem: Problem, rngs, n_steps: int):
     contiguous rows. Each replicate draws its chunk from its own stream
     straight into its column of one reused buffer: a chunk holds only until
     the next one is drawn."""
-    if isinstance(problem.noise, prob_mod.Minibatch):
-        draw, width, dtype = (prob_mod.minibatch_indices,
-                              problem.noise.batch_size, np.int64)
-    else:
-        draw, width, dtype = prob_mod.noise_sample, problem.dimension, float
+    draw, width, dtype, _ = prob_mod.noise_kind(problem)
     size = min(NOISE_CHUNK, n_steps)
     by_step = np.empty((size, len(rngs), width), dtype)
     for pos in range(0, n_steps, size):
@@ -168,18 +165,13 @@ def _noise_chunks(problem: Problem, rngs, n_steps: int):
         yield by_step[:chunk]
 
 
-def _gradient(problem: Problem, theta: np.ndarray, noise_slice) -> np.ndarray:
-    if isinstance(problem.noise, prob_mod.Minibatch):
-        return problem.per_sample_gradient(theta, noise_slice)
-    return prob_mod.subgradient_batch(problem, theta) + noise_slice
-
-
 def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
                    rep_lo: int) -> tuple:
     """Run one config from the iterates theta0 (block, d) with a fresh
     optimizer state and estimator. Returns the final iterates and the
     per-replicate squared estimator errors (checkpoints, block)."""
     problem, variant = config.problem, config.variant
+    gradient = prob_mod.noise_kind(problem)[3]
     theta_star = problem.theta_star
     domain = problem.domain
     state = opt_mod.init(theta0, variant, domain)
@@ -194,7 +186,7 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
     j = 0
     for noise in _noise_chunks(problem, rngs, n_steps):
         for noise_j in noise:
-            g = _gradient(problem, state.theta_curr, noise_j)
+            g = gradient(state.theta_curr, noise_j)
             params = opt_mod.StepParams(step=float(t_arr[j]),
                                         weight=float(eta_arr[j]))
             try:
@@ -286,14 +278,21 @@ def _fingerprint(obj) -> str:
     return h.hexdigest()[:16]
 
 
+def _check_schedule(config: ExperimentConfig,
+                    what: str = "schedule") -> ValidityReport:
+    """The validation report of config's step and momentum over its horizon.
+    A failed report raises unless config.force_schedule is set."""
+    report = validate(config.step, config.momentum,
+                      config.problem.constants().m, config.horizon)
+    if not report.ok and not config.force_schedule:
+        raise ValueError(f"{what} validation failed:\n{report}")
+    return report
+
+
 def run_replicates(config: ExperimentConfig) -> RunSummary:
     """Run R independent replicates and aggregate squared estimator errors
     at every checkpoint, deterministically in replicate-index order."""
-    m = config.problem.constants().m
-    report = validate(config.step, config.momentum, m, config.horizon)
-    if not report.ok and not config.force_schedule:
-        raise ValueError(f"schedule validation failed:\n{report}")
-
+    report = _check_schedule(config)
     start = time.perf_counter()
     mse_mean, mse_sem = _mse((config,), config.replicates, config.workers)
     return RunSummary(
@@ -376,6 +375,8 @@ def resolve_stages(problem: Problem, stages) -> list:
 
     'auto' uses the burn-in index with the conservative start error L^2.
     """
+    if not stages:
+        raise ValueError("need at least one stage")
     consts = problem.constants()
     resolved = []
     prev_a = None
@@ -403,10 +404,11 @@ def drop_stages(a0: float, n0: int, num_stages: int) -> list:
 def run_multistage(problem: Problem, stages, momentum: MomentumSchedule, *,
                    variant: Variant = SGM(), theta0="random-interior",
                    replicates: int = 2, master_seed: int = 0,
-                   workers: int = 1) -> list:
+                   workers: int = 1, force_schedule: bool = False) -> list:
     """Constant-and-drop driver: a chain of constant-step runs, one per stage,
     each with re-initialized momentum and a suffix average over the whole
-    stage; stage k+1 continues from stage k's final iterates. Returns one
+    stage; stage k+1 continues from stage k's final iterates. Each stage's
+    schedule is validated as run_replicates validates a run's. Returns one
     StageReport per stage."""
     resolved = resolve_stages(problem, stages)
     consts = problem.constants()
@@ -415,12 +417,16 @@ def run_multistage(problem: Problem, stages, momentum: MomentumSchedule, *,
                          step=ConstantStep(a_k), momentum=momentum,
                          estimator="suffix", theta0=theta0, horizon=length,
                          checkpoints=(length,), replicates=replicates,
-                         master_seed=master_seed, workers=workers)
+                         master_seed=master_seed, workers=workers,
+                         force_schedule=force_schedule)
         for a_k, length, _burn in resolved)
+    reports = [_check_schedule(config, f"stage {k} schedule")
+               for k, config in enumerate(configs)]
     mse_mean, mse_sem = _mse(configs, replicates, workers)
     return [StageReport(step=a_k, length=length, burn_in=burn,
                         suffix_mse_mean=float(mse_mean[k]),
                         suffix_mse_sem=float(mse_sem[k]),
                         plateau=constant_step_plateau(a_k, consts.m, consts.M,
-                                                      consts.sigma2))
+                                                      consts.sigma2),
+                        schedule_report=reports[k])
             for k, (a_k, length, burn) in enumerate(resolved)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, contains
+from .geometry import Box, Domain, contains
 
 
 class NumericFailureError(RuntimeError):
@@ -153,12 +153,10 @@ def step(state: IterateState, g, params: StepParams, variant: Variant,
 
 @dataclass(frozen=True)
 class CouplingReport:
-    """Outcome of a trajectory-matching search between update kernels."""
+    """Outcome of a trajectory-matching check between update kernels."""
 
     params: tuple
     max_deviation: float
-    label: str
-    alternatives: dict
 
 
 def _trajectory(variant, params_fn, theta0, grad_fn, domain, n_steps):
@@ -169,17 +167,6 @@ def _trajectory(variant, params_fn, theta0, grad_fn, domain, n_steps):
         state = step(state, g, params_fn(j), variant, domain)
         out.append(state.theta_curr.copy())
     return np.asarray(out)
-
-
-def _oracle_setup():
-    # 1-D quadratic f = x^2/2 on a huge box: projection never activates and
-    # the gradient is deterministic, so trajectories compare exactly.
-    from .geometry import Box
-
-    domain = Box(lower=[-1e12], upper=[1e12])
-    grad_fn = lambda theta: theta
-    theta0 = 7.0
-    return domain, grad_fn, theta0
 
 
 def map_qhm_to_nsgm(alpha: float, beta: float, n_steps: int = 10) -> CouplingReport:
@@ -194,7 +181,11 @@ def map_qhm_to_nsgm(alpha: float, beta: float, n_steps: int = 10) -> CouplingRep
     if not 0 <= beta < 1:
         raise ValueError("beta must lie in [0, 1); beta = 1 never absorbs "
                          "new gradients (degenerate EMA)")
-    domain, grad_fn, theta0 = _oracle_setup()
+    # 1-D quadratic f = x^2/2 on a huge box: projection never activates and
+    # the gradient is deterministic, so trajectories compare exactly.
+    domain = Box(lower=[-1e12], upper=[1e12])
+    grad_fn = lambda theta: theta
+    theta0 = 7.0
     ref = _trajectory(QHM(v=1.0), lambda j: StepParams(alpha, beta),
                       theta0, grad_fn, domain, n_steps)
     mapped = _trajectory(NormalizedSGM(),
@@ -204,38 +195,4 @@ def map_qhm_to_nsgm(alpha: float, beta: float, n_steps: int = 10) -> CouplingRep
     if dev > 1e-12:
         raise NumericFailureError(
             f"qhm->nsgm mapping failed trajectory validation (dev={dev:.3e})", 0)
-    return CouplingReport(params=(alpha, 1.0 - beta), max_deviation=dev,
-                          label="nsgm(alpha, 1-beta)", alternatives={})
-
-
-def map_nsgm_to_sgm(alpha: float, beta: float, n_steps: int = 10) -> CouplingReport:
-    """The (t, eta) pair under which heavy-ball SGM replays NormalizedSGM.
-
-    Two candidate couplings share t = alpha*beta but differ in the momentum
-    weight: eta = alpha*(1-beta) versus eta = 1-beta. Both are run against
-    the normalized update on a noiseless quadratic with inactive projection;
-    the matching pair is returned and both deviations are reported.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive (alpha = 0 freezes the iterate)")
-    if not 0 < beta < 1:
-        raise ValueError("beta must lie in (0, 1)")
-    domain, grad_fn, theta0 = _oracle_setup()
-    ref = _trajectory(NormalizedSGM(), lambda j: StepParams(alpha, beta),
-                      theta0, grad_fn, domain, n_steps)
-    candidates = {
-        "t=alpha*beta, eta=alpha*(1-beta)": (alpha * beta, alpha * (1.0 - beta)),
-        "t=alpha*beta, eta=1-beta": (alpha * beta, 1.0 - beta),
-    }
-    deviations = {}
-    for label, (t, eta) in candidates.items():
-        traj = _trajectory(SGM(), lambda j: StepParams(t, eta),
-                           theta0, grad_fn, domain, n_steps)
-        deviations[label] = float(np.max(np.abs(ref - traj)))
-    best = min(deviations, key=deviations.get)
-    if deviations[best] > 1e-12:
-        raise NumericFailureError(
-            f"no candidate coupling matches (best dev={deviations[best]:.3e})", 0)
-    return CouplingReport(params=candidates[best],
-                          max_deviation=deviations[best],
-                          label=best, alternatives=deviations)
+    return CouplingReport(params=(alpha, 1.0 - beta), max_deviation=dev)

@@ -127,6 +127,8 @@ def _interior_margin(domain: Domain, point: np.ndarray) -> float:
 
 def _init_diagonal(problem):
     """Normalize and check the fields shared by the diagonal-Hessian problems."""
+    if isinstance(problem.noise, Minibatch):
+        raise ValueError("minibatch noise needs an erm_csv problem")
     object.__setattr__(problem, "hessian_diag",
                        np.asarray(problem.hessian_diag, dtype=float))
     object.__setattr__(problem, "theta_star",
@@ -367,6 +369,22 @@ def minibatch_indices(problem: ErmLeastSquares, rng: np.random.Generator,
                       n_draws: int) -> np.ndarray:
     batch = problem.noise.batch_size
     return rng.integers(0, problem.design.shape[0], size=(n_draws, batch))
+
+
+def noise_kind(problem: Problem) -> tuple:
+    """How the engine draws and applies the problem's noise, decided once:
+    (draw, width, dtype, gradient). draw(problem, rng, k) returns k steps of
+    noise, shape (k, width): additive vectors, or mini-batch sample indices.
+    gradient(theta, noise) is the stochastic gradient at a (block, d) batch
+    of iterates given one step's (block, width) noise."""
+    if isinstance(problem.noise, Minibatch):
+        return (minibatch_indices, problem.noise.batch_size, np.int64,
+                problem.per_sample_gradient)
+
+    def gradient(theta, noise):
+        return subgradient_batch(problem, theta) + noise
+
+    return noise_sample, problem.dimension, float, gradient
 
 
 def load_erm_csv(path, domain: Domain, noise: NoiseModel | Minibatch) -> ErmLeastSquares:

@@ -14,7 +14,7 @@ import numpy as np
 MOMENTUM_CLAMP = 1.0 - 1e-12
 
 
-class ScheduleExhaustedError(IndexError):
+class ScheduleExhaustedError(ValueError):
     """Raised when a staged schedule is indexed past its final stage."""
 
 

@@ -11,13 +11,13 @@ from sgmlab.schedules import (ConstantMomentum, ConstantStep, PolynomialStep,
 
 class TestBoundSequence:
     def test_at(self):
-        b = BoundSequence(values=[4.0, 2.0, 1.0], description="x")
+        b = BoundSequence(values=[4.0, 2.0, 1.0])
         assert b.at(1) == 2.0
         np.testing.assert_array_equal(b.at([0, 2]), [4.0, 1.0])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            BoundSequence(values=[1.0, -0.5], description="x")
+            BoundSequence(values=[1.0, -0.5])
 
 
 class TestRateEnvelope:

@@ -142,8 +142,11 @@ class TestMultistage:
         assert lines[0].startswith("stage,step,length,burn_in")
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("changes", [{"theta0": "origin"},
-                                         {"replicates": 1}])
+    @pytest.mark.parametrize("changes", [
+        {"theta0": "origin"},
+        {"replicates": 1},
+        {"noise": {"minibatch": {"batch_size": 2}}},
+    ])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, changes):
         run_cfg = _write(tmp_path, _base_run_config(**changes), "run.json")
         assert main(["run", "--config", run_cfg,
@@ -162,6 +165,33 @@ class TestMultistage:
         path = _write(tmp_path, cfg)
         assert main(["multistage", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_empty_stage_list_exits_2(self, tmp_path, capsys):
+        path = _write(tmp_path, _multistage_config(stages=[]))
+        assert main(["multistage", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert _stderr_line(capsys) == "error: need at least one stage"
+
+    def test_stage_schedules_gated_like_run(self, tmp_path, capsys):
+        # eta_0 = 5: run rejects this momentum, so every stage must too
+        path = _write(tmp_path, _multistage_config(
+            momentum={"polynomial": {"c": 5, "beta": 1}}))
+        assert main(["multistage", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 0 schedule validation failed:")
+        assert "eta_j >= 1" in err and "Traceback" not in err
+
+    def test_forced_stage_warnings_reach_stderr(self, tmp_path, capsys):
+        path = _write(tmp_path, _multistage_config(
+            momentum={"polynomial": {"c": 5, "beta": 1}}))
+        out = tmp_path / "o"
+        assert main(["multistage", "--config", path, "--out", str(out),
+                     "--force-schedule"]) == 0
+        err = capsys.readouterr().err
+        assert "stage 0 schedule warnings (forced)" in err
+        assert "stage 1 schedule warnings (forced)" in err
+        assert len((out / "stages.csv").read_text().splitlines()) == 3
 
 
 class TestOutputs:
@@ -216,6 +246,19 @@ class TestBoundsAndFit:
                      "--window", "10", "1000"]) == 0
         fit = json.loads(capsys.readouterr().out)
         assert fit["exponent"] == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("step, N, message", [
+        ({"staged": {"stages": [{"a": 0.1, "n": 5}]}}, 20,
+         "error: index beyond final stage (total length 5)"),
+        ({"constant": {"a": 0.1}}, -1, "error: N must be >= 0, got -1"),
+    ])
+    def test_bounds_past_the_schedule_exit_2(self, tmp_path, capsys, step,
+                                             N, message):
+        cfg = _write(tmp_path, {"bound": {"sg_recursion": {
+            "E0": 1.0, "step": step, "m": 1.0, "M": 1.0, "sigma2": 0.0,
+            "N": N}}})
+        assert main(["bounds", "--config", cfg]) == 2
+        assert _stderr_line(capsys) == message
 
 
 class TestValidate:
@@ -330,6 +373,11 @@ class TestWrongTypedValues:
         ({"noise": {"gaussian": {"sigma2": [1]}}}, None),
         ({"step": {"staged": {"stages": 5}}}, None),
         ({"domain": {"ball": {"center": [0.0, 0.0], "radius": None}}}, None),
+        ({"noise": {"minibatch": {"batch_size": 2}}}, None),
+        ({"noise": {"minibatch": {"batch_size": 2}},
+          "problem": {"quad_plus_l1": {"hessian_diag": [1.0, 1.0],
+                                       "theta_star": [0.0, 0.0],
+                                       "l1_weight": 0.1}}}, None),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, changes, override):
         cfg = _write(tmp_path, _base_run_config(**changes))
@@ -338,6 +386,18 @@ class TestWrongTypedValues:
             argv += ["-O", override]
         assert main(argv) == 2
         assert _stderr_line(capsys).startswith("error: ")
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"recursion_bound": {"kind": "sg"}}])
+    def test_forced_run_past_a_staged_schedule(self, tmp_path, capsys,
+                                               changes):
+        cfg = _write(tmp_path, _base_run_config(
+            step={"staged": {"stages": [{"a": 0.1, "n": 5}]}}, horizon=20,
+            **changes))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--force-schedule"]) == 2
+        assert (_stderr_line(capsys)
+                == "error: index beyond final stage (total length 5)")
 
     def test_multistage_stages_not_a_list(self, tmp_path, capsys):
         cfg = _base_run_config()
@@ -357,6 +417,8 @@ class TestErrorWording:
          "unknown keys in step.constant: ['b']"),
         ("momentum", {"polynomial": {"c": 0.9}},
          "missing keys in momentum.polynomial: ['beta']"),
+        ("noise", {"minibatch": {"batch_size": 2}},
+         "minibatch noise needs an erm_csv problem"),
     ])
     def test_one_form_for_all_sections(self, tmp_path, capsys, section, spec,
                                        message):

@@ -13,8 +13,8 @@ from sgmlab.harness import (ExperimentConfig, RunSummary, default_checkpoints,
 from sgmlab.optimizers import QHM, SG, SGM
 from sgmlab.problems import (BoundedRademacher, ErmLeastSquares, Gaussian,
                              Minibatch, Quadratic)
-from sgmlab.schedules import (ConstantMomentum, ConstantStep, PolynomialStep,
-                              ZeroMomentum)
+from sgmlab.schedules import (ConstantMomentum, ConstantStep,
+                              PolynomialMomentum, PolynomialStep, ZeroMomentum)
 
 
 def _quadratic(sigma2=1.0):
@@ -181,9 +181,9 @@ class TestFitRate:
 class TestDominanceCheck:
     def test_sequence_bound_pass_and_fail(self):
         s = _synthetic_summary([1, 2, 3], [0.5, 0.4, 0.3])
-        big = BoundSequence(values=np.ones(5), description="one")
+        big = BoundSequence(values=np.ones(5))
         assert dominance_check(s, big).passed
-        zero = BoundSequence(values=np.zeros(5), description="zero")
+        zero = BoundSequence(values=np.zeros(5))
         report = dominance_check(s, zero)
         assert not report.passed
         assert report.first_violation == 1
@@ -192,13 +192,13 @@ class TestDominanceCheck:
     def test_sem_slack(self):
         # mse above the bound but within 3 sem is not a violation
         s = _synthetic_summary([1, 2], [1.0, 1.0], sem=[0.5, 0.5])
-        b = BoundSequence(values=np.full(3, 0.9), description="tight")
+        b = BoundSequence(values=np.full(3, 0.9))
         assert dominance_check(s, b).passed
 
     def test_short_bound_rejected(self):
         s = _synthetic_summary([1, 10], [0.1, 0.01])
         with pytest.raises(ValueError, match="shorter"):
-            dominance_check(s, BoundSequence(values=np.ones(5), description="x"))
+            dominance_check(s, BoundSequence(values=np.ones(5)))
 
     def test_envelope_calibration_split(self):
         cps = np.array([10, 30, 100, 300])
@@ -227,6 +227,20 @@ class TestMultistage:
             resolve_stages(p, [(0.1, 10), (0.1, 10)])
         with pytest.raises(ValueError, match="outside"):
             resolve_stages(p, [(1.5, 10)])
+        with pytest.raises(ValueError, match="need at least one stage"):
+            resolve_stages(p, [])
+
+    def test_stage_schedules_are_validated(self):
+        # eta_j = 5/(j+1) >= 1 for j < 5: run_replicates rejects it, and so
+        # must each stage unless forced
+        momentum = PolynomialMomentum(c=5.0, beta=1.0)
+        stages = [(0.2, 10), (0.1, 10)]
+        with pytest.raises(ValueError,
+                           match="stage 0 schedule validation failed"):
+            run_multistage(_quadratic(), stages, momentum, replicates=4)
+        reports = run_multistage(_quadratic(), stages, momentum,
+                                 replicates=4, force_schedule=True)
+        assert [r.schedule_report.ok for r in reports] == [False, False]
 
     def test_resolve_auto_uses_burn_in(self):
         p = _quadratic()

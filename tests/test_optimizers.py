@@ -6,8 +6,7 @@ import pytest
 from sgmlab.geometry import Ball, Box, contains
 from sgmlab.optimizers import (QHM, SG, SGM, IterateState, NormalizedSGM,
                                NumericFailureError, StepParams, init,
-                               map_nsgm_to_sgm, map_qhm_to_nsgm, step,
-                               variant_from_name)
+                               map_qhm_to_nsgm, step, variant_from_name)
 
 BIG = Box(lower=[-1e12], upper=[1e12])
 BALL10 = Ball(center=[0.0], radius=10.0)
@@ -169,28 +168,18 @@ class TestQhmNsgmMapping:
         np.testing.assert_array_equal(a, b)
 
 
-class TestNsgmSgmMapping:
-    def test_oracle_selects_coupling(self):
-        report = map_nsgm_to_sgm(alpha=0.2, beta=0.5)
-        assert report.max_deviation <= 1e-12
-        t, eta = report.params
-        assert t == pytest.approx(0.2 * 0.5)
-        # the oracle picks eta = 1 - beta; the printed coupling
-        # eta = alpha*(1-beta) does not reproduce the trajectory
-        assert eta == pytest.approx(0.5)
-        assert report.label == "t=alpha*beta, eta=1-beta"
-        other = report.alternatives["t=alpha*beta, eta=alpha*(1-beta)"]
-        assert other > 1e-12
+def test_nsgm_replays_sgm_with_eta_one_minus_beta():
+    # NormalizedSGM(alpha, beta) is heavy-ball SGM with t = alpha*beta and
+    # eta = 1 - beta; the coupling eta = alpha*(1-beta) does not replay it.
+    alpha, beta = 0.2, 0.5
+    gs = _shared_gradient_stream(10)
 
-    def test_beta_near_one_behaves_like_sg(self):
-        report = map_nsgm_to_sgm(alpha=0.3, beta=1.0 - 1e-9)
-        t, eta = report.params
-        assert t == pytest.approx(0.3, rel=1e-6)
-        assert eta < 1e-8
+    def sgm(eta):
+        return _run(SGM(), [StepParams(alpha * beta, eta)] * 10, gs, BIG, [7.0])
 
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(ValueError):
-            map_nsgm_to_sgm(alpha=0.0, beta=0.5)
+    ref = _run(NormalizedSGM(), [StepParams(alpha, beta)] * 10, gs, BIG, [7.0])
+    assert np.max(np.abs(ref - sgm(1.0 - beta))) <= 1e-12
+    assert np.max(np.abs(ref - sgm(alpha * (1.0 - beta)))) > 1e-12
 
 
 def test_variant_from_name():

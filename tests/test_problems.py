@@ -145,6 +145,13 @@ class TestConstruction:
         with pytest.raises(DegenerateProblemError):
             quad2(diag=(1.0, 0.0))
 
+    @pytest.mark.parametrize("cls, extra", [(Quadratic, {}),
+                                            (QuadPlusL1, {"l1_weight": 0.1})])
+    def test_minibatch_noise_needs_erm(self, cls, extra):
+        with pytest.raises(ValueError, match="needs an erm_csv problem"):
+            cls(hessian_diag=[1.0, 1.0], theta_star=[0.0, 0.0], domain=BALL2,
+                noise=Minibatch(batch_size=2), **extra)
+
 
 class TestLoadErmCsv:
     def test_exact_fit_1d(self, tmp_path):
