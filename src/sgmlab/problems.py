@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, contains
+from .geometry import Ball, Box, Domain, contains
 
 DOMAIN_TOL = 1e-9
 INTERIOR_MARGIN = 1e-9
@@ -117,8 +117,6 @@ def _check_interior(domain: Domain, theta_star: np.ndarray):
 
 
 def _interior_margin(domain: Domain, point: np.ndarray) -> float:
-    from .geometry import Ball, Box
-
     if isinstance(domain, Ball):
         return domain.radius - float(np.linalg.norm(point - domain.center))
     assert isinstance(domain, Box)
@@ -257,6 +255,9 @@ class ErmLeastSquares:
     theta_star: np.ndarray = field(init=False)
     _constants: ProblemConstants = field(init=False, repr=False, compare=False)
 
+    # Overflow shows up below as a non-finite Gram matrix or constant, each
+    # rejected by name, so numpy's warnings would only repeat it.
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         X = np.asarray(self.design, dtype=float)
         y = np.asarray(self.targets, dtype=float)
@@ -269,15 +270,22 @@ class ErmLeastSquares:
 
         n = X.shape[0]
         gram = (X.T @ X) / n
+        if not np.all(np.isfinite(gram)):
+            raise ValueError("(1/N) X^T X is not finite: the design "
+                             "overflows the float range")
+        rhs = (X.T @ y) / n
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("(1/N) X^T y is not finite: the targets "
+                             "overflow the float range")
         eigenvalues = np.linalg.eigvalsh(gram)
         m = float(np.min(eigenvalues))
         if m <= 1e-12:
             raise DegenerateProblemError(
                 f"(1/N) X^T X has smallest eigenvalue {m:.3e} <= 1e-12"
             )
-        theta_star = np.linalg.solve(gram, (X.T @ y) / n)
-        residual = np.linalg.norm(gram @ theta_star - (X.T @ y) / n)
-        rhs_norm = max(np.linalg.norm((X.T @ y) / n), 1.0)
+        theta_star = np.linalg.solve(gram, rhs)
+        residual = np.linalg.norm(gram @ theta_star - rhs)
+        rhs_norm = max(np.linalg.norm(rhs), 1.0)
         if residual / rhs_norm > 1e-10:
             raise DegenerateProblemError("normal equations solve did not converge")
         object.__setattr__(self, "theta_star", theta_star)
@@ -322,17 +330,78 @@ class ErmLeastSquares:
     def _noise_sigma2(self, sqrt_M: float) -> float:
         if not isinstance(self.noise, Minibatch):
             return self.noise.sigma2
-        # Upper bound on the mini-batch gradient variance over D: each
-        # per-sample gradient is x_i (x_i^T theta - y_i), linear in theta,
-        # so its norm is maximized over the domain in closed form.
-        sup_per_sample = 0.0
-        for x_i, y_i in zip(self.design, self.targets):
-            lo = -self.domain.support(-x_i)
-            hi = self.domain.support(x_i)
-            sup_resid = max(abs(lo - y_i), abs(hi - y_i))
-            sup_per_sample = max(sup_per_sample,
-                                 float(np.linalg.norm(x_i)) * sup_resid)
+        # Upper bound on the mini-batch gradient variance over D.
+        sup_per_sample = _sup_per_sample(self.design, self.targets, self.domain)
         return _square(sup_per_sample + sqrt_M) / self.noise.batch_size
+
+
+def _sup_per_sample(X: np.ndarray, y: np.ndarray, domain: Domain) -> float:
+    """max_i sup_{theta in D} ||x_i (x_i^T theta - y_i)||. Each per-sample
+    gradient is linear in theta, so its norm is maximized over the domain
+    in closed form. Only the rows that can hold the maximum are evaluated;
+    the result is the same float as evaluating every row."""
+    sup_per_sample = 0.0
+    for i in _rows_near_max(X, y, domain):
+        lo = -domain.support(-X[i])
+        hi = domain.support(X[i])
+        sup_resid = max(abs(lo - y[i]), abs(hi - y[i]))
+        sup_per_sample = max(sup_per_sample,
+                             float(np.linalg.norm(X[i])) * sup_resid)
+    return sup_per_sample
+
+
+def _rows_near_max(X: np.ndarray, y: np.ndarray, domain: Domain) -> np.ndarray:
+    """Indices of the rows that can hold the largest value of
+    v_i = ||x_i|| * max(|lo_i - y_i|, |hi_i - y_i|), with lo_i and hi_i the
+    least and largest x_i^T theta over the domain, as _sup_per_sample
+    computes v_i row by row through the domain's support function.
+
+    One pass over the d columns estimates every v_i with (N,) vectors. The
+    estimate e_i and the row formula both evaluate the same real expression
+    through sums of at most d + 1 rounded terms, so while nothing overflows
+    each lies within gamma_{d+3} * n_i * (r_i + a_i) of it, where n_i is
+    ||x_i||, r_i the residual factor and a_i the summed magnitudes of the
+    terms of lo_i and hi_i (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.1). Underflow adds the absolute terms. The
+    bound err_i below is twice the sum of the two evaluations' bounds,
+    which covers using the computed n_i, r_i and a_i in it and rounding
+    err_i itself. A row with e_i + err_i below some e_k - err_k has
+    v_i < v_k and is left out. Rows whose values might overflow are kept."""
+    n_rows, d = X.shape
+    if isinstance(domain, Ball):
+        # x^T theta over a ball is x^T center -+ radius * ||x||.
+        lower = upper = domain.center
+        radius = domain.radius
+    else:
+        lower, upper, radius = domain.lower, domain.upper, 0.0
+    sq, low, high, size = (np.zeros(n_rows) for _ in range(4))
+    for j in range(d):
+        col = X[:, j]
+        sq += col * col
+        at_lower, at_upper = col * lower[j], col * upper[j]
+        low += np.minimum(at_lower, at_upper)
+        high += np.maximum(at_lower, at_upper)
+        size += np.maximum(np.abs(at_lower), np.abs(at_upper))
+    norm = np.sqrt(sq)
+    reach = radius * norm
+    low -= reach
+    high += reach
+    size += reach
+    resid = np.maximum(np.abs(low - y), np.abs(high - y))
+    estimate = norm * resid
+    unit = np.finfo(float).eps / 2
+    tiny = np.finfo(float).smallest_subnormal
+    # Underflow: each rounded square or product may lose up to `tiny`,
+    # which moves a norm by at most sqrt(d * tiny).
+    err = (4 * (d + 4) * unit * norm * (resid + size)
+           + 4 * (math.sqrt(d * tiny) * (resid + reach)
+                  + (d + 1) * tiny * norm + tiny))
+    # Every intermediate of either evaluation is at most the larger of sq
+    # and 2 (r_i + a_i) max(n_i, 1), up to rounding.
+    sure = (np.maximum(sq, (resid + size) * np.maximum(norm, 1.0))
+            < np.finfo(float).max / 16)
+    floor = np.max(estimate - err, where=sure, initial=-np.inf)
+    return np.flatnonzero(~sure | (estimate + err >= floor))
 
 
 Problem = Quadratic | QuadPlusL1 | ErmLeastSquares
@@ -397,12 +466,16 @@ def load_erm_csv(path, domain: Domain, noise: NoiseModel | Minibatch) -> ErmLeas
             parsed = []
             for j, cell in enumerate(row):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
                     raise ValueError(
-                        f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: "
+                        f"{path}: {kind} cell at row {i + 1}, column {j + 1}: "
                         f"{cell!r}"
-                    ) from None
+                    )
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise ValueError(f"{path}: empty CSV")

@@ -559,3 +559,40 @@ def test_overflowing_constants_exit_2(tmp_path, capsys, command):
     assert main(argv) == 2
     assert (_stderr_line(capsys)
             == "error: problem constant M = inf is not finite")
+
+
+def _erm_csv_config(tmp_path, rows, noise):
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(row) + "\n" for row in rows))
+    cfg = _base_run_config(problem={"erm_csv": {"path": str(data)}},
+                           domain={"ball": {"center": [0.0, 0.0],
+                                            "radius": 20.0}},
+                           noise=noise)
+    return _write(tmp_path, cfg), data
+
+
+ERM_NOISES = [{"minibatch": {"batch_size": 2}}, {"gaussian": {"sigma2": 1.0}}]
+
+
+@pytest.mark.parametrize("noise", ERM_NOISES)
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_csv_cell_exits_2(tmp_path, capsys, noise, cell):
+    cfg, data = _erm_csv_config(
+        tmp_path, [["1", "0", "1"], ["0", "1", "2"], [cell, "1", "3"],
+                   ["1", "1", "3"]], noise)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert _stderr_line(capsys) == (
+        f"error: {data}: non-finite cell at row 3, column 1: '{cell}'")
+
+
+@pytest.mark.parametrize("noise", ERM_NOISES)
+def test_overflowing_gram_matrix_exits_2_with_one_line(tmp_path, noise):
+    # The 1e200 row's squares overflow; numpy must not warn before the
+    # error line.
+    cfg, _ = _erm_csv_config(
+        tmp_path, [["1", "0", "1"], ["0", "1", "2"], ["1e200", "1e200", "3"],
+                   ["1", "1", "3"]], noise)
+    proc = _cli("run", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: (1/N) X^T X is not finite: the design "
+                           "overflows the float range\n")

@@ -1,11 +1,16 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgmlab.geometry import Ball, Box
 from sgmlab.problems import (BoundedRademacher, DegenerateProblemError,
                              ErmLeastSquares, Gaussian, Minibatch, QuadPlusL1,
-                             Quadratic, load_erm_csv, minibatch_indices,
-                             noise_sample)
+                             Quadratic, _rows_near_max, _sup_per_sample,
+                             load_erm_csv, minibatch_indices, noise_sample)
 
 BALL2 = Ball(center=[0.0, 0.0], radius=2.0)
 BALL1D = Ball(center=[0.0], radius=5.0)
@@ -95,6 +100,20 @@ class TestConstantsExamples:
                             targets=[0.0, 0.0, 0.0, 0.0],
                             domain=BALL2, noise=Minibatch(batch_size=2))
 
+    @pytest.mark.parametrize("design, targets, message", [
+        ([[1.0, 0.0], [0.0, 1.0], [1e200, 1e200]], [0.0, 0.0, 0.0],
+         r"X\^T X is not finite"),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1e308, 1e308, 1e308],
+         r"X\^T y is not finite"),
+    ])
+    def test_overflowing_normal_equations_rejected(self, design, targets,
+                                                   message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ErmLeastSquares(design=design, targets=targets, domain=BALL2,
+                                noise=Minibatch(batch_size=2))
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(DegenerateProblemError):
             ErmLeastSquares(design=[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]],
@@ -166,6 +185,14 @@ class TestLoadErmCsv:
         with pytest.raises(ValueError, match="row 2, column 1"):
             load_erm_csv(f, BALL1D, NO_NOISE)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_position(self, tmp_path, cell):
+        f = tmp_path / "d.csv"
+        f.write_text(f"1,2\n\n3,4\n2,{cell}\n")
+        with pytest.raises(ValueError,
+                           match="non-finite cell at row 4, column 2"):
+            load_erm_csv(f, BALL1D, NO_NOISE)
+
     def test_theta_star_outside_domain(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("1,0,10\n0,1,10\n1,1,20\n")
@@ -203,6 +230,135 @@ class TestMinibatch:
         emp_var = float(np.mean(np.sum((draws - p.subgradient(theta)) ** 2,
                                        axis=1)))
         assert emp_var <= c.sigma2
+
+
+def _row_loop_sup(X, y, domain) -> float:
+    """The per-sample supremum as first written: the closed-form formula
+    evaluated on every row."""
+    sup_per_sample = 0.0
+    for x_i, y_i in zip(X, y):
+        lo = -domain.support(-x_i)
+        hi = domain.support(x_i)
+        sup_resid = max(abs(lo - y_i), abs(hi - y_i))
+        sup_per_sample = max(sup_per_sample,
+                             float(np.linalg.norm(x_i)) * sup_resid)
+    return sup_per_sample
+
+
+def _fitted_rows(seed, n, d, offset=0.0, noise=0.5):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = X @ (offset + rng.uniform(-1.0, 1.0, d)) + noise * rng.standard_normal(n)
+    return X, y, np.linalg.lstsq(X, y, rcond=None)[0]
+
+
+def _box_around(point, below, above):
+    return Box(lower=point - below, upper=point + above)
+
+
+def _identity_ties():
+    X = np.vstack([np.eye(3), np.eye(3)])
+    return X, np.zeros(6), Ball(center=np.zeros(3), radius=2.0)
+
+
+def _zero_rows():
+    X, y, star = _fitted_rows(4, 40, 4)
+    X[[0, 5, 17]] = 0.0
+    star = np.linalg.lstsq(X, y, rcond=None)[0]
+    return X, y, _box_around(star, 0.3, 0.01)
+
+
+def _far_thin_box():
+    # lo_i and hi_i nearly cancel y_i: theta* sits near 1e3, the box is
+    # 1e-3 wide and the data fit it to 1e-6.
+    X, y, star = _fitted_rows(5, 200, 5, offset=1e3, noise=1e-6)
+    return X, y, _box_around(star, 5e-4, 5e-4)
+
+
+def _ball():
+    X, y, star = _fitted_rows(6, 300, 6)
+    return X, y, Ball(center=star + 0.1, radius=1.0)
+
+
+def _workload_box(d):
+    def build():
+        X, y, star = _fitted_rows(10 + d, 500, d)
+        return X, y, _box_around(star, 0.3, 0.002)
+    return build
+
+
+def _golden(domain):
+    def build():
+        p = load_erm_csv(Path(__file__).resolve().parent / "golden"
+                         / "erm_small.csv", domain, NO_NOISE)
+        return p.design, p.targets, domain
+    return build
+
+
+@st.composite
+def _rows_and_domain(draw):
+    """A design at a scale from 1e-160 to 1e150, zero and repeated entries
+    included, with targets on, near or far from x_i^T center."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from((1e-160, 1e-3, 1.0, 1e4, 1e150)))
+    cells = st.floats(-8.0, 8.0) | st.sampled_from((0.0, 1.0, -1.0))
+    X = draw(arrays(float, (n, d), elements=cells)) * scale
+    center = draw(arrays(float, d, elements=st.floats(-1e4, 1e4)))
+    if draw(st.booleans()):
+        width = draw(arrays(float, d, elements=st.floats(1e-3, 10.0)))
+        domain = Box(lower=center - width, upper=center + width)
+    else:
+        domain = Ball(center=center, radius=draw(st.floats(1e-3, 100.0)))
+    offset = draw(arrays(float, n, elements=st.floats(-1e3, 1e3)))
+    spread = draw(st.sampled_from((0.0, 1e-9, 1.0)))
+    return X, X @ center + spread * scale * offset, domain
+
+
+class TestMinibatchSigma2MatchesRowLoop:
+    """The mini-batch sigma2 evaluates the per-row formula only on the rows
+    a column pass keeps; it must still be the row loop's float."""
+
+    CASES = {
+        "identity_ties": _identity_ties,
+        "zero_rows": _zero_rows,
+        "far_thin_box": _far_thin_box,
+        "ball": _ball,
+        **{f"box_d{d}": _workload_box(d) for d in (2, 7, 8, 13)},
+        "golden_box": _golden(Box(lower=[-1.0, -1.0, -1.0],
+                                  upper=[0.5, 0.5, 0.8])),
+        "golden_ball": _golden(Ball(center=np.zeros(3), radius=3.0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sigma2(self, case):
+        X, y, domain = self.CASES[case]()
+        p = ErmLeastSquares(design=X, targets=y, domain=domain,
+                            noise=Minibatch(batch_size=3))
+        expected_sup = _row_loop_sup(X, y, domain)
+        assert _sup_per_sample(X, y, domain) == expected_sup
+        for sqrt_M in (0.0, 0.75):
+            assert (p._noise_sigma2(sqrt_M)
+                    == (expected_sup + sqrt_M) ** 2 / 3)
+
+    @given(_rows_and_domain())
+    @settings(max_examples=300, deadline=None)
+    def test_any_rows_and_domain(self, case):
+        X, y, domain = case
+        with np.errstate(all="ignore"):
+            assert _sup_per_sample(X, y, domain) == _row_loop_sup(X, y,
+                                                                  domain)
+
+    def test_ties_are_all_rescored(self):
+        X, y, domain = _identity_ties()
+        assert len(_rows_near_max(X, y, domain)) == len(X)
+
+    @pytest.mark.parametrize("domain_of", [
+        lambda star: _box_around(star, 0.3, 0.002),
+        lambda star: Ball(center=star, radius=0.3)])
+    def test_generic_rows_rescore_few(self, domain_of):
+        X, y, star = _fitted_rows(7, 5000, 10)
+        assert len(_rows_near_max(X, y, domain_of(star))) <= 2
 
 
 # Assumption verifier suites (also exercised by the acceptance module).
