@@ -22,8 +22,8 @@ class Last:
         self._last_j = -1
 
     def observe(self, theta_j, j: int):
-        # No defensive copy: the engine hands over freshly allocated iterates
-        # every step, and copying (R, d) per step is measurable.
+        # No defensive copy: the engine's iterates are fresh arrays it never
+        # writes to again, and copying (R, d) per step is measurable.
         _check_order(self, j)
         self._value = np.asarray(theta_j, dtype=float)
         self._last_j = j
@@ -54,7 +54,7 @@ class SuffixAverage:
         theta_j = np.asarray(theta_j, dtype=float)
         if self._accumulator is None:
             self._accumulator = np.zeros_like(theta_j)
-        self._accumulator = self._accumulator + theta_j
+        self._accumulator += theta_j
         self._count += 1
         return self
 
@@ -79,7 +79,7 @@ class WeightedAverage:
         theta_j = np.asarray(theta_j, dtype=float)
         if self._accumulator is None:
             self._accumulator = np.zeros_like(theta_j)
-        self._accumulator = self._accumulator + w * theta_j
+        self._accumulator += w * theta_j
         self._weight_total += w
         return self
 

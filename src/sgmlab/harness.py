@@ -81,8 +81,9 @@ class ExperimentConfig:
             cps = default_checkpoints(self.horizon, self.estimator,
                                       self.suffix_start)
         cps = tuple(int(c) for c in cps)
-        if any(b <= a for a, b in zip(cps, cps[1:])) or not cps:
+        if not cps:
             raise ValueError("checkpoints must be strictly increasing")
+        _check_increasing(cps)
         if cps[0] < 1 or cps[-1] > self.horizon:
             raise ValueError("checkpoints must lie in [1, horizon]")
         if suffix and cps[0] < self.suffix_start:
@@ -96,6 +97,11 @@ class ExperimentConfig:
         else:
             object.__setattr__(self, "theta0",
                                np.asarray(self.theta0, dtype=float))
+
+
+def _check_increasing(checkpoints):
+    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -169,38 +175,58 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
                    rep_lo: int) -> tuple:
     """Run one config from the iterates theta0 (block, d) with a fresh
     optimizer state and estimator. Returns the final iterates and the
-    per-replicate squared estimator errors (checkpoints, block)."""
+    per-replicate squared estimator errors (checkpoints, block).
+
+    optimizers.step advances the block in place without checks; the batch
+    is checked once per noise chunk, and a chunk that fails the check is
+    replayed through the reference kernel, which raises at the exact step
+    and replicate. If the replay finds no failure, the run goes on."""
     problem, variant = config.problem, config.variant
     gradient = prob_mod.noise_kind(problem)[3]
     theta_star = problem.theta_star
     domain = problem.domain
-    state = opt_mod.init(theta0, variant, domain)
+    batch = opt_mod.Batch(opt_mod.init(theta0, variant, domain), variant,
+                          domain)
     n_steps = config.horizon
     t_arr = np.asarray(config.step.step_size(np.arange(n_steps)), float)
     eta_arr = np.asarray(config.momentum.weight(np.arange(n_steps), t_arr),
                          float)
     estimator = est_mod.make_estimator(config.estimator, config.suffix_start)
-    estimator.observe(state.theta_curr, 0)
+    estimator.observe(batch.theta_curr, 0)
     record_at = {c: k for k, c in enumerate(config.checkpoints)}
     out = np.empty((len(config.checkpoints), len(rngs)))
     j = 0
     for noise in _noise_chunks(problem, rngs, n_steps):
-        for noise_j in noise:
-            g = gradient(state.theta_curr, noise_j)
-            params = opt_mod.StepParams(step=float(t_arr[j]),
-                                        weight=float(eta_arr[j]))
-            try:
-                state = opt_mod.step(state, g, params, variant, domain)
-            except NumericFailureError as err:
-                raise NumericFailureError(
-                    f"non-finite value in replicate {rep_lo + err.row}",
-                    j) from None
-            estimator.observe(state.theta_curr, j + 1)
-            if (j + 1) in record_at:
-                delta = estimator.current() - theta_star
-                out[record_at[j + 1]] = np.sum(delta * delta, axis=-1)
+        start = batch.snapshot(j)
+        # Python floats, one chunk at a time: the whole horizon as lists
+        # would cost more memory than the arrays.
+        ts = t_arr[j:j + len(noise)].tolist()
+        etas = eta_arr[j:j + len(noise)].tolist()
+        for noise_j, t, w in zip(noise, ts, etas):
+            opt_mod.step(batch, gradient(batch.theta_curr, noise_j), t, w)
             j += 1
-    return state.theta_curr, out
+            estimator.observe(batch.theta_curr, j)
+            if j in record_at:
+                delta = estimator.current() - theta_star
+                out[record_at[j]] = np.sum(delta * delta, axis=-1)
+        if not batch.finite():
+            _replay(start, noise, ts, etas, gradient, variant, domain, rep_lo)
+    return batch.theta_curr, out
+
+
+def _replay(state, noise, ts, etas, gradient, variant, domain, rep_lo: int):
+    """Rerun one chunk from its start state through the reference kernel;
+    raise at its first non-finite gradient or iterate, naming the
+    replicate."""
+    for noise_j, t, w in zip(noise, ts, etas):
+        g = gradient(state.theta_curr, noise_j)
+        try:
+            state = opt_mod.reference_step(state, g, opt_mod.StepParams(t, w),
+                                           variant, domain)
+        except NumericFailureError as err:
+            raise NumericFailureError(
+                f"non-finite value in replicate {rep_lo + err.row}",
+                err.step_index) from None
 
 
 def _run_block(stages: tuple, rep_lo: int, rep_hi: int) -> np.ndarray:
@@ -212,7 +238,7 @@ def _run_block(stages: tuple, rep_lo: int, rep_hi: int) -> np.ndarray:
     index back at 0; the replicates' streams run on across stages.
 
     Overflow and invalid values are not warned about: each one ends up as a
-    non-finite iterate, which optimizers.step rejects."""
+    non-finite proposal or iterate, which the chunk check catches."""
     first = stages[0]
     rngs = [_replicate_rng(first.master_seed, r)
             for r in range(rep_lo, rep_hi)]
@@ -312,11 +338,17 @@ def fit_rate(summary: RunSummary, window: tuple) -> RateFit:
     """Least-squares fit of log(mse) against log(checkpoint + 1) inside the
     window; the slope estimates the convergence order."""
     j_lo, j_hi = window
+    _check_increasing(summary.checkpoints)
     cps = np.asarray(summary.checkpoints)
     mask = (cps >= j_lo) & (cps <= j_hi)
     if mask.sum() < 4:
         raise ValueError(f"need >= 4 checkpoints in window, got {int(mask.sum())}")
     mse = summary.mse_mean[mask]
+    finite = np.isfinite(mse)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"mse_mean at checkpoint {cps[mask][k]} is "
+                         f"{mse[k]}; the fit needs finite values")
     if np.any(mse <= 0):
         raise ValueError("all mse_mean values in the window must be positive")
     x = np.log(cps[mask] + 1.0)

@@ -22,7 +22,7 @@ from sgmlab.geometry import Ball
 from sgmlab.harness import (ExperimentConfig, dominance_check, drop_stages,
                             fit_rate, run_multistage, run_replicates)
 from sgmlab.optimizers import (QHM, SG, SGM, NormalizedSGM, StepParams, init,
-                               map_qhm_to_nsgm, step)
+                               map_qhm_to_nsgm, reference_step)
 from sgmlab.problems import (BoundedRademacher, Gaussian, Quadratic,
                              subgradient_batch)
 from sgmlab.schedules import (ConstantStep, PolynomialMomentum, PolynomialStep,
@@ -183,7 +183,8 @@ def test_criterion_8_reductions_and_coupling():
         st = init(THETA0, variant, horizonless)
         out = []
         for g in gs:
-            st = step(st, g, StepParams(t, eta), variant, horizonless)
+            st = reference_step(st, g, StepParams(t, eta), variant,
+                                horizonless)
             out.append(st.theta_curr)
         return np.asarray(out)
 

@@ -525,6 +525,52 @@ def test_numeric_failure_names_the_overflowing_replicate(tmp_path):
             "numeric failure: non-finite value in replicate 2 at step 0\n")
 
 
+def test_box_clipping_overflowing_updates_exits_0(tmp_path):
+    # Every update overflows to +-inf and the box clips it onto a corner:
+    # no iterate is non-finite, so the run succeeds with squared error
+    # |corner|^2 = 2 everywhere, on 1 and 2 workers.
+    cfg = gen_config("lemma1")
+    cfg.update(domain={"box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}},
+               step={"constant": {"a": 1e300}},
+               noise={"gaussian": {"sigma2": 1e300}}, horizon=3000,
+               replicates=4)
+    cfg.pop("fit_window")
+    path = _write(tmp_path, cfg)
+    for workers in ("1", "2"):
+        out = tmp_path / f"o{workers}"
+        proc = _cli("run", "--config", path, "--out", str(out),
+                    "--force-schedule", "--workers", workers)
+        assert proc.returncode == 0, proc.stderr
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert rows[0] == "checkpoint,mse_mean,mse_sem"
+        assert rows[-1] == "3000,2.0,0.0"
+        assert all(row.endswith(",2.0,0.0") for row in rows[1:])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_rejects_non_finite_mse(tmp_path, bad):
+    # Used to print {"exponent": NaN, ...}, which is not JSON, and exit 0;
+    # inf printed a numpy RuntimeWarning first.
+    p = tmp_path / "summary.csv"
+    p.write_text("checkpoint,mse_mean,mse_sem\n1,0.5,0.1\n2,0.3,0.1\n"
+                 f"3,{bad},0.1\n4,0.2,0.1\n")
+    proc = _cli("fit", "--summary", str(p), "--window", "1", "4")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: mse_mean at checkpoint 3 is {bad}; the "
+                           "fit needs finite values\n")
+
+
+def test_fit_rejects_repeated_checkpoints(tmp_path):
+    # Used to fit with a RankWarning, r^2 = -2.2e-16, and exit 0.
+    p = tmp_path / "summary.csv"
+    p.write_text("checkpoint,mse_mean,mse_sem\n"
+                 + "".join(f"1,{m},0.1\n" for m in (0.5, 0.4, 0.3, 0.2)))
+    proc = _cli("fit", "--summary", str(p), "--window", "1", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: checkpoints must be strictly increasing\n"
+
+
 def test_forced_schedule_warnings_reach_stderr(tmp_path, capsys):
     cfg = _write(tmp_path, _base_run_config(step={"constant": {"a": 2.0}}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),

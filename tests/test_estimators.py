@@ -78,6 +78,23 @@ def test_batched_observations():
     np.testing.assert_allclose(est.current(), (1.0 + 6.0) / 3.0 * np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("est", [SuffixAverage(start_index=0),
+                                 WeightedAverage()],
+                         ids=["suffix", "weighted"])
+def test_accumulating_in_place_aliases_nothing(est):
+    # The accumulator is added into in place: an earlier current() result
+    # and the observed iterates must not change with later observations.
+    first, second = np.array([[1.0, 2.0]]), np.array([[5.0, -1.0]])
+    est.observe(first, 0)
+    earlier = est.current()
+    kept = earlier.copy()
+    est.observe(second, 1)
+    np.testing.assert_array_equal(earlier, kept)
+    np.testing.assert_array_equal(first, [[1.0, 2.0]])
+    np.testing.assert_array_equal(second, [[5.0, -1.0]])
+    assert not np.array_equal(est.current(), kept)
+
+
 def test_out_of_order_rejected():
     est = SuffixAverage(start_index=0)
     est.observe(np.array([1.0]), 3)

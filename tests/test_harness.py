@@ -10,7 +10,10 @@ from sgmlab.geometry import Ball, Box
 from sgmlab.harness import (ExperimentConfig, RunSummary, default_checkpoints,
                             dominance_check, drop_stages, fit_rate,
                             resolve_stages, run_multistage, run_replicates)
-from sgmlab.optimizers import QHM, SG, SGM
+from sgmlab.estimators import make_estimator
+from sgmlab.optimizers import (QHM, SG, SGM, NormalizedSGM,
+                               NumericFailureError, StepParams, init,
+                               reference_step)
 from sgmlab.problems import (BoundedRademacher, ErmLeastSquares, Gaussian,
                              Minibatch, Quadratic)
 from sgmlab.schedules import (ConstantMomentum, ConstantStep,
@@ -176,6 +179,27 @@ class TestFitRate:
         s = _synthetic_summary([10, 100, 1000], [0.1, 0.01, 0.001])
         with pytest.raises(ValueError, match=">= 4"):
             fit_rate(s, (10, 1000))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mse_rejected(self, bad):
+        cps = np.array([10, 30, 100, 300, 1000])
+        mse = 5.0 / (cps + 1.0)
+        mse[2] = bad
+        with pytest.raises(ValueError, match="at checkpoint 100 is"):
+            fit_rate(_synthetic_summary(cps, mse), (10, 1000))
+
+    def test_non_finite_mse_outside_window_ignored(self):
+        cps = np.array([1, 10, 30, 100, 300])
+        mse = 1.0 / (cps + 1.0)
+        mse[0] = np.nan
+        fit = fit_rate(_synthetic_summary(cps, mse), (10, 300))
+        assert fit.exponent == pytest.approx(-1.0, abs=1e-12)
+
+    def test_repeated_checkpoints_rejected(self):
+        s = _synthetic_summary([1, 1, 1, 1], [0.5, 0.4, 0.3, 0.2])
+        with pytest.raises(ValueError,
+                           match="checkpoints must be strictly increasing"):
+            fit_rate(s, (1, 1))
 
 
 class TestDominanceCheck:
@@ -382,3 +406,151 @@ class TestStepMajorNoise:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * chunk_bytes
+
+
+def _reference_advance(config, theta0, rngs, rep_lo=0):
+    """The engine's block loop on the reference kernel, one pure, checked
+    step at a time: the final iterates and the squared estimator errors."""
+    problem, variant = config.problem, config.variant
+    domain = problem.domain
+    gradient = prob_mod.noise_kind(problem)[3]
+    t = config.step.step_size(np.arange(config.horizon))
+    eta = config.momentum.weight(np.arange(config.horizon), t)
+    state = init(theta0, variant, domain)
+    estimator = make_estimator(config.estimator, config.suffix_start)
+    estimator.observe(state.theta_curr, 0)
+    out = []
+    j = 0
+    for noise in harness._noise_chunks(problem, rngs, config.horizon):
+        for noise_j in noise:
+            g = gradient(state.theta_curr, noise_j)
+            try:
+                state = reference_step(
+                    state, g, StepParams(float(t[j]), float(eta[j])), variant,
+                    domain)
+            except NumericFailureError as err:
+                raise NumericFailureError(
+                    f"non-finite value in replicate {rep_lo + err.row}",
+                    j) from None
+            j += 1
+            estimator.observe(state.theta_curr, j)
+            if j in config.checkpoints:
+                delta = estimator.current() - problem.theta_star
+                out.append(np.sum(delta * delta, axis=-1))
+    return state.theta_curr, np.array(out)
+
+
+_TIGHT_DOMAINS = {
+    "ball": Ball(center=[0.0, 0.0], radius=0.5),
+    "box": Box(lower=[-0.3, -0.5], upper=[0.4, 0.2]),
+}
+
+
+def _engine_and_reference(config, reps):
+    theta0 = np.random.default_rng(5).uniform(-0.2, 0.2, (reps, 2))
+    results = []
+    for advance in (harness._advance_block, _reference_advance):
+        rngs = [harness._replicate_rng(config.master_seed, r)
+                for r in range(reps)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            results.append(advance(config, theta0, rngs, 0))
+    return results
+
+
+class TestEngineMatchesReference:
+    """The in-place engine kernel with its per-chunk check gives the bits
+    of the reference kernel's checked loop."""
+
+    @pytest.mark.parametrize("estimator", ["last", "suffix", "weighted"])
+    @pytest.mark.parametrize("domain", sorted(_TIGHT_DOMAINS))
+    @pytest.mark.parametrize("variant", [SG(), SGM(), NormalizedSGM(),
+                                         QHM(v=0.7)],
+                             ids=["sg", "sgm", "nsgm", "qhm"])
+    def test_bit_for_bit(self, monkeypatch, variant, domain, estimator):
+        monkeypatch.setattr(harness, "NOISE_CHUNK", 16)   # 3 chunks
+        problem = Quadratic(hessian_diag=[1.0, 3.0], theta_star=[0.1, -0.1],
+                            domain=_TIGHT_DOMAINS[domain],
+                            noise=Gaussian(sigma2=4.0))
+        config = _config(problem=problem, variant=variant,
+                         step=PolynomialStep(gamma=0.8, alpha=0.7),
+                         momentum=PolynomialMomentum(c=0.9, beta=0.5),
+                         estimator=estimator, suffix_start=10, horizon=45,
+                         replicates=5)
+        (theta, out), (ref_theta, ref_out) = _engine_and_reference(config, 5)
+        assert np.array_equal(theta, ref_theta)
+        assert np.array_equal(out, ref_out)
+
+    @pytest.mark.parametrize("variant", [SGM(), QHM(v=0.7)],
+                             ids=["sgm", "qhm"])
+    def test_box_clips_overflowing_proposals(self, monkeypatch, variant):
+        # Every proposal overflows to +-inf and the box clips it back inside,
+        # so every chunk fails the check and its replay finds no failure.
+        monkeypatch.setattr(harness, "NOISE_CHUNK", 16)
+        problem = Quadratic(hessian_diag=[1.0, 1.0], theta_star=[0.0, 0.0],
+                            domain=Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+                            noise=Gaussian(sigma2=1e300))
+        config = _config(problem=problem, variant=variant,
+                         step=ConstantStep(1e300),
+                         momentum=ConstantMomentum(0.5), horizon=40,
+                         replicates=4, force_schedule=True)
+        (theta, out), (ref_theta, ref_out) = _engine_and_reference(config, 4)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(theta, ref_theta)
+        assert np.array_equal(out, ref_out)
+
+
+def _inject_non_finite(monkeypatch, replicate, step):
+    """Make replicate's noise, and so its gradient, infinite at step, by
+    wrapping the noise draw. Pool workers are forked and inherit the
+    patch."""
+    draw, width, dtype, gradient = prob_mod.noise_kind(_quadratic())
+    drawn = {}
+
+    def bad_draw(problem, rng, k):
+        r = rng.bit_generator.seed_seq.spawn_key[0]
+        pos = drawn.get(r, 0)
+        drawn[r] = pos + k
+        out = draw(problem, rng, k)
+        if r == replicate and pos <= step < pos + k:
+            out[step - pos] = np.inf
+        return out
+
+    monkeypatch.setattr(prob_mod, "noise_kind",
+                        lambda problem: (bad_draw, width, dtype, gradient))
+
+
+class TestChunkFailure:
+    """A non-finite value found by the per-chunk check is reported at the
+    reference kernel's step and replicate."""
+
+    # The last step of the first 2048-step chunk, the first and a middle
+    # step of the second, and the horizon's last step. On the box the
+    # infinite proposal is clipped back inside, so no iterate shows it. A
+    # QHM replay that started from the chunk's last velocity would fail
+    # at the chunk's first step.
+    @pytest.mark.parametrize("step", [2047, 2048, 2100, 2199])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("domain", [
+        Ball(center=[0.0, 0.0], radius=2.0),
+        Box(lower=[-2.0, -2.0], upper=[2.0, 2.0])], ids=["ball", "box"])
+    @pytest.mark.parametrize("variant", [SGM(), QHM(v=0.7)],
+                             ids=["sgm", "qhm"])
+    def test_failure_names_reference_step_and_replicate(
+            self, monkeypatch, variant, domain, workers, step):
+        problem = Quadratic(hessian_diag=[1.0, 1.0], theta_star=[0.0, 0.0],
+                            domain=domain, noise=Gaussian(sigma2=1.0))
+        config = _config(problem=problem, variant=variant,
+                         momentum=ConstantMomentum(0.5), theta0=[1.0, 0.0],
+                         horizon=2200, replicates=4, workers=workers)
+        _inject_non_finite(monkeypatch, 3, step)
+        with pytest.raises(NumericFailureError) as engine:
+            run_replicates(config)
+        _inject_non_finite(monkeypatch, 3, step)
+        rngs = [harness._replicate_rng(config.master_seed, r)
+                for r in range(4)]
+        with pytest.raises(NumericFailureError) as reference:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _reference_advance(config, np.tile(config.theta0, (4, 1)),
+                                   rngs)
+        assert str(engine.value) == str(reference.value) == (
+            f"non-finite value in replicate 3 at step {step}")

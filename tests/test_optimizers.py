@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sgmlab.geometry import Ball, Box, contains
-from sgmlab.optimizers import (QHM, SG, SGM, IterateState, NormalizedSGM,
-                               NumericFailureError, StepParams, init,
-                               map_qhm_to_nsgm, step, variant_from_name)
+from sgmlab.optimizers import (QHM, SG, SGM, Batch, IterateState,
+                               NormalizedSGM, NumericFailureError, StepParams,
+                               init, map_qhm_to_nsgm, reference_step, step,
+                               variant_from_name)
 
 BIG = Box(lower=[-1e12], upper=[1e12])
 BALL10 = Ball(center=[0.0], radius=10.0)
@@ -36,21 +37,21 @@ class TestStep:
         # theta 1, prev 2, t 0.1, eta 0.5, g 1 -> 1 - 0.1 + 0.5*(1-2) = 0.4
         s = IterateState(theta_curr=np.array([1.0]), theta_prev=np.array([2.0]),
                          velocity=np.zeros(0), j=1)
-        out = step(s, [1.0], StepParams(0.1, 0.5), SGM(), BALL10)
+        out = reference_step(s, [1.0], StepParams(0.1, 0.5), SGM(), BALL10)
         np.testing.assert_allclose(out.theta_curr, [0.4])
         np.testing.assert_array_equal(out.theta_prev, [1.0])
         assert out.j == 2
 
     def test_projection_applied(self):
         s = init([9.0], SG(), BALL10)
-        out = step(s, [-100.0], StepParams(1.0, 0.0), SG(), BALL10)
+        out = reference_step(s, [-100.0], StepParams(1.0, 0.0), SG(), BALL10)
         assert contains(BALL10, out.theta_curr, 1e-12)
 
     def test_non_finite_gradient_raises_with_index(self):
         s = init([0.0], SG(), BALL10)
-        s = step(s, [1.0], StepParams(0.1, 0.0), SG(), BALL10)
+        s = reference_step(s, [1.0], StepParams(0.1, 0.0), SG(), BALL10)
         with pytest.raises(NumericFailureError, match="step 1"):
-            step(s, [np.nan], StepParams(0.1, 0.0), SG(), BALL10)
+            reference_step(s, [np.nan], StepParams(0.1, 0.0), SG(), BALL10)
 
     def test_overflow_names_the_first_bad_row(self):
         # Rows 0 and 2 stay finite; row 1's update overflows.
@@ -59,7 +60,7 @@ class TestStep:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailureError,
                                match="after update at step 0") as info:
-                step(s, g, StepParams(10.0, 0.0), SG(), BALL10)
+                reference_step(s, g, StepParams(10.0, 0.0), SG(), BALL10)
         assert info.value.row == 1
 
     def test_numeric_failure_survives_pickle(self):
@@ -77,7 +78,7 @@ def _run(variant, params_seq, gradients, domain, theta0):
     state = init(theta0, variant, domain)
     traj = []
     for params, g in zip(params_seq, gradients):
-        state = step(state, g, params, variant, domain)
+        state = reference_step(state, g, params, variant, domain)
         traj.append(state.theta_curr.copy())
     return np.asarray(traj)
 
@@ -117,7 +118,7 @@ def test_noiseless_contraction_on_quadratic():
     for j in range(100):
         t = 0.4 / (j + 1) ** 0.7
         g = h * state.theta_curr
-        nxt = step(state, g, StepParams(t, 0.0), SG(), domain)
+        nxt = reference_step(state, g, StepParams(t, 0.0), SG(), domain)
         factor = np.max(np.abs(1.0 - t * h))
         assert (np.linalg.norm(nxt.theta_curr)
                 <= np.linalg.norm(state.theta_curr) * factor + 1e-12)
@@ -130,7 +131,7 @@ def test_feasibility_every_step():
     state = init([0.5, 0.0], SGM(), domain)
     for j in range(200):
         g = rng.normal(scale=5.0, size=2)
-        state = step(state, g, StepParams(0.3, 0.6), SGM(), domain)
+        state = reference_step(state, g, StepParams(0.3, 0.6), SGM(), domain)
         assert contains(domain, state.theta_curr, 1e-12)
 
 
@@ -144,11 +145,48 @@ def test_batched_step_matches_scalar_loop():
     singles = [init(theta0[r], SGM(), domain) for r in range(8)]
     for j in range(20):
         params = StepParams(0.2 / (j + 1), 0.4)
-        batched = step(batched, gs[j], params, SGM(), domain)
-        singles = [step(s, gs[j, r], params, SGM(), domain)
+        batched = reference_step(batched, gs[j], params, SGM(), domain)
+        singles = [reference_step(s, gs[j, r], params, SGM(), domain)
                    for r, s in enumerate(singles)]
         for r, s in enumerate(singles):
             np.testing.assert_array_equal(batched.theta_curr[r], s.theta_curr)
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("domain", [Ball(center=[0.0, 0.0], radius=1.0),
+                                        Box(lower=[-1.0, -0.5],
+                                            upper=[0.5, 1.0])],
+                             ids=["ball", "box"])
+    @pytest.mark.parametrize("variant", [SG(), SGM(), NormalizedSGM(),
+                                         QHM(v=0.3)],
+                             ids=["sg", "sgm", "nsgm", "qhm"])
+    def test_matches_reference_bit_for_bit(self, variant, domain):
+        rng = np.random.default_rng(13)
+        gs = rng.normal(scale=3.0, size=(40, 6, 2))
+        ts, ws = rng.uniform(0.05, 0.5, 40), rng.uniform(0.0, 1.0, 40)
+        state = init(np.zeros((6, 2)), variant, domain)
+        batch = Batch(state, variant, domain)
+        for j in range(40):
+            kept = batch.theta_curr
+            state = reference_step(state, gs[j], StepParams(ts[j], ws[j]),
+                                   variant, domain)
+            step(batch, gs[j], ts[j], ws[j])
+            assert np.array_equal(batch.theta_curr, state.theta_curr)
+            assert np.array_equal(batch.theta_prev, state.theta_prev)
+            assert np.array_equal(batch.velocity, state.velocity)
+            assert batch.theta_prev is kept   # iterates are not overwritten
+        assert batch.finite()
+
+    def test_finite_checks_proposals_and_iterates(self):
+        box = Box(lower=[-1.0], upper=[1.0])
+        batch = Batch(init(np.zeros((3, 1)), SG(), box), SG(), box)
+        # the box clips the infinite proposal: only the proposal sum shows it
+        step(batch, np.array([[0.0], [np.inf], [0.0]]), 0.1, 0.0)
+        assert np.all(np.isfinite(batch.theta_curr))
+        assert not batch.finite()
+        assert batch.finite()            # the check resets the sum
+        batch.theta_curr = np.array([[0.0], [0.0], [np.nan]])
+        assert not batch.finite()
 
 
 class TestQhmNsgmMapping:
