@@ -93,15 +93,22 @@ CONFIG_KINDS = {
                  "polynomial": schedules.PolynomialMomentum,
                  "proportional": schedules.ProportionalToStep},
 }
-_COERCE = {"float": float, "int": int}
 
 
 def _coerce(value, type_name: str, where: str):
-    convert = _COERCE.get(type_name)
-    if convert is None:
+    """A config value as its field's type. An int field takes an int or a
+    whole-valued float such as 1e5, and nothing else: a boolean, a fraction
+    or a string would otherwise be truncated or parsed into a run."""
+    if type_name == "int":
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if type_name != "float":
         return value
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
@@ -168,8 +175,20 @@ def resolve_config(cfg: dict, args, required: set, defaults: dict) -> dict:
     return resolved
 
 
+def _integers(resolved: dict, keys) -> dict:
+    """The resolved config's integer fields `keys`, checked by _coerce."""
+    return {k: _coerce(resolved[k], "int", k) for k in keys}
+
+
 def build_experiment(resolved: dict, force_schedule: bool = False) -> ExperimentConfig:
     problem = build_problem(resolved)
+    checkpoints = resolved["checkpoints"]
+    if checkpoints is not None:
+        if not isinstance(checkpoints, list):
+            raise ConfigError(f"checkpoints: expected a list of integers, "
+                              f"got {checkpoints!r}")
+        checkpoints = [_coerce(c, "int", f"checkpoints[{i}]")
+                       for i, c in enumerate(checkpoints)]
     try:
         return ExperimentConfig(
             problem=problem,
@@ -177,14 +196,11 @@ def build_experiment(resolved: dict, force_schedule: bool = False) -> Experiment
             step=from_config("step", resolved["step"]),
             momentum=from_config("momentum", resolved["momentum"]),
             estimator=resolved["estimator"],
-            suffix_start=int(resolved["suffix_start"]),
             theta0=resolved["theta0"],
-            horizon=int(resolved["horizon"]),
-            checkpoints=resolved["checkpoints"],
-            replicates=int(resolved["replicates"]),
-            master_seed=int(resolved["master_seed"]),
-            workers=int(resolved["workers"]),
+            checkpoints=checkpoints,
             force_schedule=force_schedule,
+            **_integers(resolved, ("suffix_start", "horizon", "replicates",
+                                   "master_seed", "workers")),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -344,9 +360,8 @@ def cmd_multistage(args) -> int:
         from_config("momentum", resolved["momentum"]),
         variant=variant_from_name(resolved["variant"], resolved.get("qhm_v")),
         theta0=resolved["theta0"],
-        replicates=_coerce(resolved["replicates"], "int", "replicates"),
-        master_seed=_coerce(resolved["master_seed"], "int", "master_seed"),
-        workers=int(resolved["workers"]), force_schedule=args.force_schedule)
+        force_schedule=args.force_schedule,
+        **_integers(resolved, ("replicates", "master_seed", "workers")))
     for k, r in enumerate(reports):
         if not r.schedule_report.ok:
             print(f"stage {k} schedule warnings (forced):\n"

@@ -26,7 +26,8 @@ from .problems import Problem
 from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
                         ValidityReport, validate)
 
-NOISE_CHUNK = 2048
+NOISE_CHUNK = 512
+NOISE_TILE = 64
 
 
 def default_checkpoints(horizon: int, estimator: str = "last",
@@ -158,16 +159,29 @@ def _noise_chunks(problem: Problem, rngs, n_steps: int):
     """The noise of n_steps steps, one chunk of at most NOISE_CHUNK steps at
     a time, step-major: chunk[i] is step i's (block, d) noise, or its
     (block, batch) sample indices in mini-batch mode, so the step loop reads
-    contiguous rows. Each replicate draws its chunk from its own stream
-    straight into its column of one reused buffer: a chunk holds only until
-    the next one is drawn."""
+    contiguous rows. A chunk holds only until the next one is drawn.
+
+    Each replicate draws its chunk from its own stream into its row of a
+    reused replicate-major tile of NOISE_TILE replicates; one copy then
+    transposes the tile into the step-major buffer. Both arrays are viewed
+    as one opaque item per (width,) row, so the copy moves whole rows and
+    writes each step's tile rows contiguously."""
     draw, width, dtype, _ = prob_mod.noise_kind(problem)
     size = min(NOISE_CHUNK, n_steps)
     by_step = np.empty((size, len(rngs), width), dtype)
+    tile = np.empty((min(NOISE_TILE, len(rngs)), size, width), dtype)
+    row = np.dtype((np.void, width * by_step.itemsize))
+    steps_v, tile_v = by_step.view(row)[..., 0], tile.view(row)[..., 0]
     for pos in range(0, n_steps, size):
         chunk = min(size, n_steps - pos)
-        for r, rng in enumerate(rngs):
-            by_step[:chunk, r] = draw(problem, rng, chunk)
+        for r0 in range(0, len(rngs), len(tile)):
+            block = rngs[r0:r0 + len(tile)]
+            for k, rng in enumerate(block):
+                # `out` by keyword: a wrapper around the draw may read only
+                # the positional arguments.
+                draw(problem, rng, chunk, out=tile[k, :chunk])
+            n = len(block)
+            steps_v[:chunk, r0:r0 + n] = tile_v[:n, :chunk].T
         yield by_step[:chunk]
 
 

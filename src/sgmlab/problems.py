@@ -35,9 +35,13 @@ class Gaussian:
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
 
-    def sample(self, rng: np.random.Generator, n_draws: int, dim: int) -> np.ndarray:
-        scale = np.sqrt(self.sigma2 / dim)
-        return scale * rng.standard_normal((n_draws, dim))
+    def sample(self, rng: np.random.Generator, n_draws: int, dim: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((n_draws, dim))
+        # The same bits as scale * rng.standard_normal((n_draws, dim)).
+        rng.standard_normal(out=out)
+        return np.multiply(np.sqrt(self.sigma2 / dim), out, out=out)
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,16 @@ class BoundedRademacher:
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
 
-    def sample(self, rng: np.random.Generator, n_draws: int, dim: int) -> np.ndarray:
-        magnitude = np.sqrt(self.sigma2 / dim)
-        signs = np.where(rng.random((n_draws, dim)) < 0.5, -1.0, 1.0)
-        return magnitude * signs
+    def sample(self, rng: np.random.Generator, n_draws: int, dim: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((n_draws, dim))
+        rng.random(out=out)
+        # u - 0.5 is exact or keeps its sign for u in [0, 1), so the sign
+        # bit is set exactly where u < 0.5: the same bits as
+        # magnitude * (-1.0 if u < 0.5 else 1.0), -0.0 included.
+        np.subtract(out, 0.5, out=out)
+        return np.copysign(np.sqrt(self.sigma2 / dim), out, out=out)
 
 
 NoiseModel = Gaussian | BoundedRademacher
@@ -421,9 +431,10 @@ def subgradient_batch(problem: Problem, theta: np.ndarray) -> np.ndarray:
     return problem._subgradient(theta)
 
 
-def noise_sample(problem: Problem, rng: np.random.Generator,
-                 n_draws: int) -> np.ndarray:
-    """Draw `n_draws` additive-noise vectors, shape (n_draws, d).
+def noise_sample(problem: Problem, rng: np.random.Generator, n_draws: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Draw `n_draws` additive-noise vectors, shape (n_draws, d), into `out`
+    when given (C-contiguous floats of that shape) and return it.
 
     Drawing a block of k vectors consumes the stream exactly like k
     single-draw calls, so replicate blocks can be generated chunk-wise.
@@ -431,19 +442,28 @@ def noise_sample(problem: Problem, rng: np.random.Generator,
     if isinstance(problem.noise, Minibatch):
         raise ValueError("mini-batch problems have no additive noise; "
                          "use minibatch_indices")
-    return problem.noise.sample(rng, n_draws, problem.dimension)
+    return problem.noise.sample(rng, n_draws, problem.dimension, out=out)
 
 
 def minibatch_indices(problem: ErmLeastSquares, rng: np.random.Generator,
-                      n_draws: int) -> np.ndarray:
+                      n_draws: int, out: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Draw `n_draws` mini-batches of sample indices, shape
+    (n_draws, batch_size), into `out` when given and return it."""
     batch = problem.noise.batch_size
-    return rng.integers(0, problem.design.shape[0], size=(n_draws, batch))
+    if out is None:
+        out = np.empty((n_draws, batch), np.int64)
+    # Generator.integers takes no `out`.
+    out[...] = rng.integers(0, problem.design.shape[0], size=(n_draws, batch))
+    return out
 
 
 def noise_kind(problem: Problem) -> tuple:
     """How the engine draws and applies the problem's noise, decided once:
-    (draw, width, dtype, gradient). draw(problem, rng, k) returns k steps of
-    noise, shape (k, width): additive vectors, or mini-batch sample indices.
+    (draw, width, dtype, gradient). draw(problem, rng, k, out=None) returns
+    k steps of noise, shape (k, width): additive vectors, or mini-batch
+    sample indices. A given `out` of that shape and dtype is filled and
+    returned.
     gradient(theta, noise) is the stochastic gradient at a (block, d) batch
     of iterates given one step's (block, width) noise."""
     if isinstance(problem.noise, Minibatch):

@@ -387,6 +387,45 @@ class TestWrongTypedValues:
         assert main(argv) == 2
         assert _stderr_line(capsys).startswith("error: ")
 
+    @pytest.mark.parametrize("changes, key", [
+        ({"horizon": True}, "horizon"),
+        ({"horizon": "40"}, "horizon"),
+        ({"horizon": 100.7}, "horizon"),
+        ({"replicates": 3.9}, "replicates"),
+        ({"master_seed": 1.5}, "master_seed"),
+        ({"checkpoints": [1.5, 50]}, "checkpoints[0]"),
+        ({"checkpoints": "123"}, "checkpoints"),
+        ({"noise": {"minibatch": {"batch_size": 8.5}}},
+         "noise.minibatch.batch_size"),
+        ({"step": {"staged": {"stages": [{"a": 0.1, "n": 10.5}]}}},
+         "step.staged.stages[0].n"),
+    ])
+    def test_integer_field_not_truncated(self, tmp_path, capsys, changes,
+                                         key):
+        cfg = _write(tmp_path, _base_run_config(**changes))
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2
+        assert _stderr_line(capsys).startswith(f"error: {key}: expected a")
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"stages": [{"a": 0.2, "n": 10.5}]}, "stages[0].n"),
+        ({"replicates": False}, "replicates"),
+    ])
+    def test_multistage_integer_field_not_truncated(self, tmp_path, capsys,
+                                                    changes, key):
+        path = _write(tmp_path, _multistage_config(**changes))
+        assert main(["multistage", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert _stderr_line(capsys).startswith(f"error: {key}: expected a")
+
+    def test_whole_valued_floats_are_integers(self, tmp_path):
+        cfg = _write(tmp_path, _base_run_config(
+            horizon=50.0, replicates=4.0, checkpoints=[10.0, 5e1]))
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 0
+        summary = (tmp_path / "o" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == ["10", "50"]
+
     @pytest.mark.parametrize("changes", [
         {}, {"recursion_bound": {"kind": "sg"}}])
     def test_forced_run_past_a_staged_schedule(self, tmp_path, capsys,

@@ -337,7 +337,9 @@ class TestNoiseChunkInvariance:
     """The noise chunk size only sets how many steps of noise are drawn at a
     time; no result may depend on it."""
 
-    CHUNKS = (1, 7, 2048)
+    # 11 divides neither the 30-step horizon nor a stage length; 512 is the
+    # default.
+    CHUNKS = (1, 7, 11, 512, 2048)
 
     @_each_noise_kind
     def test_run_replicates(self, monkeypatch, problem):
@@ -362,7 +364,7 @@ class TestNoiseChunkInvariance:
             reports.append(run_multistage(_quadratic(), stages,
                                           ConstantMomentum(0.5), replicates=5,
                                           master_seed=8))
-        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert all(report == reports[0] for report in reports[1:])
 
 
 class TestStepMajorNoise:
@@ -373,7 +375,9 @@ class TestStepMajorNoise:
     def test_chunks_are_the_replicate_draws_transposed(self, monkeypatch,
                                                        problem):
         monkeypatch.setattr(harness, "NOISE_CHUNK", 7)
+        monkeypatch.setattr(harness, "NOISE_TILE", 3)
         n_steps, reps = 18, 5            # chunks of 7, 7 and a short 4
+        # and tiles of 3 replicates and a short 2
         if isinstance(problem.noise, Minibatch):
             draw = prob_mod.minibatch_indices
         else:
@@ -406,6 +410,21 @@ class TestStepMajorNoise:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * chunk_bytes
+
+    def test_lemma1_shape_stays_small(self):
+        # R=2000 replicates of d=2 over two chunks: the step-major buffer
+        # and one tile, with no per-replicate temporaries.
+        problem, reps = _quadratic(), 2000
+        rngs = [harness._replicate_rng(0, r) for r in range(reps)]
+        tracemalloc.start()
+        try:
+            for _chunk in harness._noise_chunks(problem, rngs,
+                                                2 * harness.NOISE_CHUNK):
+                pass
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 def _reference_advance(config, theta0, rngs, rep_lo=0):
@@ -506,11 +525,11 @@ def _inject_non_finite(monkeypatch, replicate, step):
     draw, width, dtype, gradient = prob_mod.noise_kind(_quadratic())
     drawn = {}
 
-    def bad_draw(problem, rng, k):
+    def bad_draw(problem, rng, k, out=None):
         r = rng.bit_generator.seed_seq.spawn_key[0]
         pos = drawn.get(r, 0)
         drawn[r] = pos + k
-        out = draw(problem, rng, k)
+        out = draw(problem, rng, k, out=out)
         if r == replicate and pos <= step < pos + k:
             out[step - pos] = np.inf
         return out
@@ -523,11 +542,11 @@ class TestChunkFailure:
     """A non-finite value found by the per-chunk check is reported at the
     reference kernel's step and replicate."""
 
-    # The last step of the first 2048-step chunk, the first and a middle
-    # step of the second, and the horizon's last step. On the box the
-    # infinite proposal is clipped back inside, so no iterate shows it. A
-    # QHM replay that started from the chunk's last velocity would fail
-    # at the chunk's first step.
+    # Steps 2047 and 2048 straddle a chunk boundary (2048 is a multiple of
+    # the 512-step chunk), 2100 is a middle step of the last chunk, and 2199
+    # is the horizon's last step. On the box the infinite proposal is
+    # clipped back inside, so no iterate shows it. A QHM replay that started
+    # from the chunk's last velocity would fail at the chunk's first step.
     @pytest.mark.parametrize("step", [2047, 2048, 2100, 2199])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("domain", [

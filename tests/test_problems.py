@@ -232,6 +232,61 @@ class TestMinibatch:
         assert emp_var <= c.sigma2
 
 
+def _erm_minibatch():
+    rng_data = np.random.default_rng(4)
+    X = rng_data.normal(size=(25, 3))
+    y = rng_data.normal(size=25)
+    return ErmLeastSquares(
+        design=X, targets=y,
+        domain=Ball(center=np.linalg.lstsq(X, y, rcond=None)[0], radius=2.0),
+        noise=Minibatch(batch_size=4))
+
+
+def _draw_cases():
+    star = (0.0, 0.0, 0.0)
+    ball = Ball(center=star, radius=2.0)
+    return [
+        (Quadratic(hessian_diag=(1.0, 2.0, 3.0), theta_star=star, domain=ball,
+                   noise=Gaussian(sigma2=2.5)), noise_sample),
+        (Quadratic(hessian_diag=(1.0, 2.0, 3.0), theta_star=star, domain=ball,
+                   noise=BoundedRademacher(sigma2=2.5)), noise_sample),
+        (_erm_minibatch(), minibatch_indices),
+    ]
+
+
+class TestDrawIntoOut:
+    """A draw into a given `out` is the allocating draw, bit for bit."""
+
+    @pytest.mark.parametrize("problem, draw", _draw_cases(),
+                             ids=["gaussian", "bounded_rademacher",
+                                  "minibatch"])
+    def test_out_is_filled_returned_and_the_stream_runs_on(self, problem,
+                                                           draw):
+        alloc_rng, out_rng = (np.random.default_rng(9) for _ in range(2))
+        expected = draw(problem, alloc_rng, 13)
+        # A row of a wider buffer, as the engine's tile passes it.
+        buffer = np.full((2, *expected.shape), -7, expected.dtype)
+        out = buffer[1]
+        assert draw(problem, out_rng, 13, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert np.all(buffer[0] == -7)
+        assert (draw(problem, out_rng, 5).tobytes()
+                == draw(problem, alloc_rng, 5).tobytes())
+
+    @pytest.mark.parametrize("sigma2", [0.0, 2.5, 1e300])
+    def test_additive_draws_keep_their_formulas(self, sigma2):
+        # The bits of the formulas the golden outputs were made with,
+        # signed zeros included.
+        scale = np.sqrt(sigma2 / 3)
+        rng = np.random.default_rng(11)
+        gauss = scale * rng.standard_normal((40, 3))
+        signs = scale * np.where(rng.random((40, 3)) < 0.5, -1.0, 1.0)
+        rng = np.random.default_rng(11)
+        assert Gaussian(sigma2).sample(rng, 40, 3).tobytes() == gauss.tobytes()
+        assert (BoundedRademacher(sigma2).sample(rng, 40, 3).tobytes()
+                == signs.tobytes())
+
+
 def _row_loop_sup(X, y, domain) -> float:
     """The per-sample supremum as first written: the closed-form formula
     evaluated on every row."""
