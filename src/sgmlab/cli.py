@@ -97,8 +97,8 @@ CONFIG_KINDS = {
 
 def _coerce(value, type_name: str, where: str):
     """A config value as its field's type. An int field takes an int or a
-    whole-valued float such as 1e5, and nothing else: a boolean, a fraction
-    or a string would otherwise be truncated or parsed into a run."""
+    whole-valued float such as 1e5, a float field an int or a float; any
+    other value is refused rather than truncated or parsed into a run."""
     if type_name == "int":
         if isinstance(value, float) and value.is_integer():
             return int(value)
@@ -107,10 +107,12 @@ def _coerce(value, type_name: str, where: str):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if type_name != "float":
         return value
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:       # an int past the float range
+            pass
+    raise ConfigError(f"{where}: expected a number, got {value!r}")
 
 
 def _stages(stages, where: str) -> list:

@@ -80,10 +80,13 @@ class Ball:
         point = _check_dimension(self, point)
         return np.maximum(self._norm(point) - self.radius, 0.0)
 
-    def support(self, direction) -> float:
-        """sup_{x in D} <direction, x>."""
+    def support(self, direction):
+        """sup_{x in D} <direction, x>, over the last axis. np.vecdot sums
+        each row as the one-row `@` and np.linalg.norm do, so a batch gives
+        every row's float bit for bit."""
         direction = np.asarray(direction, dtype=float)
-        return float(direction @ self.center + self.radius * np.linalg.norm(direction))
+        return (np.vecdot(direction, self.center)
+                + self.radius * np.sqrt(np.vecdot(direction, direction)))
 
     def farthest_distance(self, point) -> float:
         """max_{x in D} ||x - point||."""
@@ -130,10 +133,10 @@ class Box:
         excess = np.maximum(np.maximum(self.lower - point, point - self.upper), 0.0)
         return np.linalg.norm(excess, axis=-1)
 
-    def support(self, direction) -> float:
+    def support(self, direction):
         direction = np.asarray(direction, dtype=float)
-        return float(np.sum(np.where(direction >= 0, direction * self.upper,
-                                     direction * self.lower)))
+        return np.sum(np.where(direction >= 0, direction * self.upper,
+                               direction * self.lower), axis=-1)
 
     def farthest_distance(self, point) -> float:
         point = np.asarray(point, dtype=float)

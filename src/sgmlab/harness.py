@@ -65,6 +65,9 @@ class ExperimentConfig:
     force_schedule: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        for name in ("horizon", "replicates", "master_seed", "suffix_start",
+                     "workers"):
+            _require_int(getattr(self, name), name)
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
         if self.workers < 1:
@@ -81,7 +84,7 @@ class ExperimentConfig:
         if cps is None:
             cps = default_checkpoints(self.horizon, self.estimator,
                                       self.suffix_start)
-        cps = tuple(int(c) for c in cps)
+        cps = tuple(_require_int(c, "checkpoints") for c in cps)
         if not cps:
             raise ValueError("checkpoints must be strictly increasing")
         _check_increasing(cps)
@@ -98,6 +101,13 @@ class ExperimentConfig:
         else:
             object.__setattr__(self, "theta0",
                                np.asarray(self.theta0, dtype=float))
+
+
+def _require_int(value, name: str) -> int:
+    """value as an int; a bool or a fraction is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_increasing(checkpoints):
@@ -435,7 +445,7 @@ def resolve_stages(problem: Problem, stages) -> list:
         prev_a = a_k
         burn = stage_burn_in(a_k, consts.m, consts.L ** 2, consts.M,
                              consts.sigma2)
-        length = burn if n_k == "auto" else int(n_k)
+        length = burn if n_k == "auto" else _require_int(n_k, "stage length")
         if length < 1:
             raise ValueError("stage length must be >= 1")
         resolved.append((a_k, length, burn))

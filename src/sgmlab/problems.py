@@ -19,6 +19,7 @@ from .geometry import Ball, Box, Domain, contains
 
 DOMAIN_TOL = 1e-9
 INTERIOR_MARGIN = 1e-9
+SUP_BLOCK = 2 ** 13     # cells: 64 KB temporaries, reused rather than mmapped
 
 
 class DegenerateProblemError(ValueError):
@@ -348,70 +349,22 @@ class ErmLeastSquares:
 def _sup_per_sample(X: np.ndarray, y: np.ndarray, domain: Domain) -> float:
     """max_i sup_{theta in D} ||x_i (x_i^T theta - y_i)||. Each per-sample
     gradient is linear in theta, so its norm is maximized over the domain
-    in closed form. Only the rows that can hold the maximum are evaluated;
-    the result is the same float as evaluating every row."""
-    sup_per_sample = 0.0
-    for i in _rows_near_max(X, y, domain):
-        lo = -domain.support(-X[i])
-        hi = domain.support(X[i])
-        sup_resid = max(abs(lo - y[i]), abs(hi - y[i]))
-        sup_per_sample = max(sup_per_sample,
-                             float(np.linalg.norm(X[i])) * sup_resid)
-    return sup_per_sample
-
-
-def _rows_near_max(X: np.ndarray, y: np.ndarray, domain: Domain) -> np.ndarray:
-    """Indices of the rows that can hold the largest value of
-    v_i = ||x_i|| * max(|lo_i - y_i|, |hi_i - y_i|), with lo_i and hi_i the
-    least and largest x_i^T theta over the domain, as _sup_per_sample
-    computes v_i row by row through the domain's support function.
-
-    One pass over the d columns estimates every v_i with (N,) vectors. The
-    estimate e_i and the row formula both evaluate the same real expression
-    through sums of at most d + 1 rounded terms, so while nothing overflows
-    each lies within gamma_{d+3} * n_i * (r_i + a_i) of it, where n_i is
-    ||x_i||, r_i the residual factor and a_i the summed magnitudes of the
-    terms of lo_i and hi_i (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sec. 3.1). Underflow adds the absolute terms. The
-    bound err_i below is twice the sum of the two evaluations' bounds,
-    which covers using the computed n_i, r_i and a_i in it and rounding
-    err_i itself. A row with e_i + err_i below some e_k - err_k has
-    v_i < v_k and is left out. Rows whose values might overflow are kept."""
-    n_rows, d = X.shape
-    if isinstance(domain, Ball):
-        # x^T theta over a ball is x^T center -+ radius * ||x||.
-        lower = upper = domain.center
-        radius = domain.radius
-    else:
-        lower, upper, radius = domain.lower, domain.upper, 0.0
-    sq, low, high, size = (np.zeros(n_rows) for _ in range(4))
-    for j in range(d):
-        col = X[:, j]
-        sq += col * col
-        at_lower, at_upper = col * lower[j], col * upper[j]
-        low += np.minimum(at_lower, at_upper)
-        high += np.maximum(at_lower, at_upper)
-        size += np.maximum(np.abs(at_lower), np.abs(at_upper))
-    norm = np.sqrt(sq)
-    reach = radius * norm
-    low -= reach
-    high += reach
-    size += reach
-    resid = np.maximum(np.abs(low - y), np.abs(high - y))
-    estimate = norm * resid
-    unit = np.finfo(float).eps / 2
-    tiny = np.finfo(float).smallest_subnormal
-    # Underflow: each rounded square or product may lose up to `tiny`,
-    # which moves a norm by at most sqrt(d * tiny).
-    err = (4 * (d + 4) * unit * norm * (resid + size)
-           + 4 * (math.sqrt(d * tiny) * (resid + reach)
-                  + (d + 1) * tiny * norm + tiny))
-    # Every intermediate of either evaluation is at most the larger of sq
-    # and 2 (r_i + a_i) max(n_i, 1), up to rounding.
-    sure = (np.maximum(sq, (resid + size) * np.maximum(norm, 1.0))
-            < np.finfo(float).max / 16)
-    floor = np.max(estimate - err, where=sure, initial=-np.inf)
-    return np.flatnonzero(~sure | (estimate + err >= floor))
+    in closed form: x_i^T theta ranges over [lo_i, hi_i] given by the
+    support function. Each block of rows is evaluated at once, every row
+    to the float a loop over the rows gives; fmax skips a NaN row as
+    max(sup, v) did. Blocks of SUP_BLOCK cells keep the temporaries small;
+    whole-design ones would set the peak memory of an ERM run."""
+    sup = 0.0
+    step = max(1, SUP_BLOCK // X.shape[1])
+    for start in range(0, X.shape[0], step):
+        X_b, y_b = X[start:start + step], y[start:start + step]
+        lo = -domain.support(-X_b)
+        hi = domain.support(X_b)
+        a, b = np.abs(lo - y_b), np.abs(hi - y_b)
+        resid = np.where(b > a, b, a)               # max(a, b) row by row
+        norm = np.sqrt(np.vecdot(X_b, X_b))
+        sup = np.fmax.reduce(norm * resid, initial=sup)
+    return float(sup)
 
 
 Problem = Quadratic | QuadPlusL1 | ErmLeastSquares

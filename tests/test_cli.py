@@ -418,6 +418,36 @@ class TestWrongTypedValues:
                      "--out", str(tmp_path / "o")]) == 2
         assert _stderr_line(capsys).startswith(f"error: {key}: expected a")
 
+    @pytest.mark.parametrize("changes, key", [
+        ({"noise": {"gaussian": {"sigma2": True}}}, "noise.gaussian.sigma2"),
+        ({"noise": {"gaussian": {"sigma2": 10 ** 400}}},
+         "noise.gaussian.sigma2"),
+        ({"step": {"constant": {"a": "0.1"}}}, "step.constant.a"),
+        ({"step": {"polynomial": {"gamma": "1.0", "alpha": 1.0}}},
+         "step.polynomial.gamma"),
+        ({"step": {"staged": {"stages": [{"a": False, "n": 10}]}}},
+         "step.staged.stages[0].a"),
+        ({"fit_window": ["10", 50]}, "fit_window"),
+    ])
+    def test_float_field_takes_only_numbers(self, tmp_path, capsys, changes,
+                                            key):
+        cfg = _write(tmp_path, _base_run_config(**changes))
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2
+        assert (_stderr_line(capsys)
+                .startswith(f"error: {key}: expected a number, got "))
+        assert not list(tmp_path.glob("o/*"))
+
+    @pytest.mark.parametrize("a", [True, "0.2"])
+    def test_multistage_float_field_takes_only_numbers(self, tmp_path, capsys,
+                                                       a):
+        path = _write(tmp_path, _multistage_config(
+            stages=[{"a": a, "n": 50}, {"a": 0.1, "n": 100}]))
+        assert main(["multistage", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert (_stderr_line(capsys)
+                .startswith("error: stages[0].a: expected a number, got "))
+
     def test_whole_valued_floats_are_integers(self, tmp_path):
         cfg = _write(tmp_path, _base_run_config(
             horizon=50.0, replicates=4.0, checkpoints=[10.0, 5e1]))

@@ -222,3 +222,61 @@ class TestBallProjectMatchesNormFormula:
         once = np.linalg.norm(ball.center + delta * (ball.radius / nrm)
                               - ball.center, axis=-1, keepdims=True)
         assert np.any(outside & (once > ball.radius))
+
+
+def _row_support(domain, x) -> float:
+    """The support function of one row, as first written."""
+    if isinstance(domain, Ball):
+        return float(x @ domain.center + domain.radius * np.linalg.norm(x))
+    return float(np.sum(np.where(x >= 0, x * domain.upper, x * domain.lower)))
+
+
+class TestBatchedSupportMatchesRowFormula:
+    """support over a batch of rows must give each row's float bit for
+    bit, signed zeros included; numpy sums 8 or more terms pairwise."""
+
+    @staticmethod
+    def _domains(rng, d):
+        center = rng.normal(size=d)
+        width = rng.uniform(0.1, 2.0, d)
+        return (Ball(center=center, radius=1.3),
+                Box(lower=center - width, upper=center + width),
+                Box(lower=np.full(d, 0.5), upper=np.full(d, 2.0)),
+                Box(lower=np.full(d, -0.25), upper=np.full(d, 0.25)))
+
+    @staticmethod
+    def _designs(rng, d):
+        full = rng.normal(size=(30, d + 2))
+        full[rng.random(full.shape) < 0.2] = 0.0
+        full[rng.random(full.shape) < 0.1] = -0.0
+        full[[0, 7]] = 0.0
+        full[11] = -0.0
+        # x * bound underflows to a zero whose sign follows the bound's
+        full[12] = -np.finfo(float).smallest_subnormal
+        full[13] = np.finfo(float).smallest_subnormal
+        return {"contiguous": np.ascontiguousarray(full[:, :d]),
+                "column_sliced": full[:, 1:d + 1]}
+
+    @pytest.mark.parametrize("d", (1, 2, 7, 8, 13))
+    def test_rows_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        for domain in self._domains(rng, d):
+            for layout, X in self._designs(rng, d).items():
+                for rows in (X, -X):
+                    got = domain.support(rows)
+                    want = np.array([_row_support(domain, x) for x in rows])
+                    assert got.shape == (len(rows),), layout
+                    assert got.tobytes() == want.tobytes(), layout
+                    stacked = domain.support(rows.reshape(2, -1, d))
+                    assert stacked.tobytes() == want.tobytes(), layout
+
+    @pytest.mark.parametrize("d", (1, 2, 7, 8, 13))
+    def test_one_row_is_a_scalar(self, d):
+        rng = np.random.default_rng(50 + d)
+        for domain in self._domains(rng, d):
+            for x in self._designs(rng, d)["column_sliced"][:12]:
+                got = domain.support(x)
+                assert np.ndim(got) == 0
+                assert got == _row_support(domain, x)
+                assert (np.float64(got).tobytes()
+                        == np.float64(_row_support(domain, x)).tobytes())

@@ -80,6 +80,39 @@ class TestConfigValidation:
             run_multistage(_quadratic(), drop_stages(0.2, 5, 2),
                            ZeroMomentum(), replicates=4, workers=workers)
 
+    @pytest.mark.parametrize("changes, name", [
+        ({"checkpoints": (1.5, 50.9)}, "checkpoints"),
+        ({"checkpoints": (10, True)}, "checkpoints"),
+        ({"replicates": 3.7}, "replicates"),
+        ({"replicates": 4.0}, "replicates"),
+        ({"horizon": True}, "horizon"),
+        ({"horizon": "200"}, "horizon"),
+        ({"master_seed": 1.5}, "master_seed"),
+        ({"estimator": "suffix", "suffix_start": 10.5}, "suffix_start"),
+        ({"workers": np.float64(2.0)}, "workers"),
+    ])
+    def test_integer_fields_not_truncated(self, changes, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            _config(**changes)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = _config(horizon=np.int64(200), replicates=np.int32(4),
+                      checkpoints=np.array([10, 200]))
+        assert cfg.checkpoints == (10, 200)
+        assert all(type(c) is int for c in cfg.checkpoints)
+
+    @pytest.mark.parametrize("stages, changes, name", [
+        (drop_stages(0.2, 5, 2), {"replicates": 3.7}, "replicates"),
+        (drop_stages(0.2, 5, 2), {"master_seed": True}, "master_seed"),
+        ([(0.2, 10.5), (0.1, 20)], {}, "stage length"),
+        ([(0.2, 10), (0.1, True)], {}, "stage length"),
+    ])
+    def test_multistage_integer_fields_not_truncated(self, stages, changes,
+                                                     name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run_multistage(_quadratic(), stages, ZeroMomentum(),
+                           **{"replicates": 4, **changes})
+
 
 class TestRunReplicates:
     def test_noiseless_run_has_zero_sem(self):
