@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,9 @@ from .geometry import Ball, Box, Domain, contains
 DOMAIN_TOL = 1e-9
 INTERIOR_MARGIN = 1e-9
 SUP_BLOCK = 2 ** 13     # cells: 64 KB temporaries, reused rather than mmapped
+READ_CHUNK = 2 ** 20    # bytes of a CSV scanned at a time
+# Bytes np.loadtxt strips around a number as whitespace and float() refuses.
+LOADTXT_SPACES = b"\x1c\x1d\x1e\x1f"
 
 
 class DegenerateProblemError(ValueError):
@@ -264,6 +268,7 @@ class ErmLeastSquares:
     domain: Domain
     noise: NoiseModel | Minibatch
     theta_star: np.ndarray = field(init=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _constants: ProblemConstants = field(init=False, repr=False, compare=False)
 
     # Overflow shows up below as a non-finite Gram matrix or constant, each
@@ -276,6 +281,14 @@ class ErmLeastSquares:
             raise ValueError("design must be N x d with N matching targets")
         if X.shape[0] < X.shape[1] + 1:
             raise ValueError("need at least d+1 rows")
+        # One C-contiguous [X | y] table, so a mini-batch is one gather of
+        # whole rows. design and targets are views of it, with the strides
+        # of a CSV-loaded table: every BLAS call below keeps its bits.
+        rows = np.empty((X.shape[0], X.shape[1] + 1))
+        rows[:, :-1] = X
+        rows[:, -1] = y
+        X, y = rows[:, :-1], rows[:, -1]
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "design", X)
         object.__setattr__(self, "targets", y)
 
@@ -311,6 +324,17 @@ class ErmLeastSquares:
             m=m, M=_square(sqrt_M), sigma2=self._noise_sigma2(sqrt_M),
             L=self.domain.diameter(), theta_star=theta_star))
 
+    def __getstate__(self):
+        # design and targets are views of _rows; pickled as they are, each
+        # would reach a worker process as a copy of its own.
+        state = self.__dict__.copy()
+        del state["design"], state["targets"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, design=state["_rows"][:, :-1],
+                             targets=state["_rows"][:, -1])
+
     @property
     def dimension(self) -> int:
         return self.design.shape[1]
@@ -330,8 +354,8 @@ class ErmLeastSquares:
     def per_sample_gradient(self, theta, indices) -> np.ndarray:
         """Mean gradient over the given sample indices; batched over leading axes."""
         theta = np.asarray(theta, dtype=float)
-        X_b = self.design[indices]                      # (..., b, d)
-        y_b = self.targets[indices]                     # (..., b)
+        rows = np.take(self._rows, indices, axis=0)     # (..., b, d+1)
+        X_b, y_b = rows[..., :-1], rows[..., -1]
         resid = np.einsum("...bd,...d->...b", X_b, theta) - y_b
         return np.einsum("...b,...bd->...d", resid, X_b) / resid.shape[-1]
 
@@ -430,33 +454,86 @@ def noise_kind(problem: Problem) -> tuple:
 
 
 def load_erm_csv(path, domain: Domain, noise: NoiseModel | Minibatch) -> ErmLeastSquares:
-    """Read a (features..., target) CSV into an ERM least-squares problem."""
+    """Read a (features..., target) UTF-8 CSV into an ERM least-squares
+    problem. np.loadtxt parses the file; a file it might read otherwise
+    goes through the cell-by-cell scan."""
+    data = _loadtxt(path)
+    if data is None:
+        data = _scan_csv(path)
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: need at least one feature column plus a target")
+    return ErmLeastSquares(design=data[:, :-1], targets=data[:, -1],
+                           domain=domain, noise=noise)
+
+
+def _loadtxt(path) -> np.ndarray | None:
+    """The table np.loadtxt parses from the file, or None for a file it
+    refuses or reads as empty or non-finite, or that holds one of
+    LOADTXT_SPACES. On every other file, _scan_csv gives the same floats."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(READ_CHUNK):
+            if any(c in chunk for c in LOADTXT_SPACES):
+                return None
+    try:
+        # A file object, not the path: np.loadtxt opens a path ending in
+        # .gz as gzip, and fetches a URL.
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # A file without rows warns; _scan_csv words that error.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if data.size == 0 or not np.all(np.isfinite(data)):
+        return None
+    return data
+
+
+def _scan_csv(path) -> np.ndarray:
+    """Parse the file cell by cell through csv.reader and float(): the
+    spellings only these accept (quotes, `1_000`, Unicode digits) and the
+    one-line error naming the first bad row and cell."""
     rows = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = None
-                if value is None or not math.isfinite(value):
-                    kind = "non-numeric" if value is None else "non-finite"
-                    raise ValueError(
-                        f"{path}: {kind} cell at row {i + 1}, column {j + 1}: "
-                        f"{cell!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+    i = 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for i, row in enumerate(csv.reader(fh), 1):
+                if not row:
+                    continue
+                parsed = []
+                for j, cell in enumerate(row, 1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        value = None
+                    if value is None or not math.isfinite(value):
+                        kind = "non-numeric" if value is None else "non-finite"
+                        raise ValueError(f"{path}: {kind} cell at row {i}, "
+                                         f"column {j}: {cell!r}")
+                    parsed.append(value)
+                rows.append(parsed)
+    except csv.Error as exc:    # a cell past csv.field_size_limit()
+        raise ValueError(f"{path}: cannot read row {i + 1}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(_decode_error(path)) from None
     if not rows:
         raise ValueError(f"{path}: empty CSV")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
-    data = np.asarray(rows, dtype=float)
-    if data.shape[1] < 2:
-        raise ValueError(f"{path}: need at least one feature column plus a target")
-    return ErmLeastSquares(design=data[:, :-1], targets=data[:, -1],
-                           domain=domain, noise=noise)
+    return np.asarray(rows, dtype=float)
+
+
+def _decode_error(path) -> str:
+    """The error line for a file that is not UTF-8, naming the row of its
+    first undecodable byte. The text reader decodes ahead of the row it
+    hands out, so the row is found again from the raw bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = len((raw[:exc.start] + b"_").splitlines())
+        return (f"{path}: cannot decode row {row} as UTF-8 "
+                f"(byte {raw[exc.start]:#04x})")
+    return f"{path}: cannot decode as UTF-8"

@@ -700,6 +700,27 @@ def test_non_finite_csv_cell_exits_2(tmp_path, capsys, noise, cell):
         f"error: {data}: non-finite cell at row 3, column 1: '{cell}'")
 
 
+def test_undecodable_csv_exits_2_naming_the_row(tmp_path, capsys):
+    cfg, data = _erm_csv_config(tmp_path, [], ERM_NOISES[0])
+    data.write_bytes(b"1,0,1\r\n0,1,2\r\ncaf\xe9,1,3\r\n1,1,3\r\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert _stderr_line(capsys) == (
+        f"error: {data}: cannot decode row 3 as UTF-8 (byte 0xe9)")
+
+
+def test_overlong_csv_cell_exits_2_with_one_line(tmp_path):
+    # np.loadtxt reads the 200,000-digit cell as inf, so the cell-by-cell
+    # scan runs and meets csv's field size limit.
+    cfg, data = _erm_csv_config(
+        tmp_path, [["1", "0", "1"], ["0", "1", "2"],
+                   ["1" + "0" * 200_000, "1", "3"], ["1", "1", "3"]],
+        ERM_NOISES[0])
+    proc = _cli("run", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {data}: cannot read row 3: field larger "
+                           "than field limit (131072)\n")
+
+
 @pytest.mark.parametrize("noise", ERM_NOISES)
 def test_overflowing_gram_matrix_exits_2_with_one_line(tmp_path, noise):
     # The 1e200 row's squares overflow; numpy must not warn before the

@@ -1,3 +1,7 @@
+import bz2
+import csv
+import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -199,6 +203,229 @@ class TestLoadErmCsv:
         f.write_text("1,0,10\n0,1,10\n1,1,20\n")
         with pytest.raises(ValueError, match="outside"):
             load_erm_csv(f, Ball(center=[0.0, 0.0], radius=1.0), NO_NOISE)
+
+    def test_compressed_file_is_read_as_is(self, tmp_path):
+        # np.loadtxt given this path would decompress it and load the table.
+        f = tmp_path / "d.csv.bz2"
+        f.write_bytes(bz2.compress(b"1,2\n2,4\n3,7\n"))
+        with pytest.raises(ValueError, match="cannot decode row 1 as UTF-8"):
+            load_erm_csv(f, BALL1D, NO_NOISE)
+
+
+def _scan_rows(path) -> np.ndarray:
+    """The CSV parse as first written, one cell at a time through
+    csv.reader and float: the reference every loader must match."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for i, row in enumerate(csv.reader(fh)):
+            if not row:
+                continue
+            parsed = []
+            for j, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
+                    raise ValueError(
+                        f"{path}: {kind} cell at row {i + 1}, column {j + 1}: "
+                        f"{cell!r}"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise ValueError(f"{path}: empty CSV")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
+    data = np.asarray(rows, dtype=float)
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: need at least one feature column plus a target")
+    return data
+
+
+def _wide_ball(d):
+    return Ball(center=np.zeros(d), radius=1e6)
+
+
+def _load_outcome(path):
+    """(design bytes, target bytes, shapes and strides) of load_erm_csv, or
+    its error line; no warning may be raised on the way."""
+    try:
+        d = _scan_rows(path).shape[1] - 1
+    except ValueError:
+        d = 1       # the parse fails first; the domain is never used
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            p = load_erm_csv(path, _wide_ball(d), NO_NOISE)
+        except ValueError as exc:
+            return str(exc)
+    return (p.design.tobytes(), p.targets.tobytes(), p.design.shape,
+            p.design.strides, p.targets.strides)
+
+
+def _reference_outcome(path):
+    try:
+        data = _scan_rows(path)
+        p = ErmLeastSquares(design=data[:, :-1], targets=data[:, -1],
+                            domain=_wide_ball(data.shape[1] - 1),
+                            noise=NO_NOISE)
+    except ValueError as exc:
+        return str(exc)
+    # A loaded problem's design and targets keep the strides of views into
+    # the (N, d+1) table.
+    width = data.shape[1] * data.itemsize
+    return (p.design.tobytes(), p.targets.tobytes(), p.design.shape,
+            (width, data.itemsize), (width,))
+
+
+PARITY_CASES = {
+    "quoted_cells": '"1.5",2\n3,"4"\n5,"7.25"\n',
+    "blank_lines": "\n1,2\n\n3,5\n\n\n4,1\n\n",
+    "underscore": "1_000,2\n3,4_0\n5,6\n",
+    "spaces": " 1 , 2 \n3 ,\t4\n\xa05,6\x0c\n",
+    "nan": "1,2\nnan,4\n5,6\n",
+    "NaN_signed": "1,2\n3,-NaN\n5,6\n",
+    "inf": "1,2\n3,inf\n5,6\n",
+    "minus_inf": "1,2\n-inf,4\n5,6\n",
+    "Infinity": "1,2\n3,4\n+Infinity,6\n",
+    "infinity_lower": "1,2\n3,4\n5,infinity\n",
+    "overflow": "1,2\n3,1e999\n5,6\n",
+    "ragged": "1,2\n3,4,5\n6,7\n",
+    "hash_in_cell": "1,2\n3#c,4\n5,6\n",
+    "hash_line": "# x,y\n1,2\n3,4\n",
+    "bom": "﻿1,2\n3,4\n5,6\n",
+    "header": "x,y\n1,2\n3,4\n",
+    "single_row": "1,2,3\n",
+    "single_column": "1\n2\n3\n",
+    "empty": "",
+    "only_blank_lines": "\n\n\r\n",
+    "whitespace_line": "1,2\n   \n3,4\n",
+    "trailing_whitespace_line": "1,2\n3,4\n\t",
+    "separator_control_chars": "\x1c1,2\n3,4\n5,6\x1f\n",
+    "trailing_comma": "1,2,\n3,4,\n5,6,\n",
+    "empty_cell": "1,,2\n3,4,5\n",
+    "cr_endings": "1,2\r3,5\r4,1\r",
+    "crlf_endings": "1,2\r\n3,5\r\n4,1",
+    "unicode_digits": "١,2\n3,4\n５,6\n",
+    "subnormal_and_rounding": ("4.9e-324,1\n2.5e-324,0.1\n"
+                               "1.7976931348623157e308,0.30000000000000004\n"
+                               "0.1000000000000000055511151231257827,3\n"),
+}
+
+
+class TestLoadErmCsvParity:
+    """load_erm_csv gives the reference scan's design and target bytes, or
+    its error line, for every input."""
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_case(self, tmp_path, case):
+        f = tmp_path / "d.csv"
+        f.write_bytes(PARITY_CASES[case].encode("utf-8"))
+        assert _load_outcome(f) == _reference_outcome(f)
+
+    def test_generated_table(self, tmp_path):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((400, 7)) * 10.0 ** rng.integers(
+            -30, 30, (400, 7))
+        f = tmp_path / "d.csv"
+        f.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                             for row in table))
+        assert _load_outcome(f) == _reference_outcome(f)
+        assert _load_outcome(f)[0] == table[:, :-1].tobytes()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_text(self, tmp_path_factory, data):
+        pad = st.sampled_from(["", "", " ", "\t", "\xa0", "\x0b", "\x1c",
+                               "\x1f", "\x85", "\u2028", "　"])
+        number = st.one_of(
+            st.floats(width=64).map(repr),
+            st.integers(-10 ** 6, 10 ** 6).map(str),
+            st.sampled_from(["1_0", "+.5", "5.", "1E+05", "0x10", "١", "",
+                             '"2"', "#", "1e", "nan", "-Infinity", "e5"]))
+        cell = st.tuples(pad, number, pad).map("".join)
+        n_cols = data.draw(st.integers(1, 3))
+        lines = data.draw(st.lists(
+            st.lists(cell, min_size=n_cols, max_size=n_cols).map(",".join)
+            | st.sampled_from(["", " ", "a,b"]), max_size=6))
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        f = tmp_path_factory.mktemp("csv") / "d.csv"
+        f.write_bytes(end.join(lines).encode("utf-8"))
+        assert _load_outcome(f) == _reference_outcome(f)
+
+
+def test_erm_pickles_one_table(tmp_path):
+    # A worker process receives the problem pickled: it gets one table, and
+    # design and targets as views of it, as in the parent process.
+    f = tmp_path / "d.csv"
+    X, y, star = _fitted_rows(7, 200, 3)
+    f.write_text("".join(",".join(map(repr, r)) + "\n"
+                         for r in np.column_stack([X, y]).tolist()))
+    p = load_erm_csv(f, Ball(center=star, radius=3.0), Minibatch(batch_size=2))
+    blob = pickle.dumps(p)
+    q = pickle.loads(blob)
+    assert len(blob) < 1.5 * p._rows.nbytes
+    for name in ("design", "targets"):
+        a, b = getattr(p, name), getattr(q, name)
+        assert np.shares_memory(b, q._rows)
+        assert (a.tobytes(), a.strides) == (b.tobytes(), b.strides)
+    assert q.constants().sigma2 == p.constants().sigma2
+
+
+def _fancy_index_gradient(design, targets, theta, indices):
+    """The mini-batch gradient as first written: fancy-index the design and
+    targets, then two einsums."""
+    X_b = design[indices]
+    y_b = targets[indices]
+    resid = np.einsum("...bd,...d->...b", X_b, theta) - y_b
+    return np.einsum("...b,...bd->...d", resid, X_b) / resid.shape[-1]
+
+
+class TestPerSampleGradient:
+    """per_sample_gradient is the fancy-index formula, bit for bit, for a
+    design given C-contiguous, Fortran-ordered or as a view into a
+    CSV-shaped table."""
+
+    @staticmethod
+    def _problem(n, d, b, layout):
+        X, y, star = _fitted_rows(n + d, n, d)
+        if layout == "csv":
+            table = np.ascontiguousarray(np.column_stack([X, y]))
+            X, y = table[:, :-1], table[:, -1]
+        elif layout == "fortran":
+            X = np.asfortranarray(X)
+        p = ErmLeastSquares(design=X, targets=y,
+                            domain=Ball(center=star, radius=3.0),
+                            noise=Minibatch(batch_size=b))
+        assert p._rows.flags.c_contiguous
+        return p
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "csv"])
+    @pytest.mark.parametrize("n,d,r,b", [(50, 1, 7, 1), (64, 3, 16, 2),
+                                         (120, 7, 64, 4), (200, 8, 33, 3),
+                                         (200, 10, 200, 8)])
+    def test_batched(self, n, d, r, b, layout):
+        p = self._problem(n, d, b, layout)
+        rng = np.random.default_rng(n * d + r)
+        theta = p.theta_star + rng.uniform(-1.0, 1.0, (r, d))
+        indices = minibatch_indices(p, rng, r)
+        expected = _fancy_index_gradient(p.design, p.targets, theta, indices)
+        assert p.per_sample_gradient(theta, indices).tobytes() == \
+            expected.tobytes()
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "csv"])
+    def test_unbatched(self, layout):
+        p = self._problem(60, 4, 5, layout)
+        rng = np.random.default_rng(9)
+        theta = p.theta_star + rng.uniform(-1.0, 1.0, 4)
+        indices = rng.integers(0, 60, 5)
+        got = p.per_sample_gradient(theta, indices)
+        assert got.shape == (4,)
+        assert got.tobytes() == _fancy_index_gradient(
+            p.design, p.targets, theta, indices).tobytes()
 
 
 class TestMinibatch:
