@@ -7,7 +7,8 @@ All operations broadcast over leading axes, so a batch of points with shape
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,13 +19,34 @@ class Ball:
 
     center: np.ndarray
     radius: float
+    # The largest float whose sqrt is <= radius, and the center repeated to
+    # the last iterate shape projected (derived, so compare=False keeps them
+    # out of config_hash).
+    _inside_sq: float = field(default=0.0, init=False, repr=False,
+                              compare=False)
+    _centers: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if self.center.ndim != 1:
             raise ValueError("ball center must be a 1-D vector")
+        if not np.isfinite(self.center).all():
+            raise ValueError(f"ball center must be finite, got "
+                             f"{self.center.tolist()}")
         if not self.radius > 0:
             raise ValueError(f"ball radius must be positive, got {self.radius}")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"ball radius must be finite, got {self.radius}")
+        # sqrt is correctly rounded and monotone, so sqrt(s) > radius holds
+        # exactly when s > inside_sq.
+        radius = float(self.radius)
+        inside_sq = radius * radius
+        while math.sqrt(inside_sq) > radius:
+            inside_sq = math.nextafter(inside_sq, 0.0)
+        while math.sqrt(math.nextafter(inside_sq, math.inf)) <= radius:
+            inside_sq = math.nextafter(inside_sq, math.inf)
+        object.__setattr__(self, "_inside_sq", inside_sq)
 
     @property
     def dimension(self) -> int:
@@ -34,9 +56,35 @@ class Ball:
         return 2.0 * self.radius
 
     def project(self, point) -> np.ndarray:
-        point = _check_dimension(self, point)
-        out = np.array(point, copy=True)
-        outside = self._norm(point) > self.radius
+        point = np.asarray(point, dtype=float)
+        d = self.center.shape[0]
+        if 0 < d < 8:
+            # sq is the sum of squares _norm takes the root of, same bits. The
+            # center is kept repeated to the point's shape, so the
+            # subtraction is one contiguous pass rather than numpy's
+            # broadcast of a (d,) operand d elements at a time; the
+            # dimension is checked whenever that shape changes.
+            centers = self._centers
+            if centers is None or centers.shape != point.shape:
+                shape = _check_dimension(self, point).shape
+                centers = np.ascontiguousarray(np.broadcast_to(self.center,
+                                                               shape))
+                object.__setattr__(self, "_centers", centers)
+            delta = point - centers
+            delta *= delta
+            sq = delta[..., 0]
+            for k in range(1, d):
+                sq = sq + delta[..., k]     # a contiguous sum, not in place
+            # No row moves when the largest square is at most _inside_sq.
+            # argmax returns the first NaN, which fails that test, so NaN
+            # rows and an empty batch take the mask below.
+            if sq.size and sq.item(sq.argmax()) <= self._inside_sq:
+                return point.copy()
+            outside = np.sqrt(sq) > self.radius
+        else:
+            point = _check_dimension(self, point)
+            outside = self._norm(point) > self.radius
+        out = point.copy()
         if not outside.any():
             return out
         # Only the outside rows move: out[outside] is center + delta * scale

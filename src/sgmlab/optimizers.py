@@ -10,8 +10,8 @@ fixed sequence of numpy ufunc calls that writes into the buffers of a
   batch once per noise chunk (`Batch.finite`).
 - `reference_step` is the pure state -> state transition. It works on
   copies, checks every gradient and iterate, and raises NumericFailureError
-  at the first non-finite one. The coupling oracle, the tests and the
-  engine's replay of a chunk that failed its check use it.
+  at the first non-finite one. The tests and the engine's replay of a
+  chunk that failed its check use it.
 
 Both broadcast over leading axes, so a batch of R independent trajectories
 advances with the exact same arithmetic as R scalar calls. Gradient samples
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, Domain, contains
+from .geometry import Domain, contains
 
 
 class NumericFailureError(RuntimeError):
@@ -238,48 +238,16 @@ def reference_step(state: IterateState, g, params: StepParams,
                         velocity=batch.velocity, j=state.j + 1)
 
 
-@dataclass(frozen=True)
-class CouplingReport:
-    """Outcome of a trajectory-matching check between update kernels."""
-
-    params: tuple
-    max_deviation: float
-
-
-def _trajectory(variant, params_fn, theta0, grad_fn, domain, n_steps):
-    state = init(np.asarray([theta0], dtype=float).ravel(), variant, domain)
-    out = []
-    for j in range(n_steps):
-        g = grad_fn(state.theta_curr)
-        state = reference_step(state, g, params_fn(j), variant, domain)
-        out.append(state.theta_curr.copy())
-    return np.asarray(out)
-
-
-def map_qhm_to_nsgm(alpha: float, beta: float, n_steps: int = 10) -> CouplingReport:
-    """Parameters under which NormalizedSGM replays QHM(v=1, alpha, beta).
+def map_qhm_to_nsgm(alpha: float, beta: float) -> tuple:
+    """Parameters (alpha, weight) under which NormalizedSGM replays
+    QHM(v=1, alpha, beta).
 
     The two updates keep opposite EMA conventions (weight on the new gradient
-    vs on the history), so the mapping swaps beta for 1 - beta. Validated by
-    a side-by-side noiseless trajectory before being returned.
+    vs on the history), so the mapping swaps beta for 1 - beta.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     if not 0 <= beta < 1:
         raise ValueError("beta must lie in [0, 1); beta = 1 never absorbs "
                          "new gradients (degenerate EMA)")
-    # 1-D quadratic f = x^2/2 on a huge box: projection never activates and
-    # the gradient is deterministic, so trajectories compare exactly.
-    domain = Box(lower=[-1e12], upper=[1e12])
-    grad_fn = lambda theta: theta
-    theta0 = 7.0
-    ref = _trajectory(QHM(v=1.0), lambda j: StepParams(alpha, beta),
-                      theta0, grad_fn, domain, n_steps)
-    mapped = _trajectory(NormalizedSGM(),
-                         lambda j: StepParams(alpha, 1.0 - beta),
-                         theta0, grad_fn, domain, n_steps)
-    dev = float(np.max(np.abs(ref - mapped)))
-    if dev > 1e-12:
-        raise NumericFailureError(
-            f"qhm->nsgm mapping failed trajectory validation (dev={dev:.3e})", 0)
-    return CouplingReport(params=(alpha, 1.0 - beta), max_deviation=dev)
+    return alpha, 1.0 - beta

@@ -195,9 +195,8 @@ def test_criterion_8_reductions_and_coupling():
     exact = (np.array_equal(sg, run(SGM(), 0.05, 0.0))
              and np.array_equal(sg, run(QHM(v=0.0), 0.05, 0.7)))
 
-    mapping = map_qhm_to_nsgm(alpha=0.05, beta=0.7)
     qhm = run(QHM(v=1.0), 0.05, 0.7)
-    nsgm = run(NormalizedSGM(), *mapping.params)
+    nsgm = run(NormalizedSGM(), *map_qhm_to_nsgm(alpha=0.05, beta=0.7))
     dev = float(np.max(np.abs(qhm - nsgm)))
     _report(8, exact and dev <= 1e-12,
             f"SGM(eta=0) and QHM(v=0) match SG bit-for-bit: {exact}; "

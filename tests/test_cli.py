@@ -676,6 +676,26 @@ def test_overflowing_constants_exit_2(tmp_path, capsys, command):
             == "error: problem constant M = inf is not finite")
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("ball, line", [
+    ({"center": [0.0, 0.0], "radius": float("inf")},
+     "error: ball radius must be finite, got inf"),
+    ({"center": [float("nan"), 0.0], "radius": 2.0},
+     "error: ball center must be finite, got [nan, 0.0]"),
+    ({"center": [0.0, float("-inf")], "radius": 2.0},
+     "error: ball center must be finite, got [0.0, -inf]"),
+], ids=["inf_radius", "nan_center", "minus_inf_center"])
+def test_non_finite_ball_exits_2(tmp_path, capsys, command, ball, line):
+    # Not later, as a non-finite problem constant or theta0 outside the
+    # domain: the ball itself is refused.
+    cfg = _write(tmp_path, _base_run_config(domain={"ball": ball}))
+    argv = [command, "--config", cfg]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert _stderr_line(capsys) == line
+
+
 def _erm_csv_config(tmp_path, rows, noise):
     data = tmp_path / "data.csv"
     data.write_text("".join(",".join(row) + "\n" for row in rows))

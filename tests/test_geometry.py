@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,16 @@ class TestConstruction:
     def test_ball_radius_positive(self):
         with pytest.raises(ValueError):
             Ball(center=[0.0], radius=0.0)
+
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_ball_radius_finite(self, radius):
+        with pytest.raises(ValueError, match="ball radius must be"):
+            Ball(center=[0.0], radius=radius)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ball_center_finite(self, bad):
+        with pytest.raises(ValueError, match="ball center must be finite"):
+            Ball(center=[0.0, bad], radius=1.0)
 
     def test_box_positive_edges(self):
         with pytest.raises(ValueError):
@@ -174,8 +186,10 @@ def _ball_points(ball, rng, n, kinds=("near", "outside", "inside")):
 
 class TestBallProjectMatchesNormFormula:
     """Ball.project sums squares column by column below 8 coordinates and
-    calls the norm from 8 on; both must give the norm formula's bits. The
-    golden outputs only reach d <= 2 on a ball."""
+    calls the norm from 8 on; both must give the norm formula's bits. Below
+    8 it decides "no row moves" on the squares against an exact threshold,
+    with the center cached at the iterate's shape. The golden outputs only
+    reach d <= 2 on a ball."""
 
     DIMENSIONS = (1, 2, 3, 7, 8, 10, 17)
 
@@ -209,6 +223,87 @@ class TestBallProjectMatchesNormFormula:
         assert np.array_equal(got, _norm_formula_project(ball, points))
         assert np.array_equal(points, before)
         assert not np.shares_memory(got, points)
+
+    @staticmethod
+    def _same_bits(ball, points):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ball.project(points)
+            want = _norm_formula_project(ball, points)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("radius", (1e-300, 1e-150, 0.3, 1.7, 2.0, 1e150,
+                                        1e200, np.finfo(float).max))
+    def test_threshold_is_tight(self, radius):
+        ball = Ball(center=[0.0, 0.0], radius=radius)
+        inside_sq = ball._inside_sq
+        assert math.sqrt(inside_sq) <= radius
+        assert radius < math.sqrt(math.nextafter(inside_sq, math.inf))
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 3):
+            ball = Ball(center=np.zeros(d), radius=radius)
+            assert ball._inside_sq == inside_sq
+            with np.errstate(over="ignore", invalid="ignore"):
+                points = _ball_points(ball, rng, 60, kinds=("near", "inside"))
+            self._same_bits(ball, points)
+            for point in points[:12]:
+                self._same_bits(ball, point)
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 7))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_rows(self, d, bad):
+        rng = np.random.default_rng(d)
+        ball = Ball(center=rng.normal(size=d), radius=1.7)
+        inside = _ball_points(ball, rng, 40, kinds=("inside",))
+        mixed = _ball_points(ball, rng, 40)
+        for points in (inside, mixed):
+            for rows in ([0], [5, 17], [39]):
+                batch = points.copy()
+                batch[rows, -1] = bad
+                self._same_bits(ball, batch)
+                batch[rows] = bad
+                self._same_bits(ball, batch)
+            self._same_bits(ball, np.full(d, bad))
+
+    @pytest.mark.parametrize("d", (1, 2, 7))
+    def test_shape_changes(self, d):
+        rng = np.random.default_rng(30 + d)
+        ball = Ball(center=rng.normal(size=d), radius=1.7)
+        for R in (2000, 2, None, 0, 2000):
+            if R is None:   # single (d,) points, whose square is 0-d
+                for point in _ball_points(ball, rng, 60):
+                    self._same_bits(ball, point)
+            elif R == 0:
+                self._same_bits(ball, np.empty((0, d)))
+            else:
+                for kinds in (("inside",), ("near", "outside", "inside")):
+                    self._same_bits(ball, _ball_points(ball, rng, R, kinds))
+
+    def test_dimension_mismatch_after_warm_cache(self):
+        ball = Ball(center=[0.0, 0.0], radius=1.0)
+        ball.project(np.zeros((3, 2)))
+        for point in (np.zeros((2, 3)), np.zeros(6), np.zeros((3, 2, 1))):
+            with pytest.raises(ValueError, match=(
+                    rf"^point dimension {point.shape[-1]} does not match "
+                    r"domain dimension 2$")):
+                ball.project(point)
+        assert np.array_equal(ball.project(np.full((3, 2), 0.5)),
+                              np.full((3, 2), 0.5))
+
+    @pytest.mark.parametrize("d", (1, 2, 7))
+    def test_all_inside_result_is_fresh(self, d):
+        # Batch and Last.observe rely on a result that owns its memory.
+        ball = Ball(center=np.zeros(d), radius=1.0)
+        points = np.full((2, d), 0.1)
+        for _ in range(3):
+            got = ball.project(points)
+            assert np.array_equal(got, points)
+            assert not np.shares_memory(got, points)
+            assert not np.shares_memory(got, ball._centers)
+            got[:] = 5.0
+            assert np.all(points == 0.1)
+        single = ball.project(points[0])
+        assert not np.shares_memory(single, points)
 
     def test_near_points_reach_the_ulp_loop(self):
         # Points an ulp or three outside need the scale shrunk past

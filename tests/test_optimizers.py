@@ -191,9 +191,25 @@ class TestInPlaceStep:
 
 class TestQhmNsgmMapping:
     def test_mapping_within_1e12(self):
-        report = map_qhm_to_nsgm(alpha=0.2, beta=0.5)
-        assert report.max_deviation <= 1e-12
-        assert report.params == (0.2, 0.5)
+        # Noiseless f = x^2/2 on a box the iterates never reach, so the
+        # trajectories compare exactly.
+        def trajectory(variant, params):
+            state = init([7.0], variant, BIG)
+            out = []
+            for _ in range(10):
+                state = reference_step(state, state.theta_curr, params,
+                                       variant, BIG)
+                out.append(state.theta_curr.copy())
+            return np.asarray(out)
+
+        mapped = map_qhm_to_nsgm(alpha=0.2, beta=0.3)
+        assert mapped == (0.2, 0.7)
+        qhm = trajectory(QHM(v=1.0), StepParams(0.2, 0.3))
+        nsgm = trajectory(NormalizedSGM(), StepParams(*mapped))
+        assert np.max(np.abs(qhm - nsgm)) <= 1e-12
+        # unmapped, the weights differ and so do the trajectories
+        unmapped = trajectory(NormalizedSGM(), StepParams(0.2, 0.3))
+        assert np.max(np.abs(qhm - unmapped)) > 1e-12
 
     def test_beta_one_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

@@ -5,7 +5,7 @@ The tracer patches sgmlab functions by name, so a refactor that renames or
 bypasses one of them would silently empty the per-layer figures; this runs
 one tiny two-worker `sgmlab run` the way the benchmark does and checks that
 the pool workers recorded engine, update-kernel, noise, gradient and
-projection spans.
+projection spans, and one update and one projection per step.
 """
 
 import json
@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+HORIZON = 20
 
 
 def test_traced_pool_run_records_engine_spans(tmp_path):
@@ -27,7 +28,7 @@ def test_traced_pool_run_records_engine_spans(tmp_path):
         "step": {"polynomial": {"gamma": 1.0, "alpha": 1.0}},
         "momentum": {"zero": {}},
         "theta0": [1.0, 0.0],
-        "horizon": 20,
+        "horizon": HORIZON,
         "replicates": 4,
     }))
     stats, trace_dir = tmp_path / "stats.json", tmp_path / "trace"
@@ -48,3 +49,8 @@ def test_traced_pool_run_records_engine_spans(tmp_path):
         # the noise, gradient and projection layers keep their own spans
         assert {"problems.noise", "problems.grad",
                 "geometry.project"} <= names
+        # one update and one projection per step: a fast path that
+        # bypassed Ball.project would empty the projection layer
+        counts = record["counts"]
+        assert counts["optimizers.step.calls"] == HORIZON
+        assert counts["geometry.project.calls"] == HORIZON
