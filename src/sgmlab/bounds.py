@@ -6,6 +6,7 @@ against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,13 @@ class RateEnvelope:
         return RateEnvelope(case=self.case, constant=constant, beta=self.beta)
 
 
+# The recursions run on Python floats, the same IEEE operations in the same
+# order as on numpy scalars at a fraction of the cost per operation, one chunk
+# of steps at a time: lists of a whole horizon would raise the peak memory of
+# a run by more than its arrays take.
+FLOAT_CHUNK = 512
+
+
 def _steps(step: StepSchedule, N: int) -> np.ndarray:
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
@@ -88,13 +96,15 @@ def sg_recursion_bound(E0: float, step: StepSchedule, m: float, M: float,
         raise ValueError("E0 must be nonnegative")
     t = _steps(step, N)
     _check_tm(t, m)
+    m, noise = float(m), float(M + sigma2)
     values = np.empty(N + 1)
-    values[0] = E0
-    noise = M + sigma2
-    e = E0
-    for j in range(N):
-        e = (1.0 - t[j] * m) * e + t[j] * t[j] * noise
-        values[j + 1] = e
+    values[0] = e = float(E0)
+    for lo in range(0, N, FLOAT_CHUNK):
+        chunk = []
+        for t_j in t[lo:lo + FLOAT_CHUNK].tolist():
+            e = (1.0 - t_j * m) * e + t_j * t_j * noise
+            chunk.append(e)
+        values[lo + 1:lo + 1 + len(chunk)] = chunk
     return BoundSequence(values=values)
 
 
@@ -116,18 +126,23 @@ def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedul
     eta = np.asarray(momentum.weight(np.arange(N), t), dtype=float)
     if np.any(eta >= 1):
         raise ValueError("momentum weights must satisfy eta_j < 1")
-    sqrt_M = np.sqrt(M)
-    noise = M + sigma2
+    if not M >= 0:
+        raise ValueError(f"M = {M} must be nonnegative")
+    m, L, sqrt_M = float(m), float(L), math.sqrt(M)
+    noise = float(M + sigma2)
     L2 = L * L
     values = np.empty(N + 1)
-    e = min(E0, L2) if cap else E0
-    values[0] = e
-    for j in range(N):
-        e = ((1.0 - t[j] * m) * e + t[j] * t[j] * noise
-             + 2.0 * eta[j] * (L + t[j] * sqrt_M) * L + eta[j] * eta[j] * L2)
-        if cap:
-            e = min(e, L2)
-        values[j + 1] = e
+    values[0] = e = float(min(E0, L2) if cap else E0)
+    for lo in range(0, N, FLOAT_CHUNK):
+        chunk = []
+        for t_j, eta_j in zip(t[lo:lo + FLOAT_CHUNK].tolist(),
+                              eta[lo:lo + FLOAT_CHUNK].tolist()):
+            e = ((1.0 - t_j * m) * e + t_j * t_j * noise
+                 + 2.0 * eta_j * (L + t_j * sqrt_M) * L + eta_j * eta_j * L2)
+            if cap:
+                e = min(e, L2)
+            chunk.append(e)
+        values[lo + 1:lo + 1 + len(chunk)] = chunk
     return BoundSequence(values=values)
 
 

@@ -161,8 +161,10 @@ class StageReport:
 
 def _replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
     # SeedSequence mixes (entropy, spawn_key) with good avalanche behavior.
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,)))
+    # Generator(PCG64(seq)) is what default_rng(seq) builds, without its
+    # argument dispatch.
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))))
 
 
 def _noise_chunks(problem: Problem, rngs, n_steps: int):

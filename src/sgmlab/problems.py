@@ -422,16 +422,27 @@ def noise_sample(problem: Problem, rng: np.random.Generator, n_draws: int,
     return problem.noise.sample(rng, n_draws, problem.dimension, out=out)
 
 
+def index_dtype(n_rows: int) -> np.dtype:
+    """The narrowest signed integer type that holds every index below
+    n_rows: a chunk of mini-batch indices is R * b of them per step."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if np.iinfo(dtype).max >= n_rows - 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def minibatch_indices(problem: ErmLeastSquares, rng: np.random.Generator,
                       n_draws: int, out: np.ndarray | None = None
                       ) -> np.ndarray:
     """Draw `n_draws` mini-batches of sample indices, shape
-    (n_draws, batch_size), into `out` when given and return it."""
-    batch = problem.noise.batch_size
+    (n_draws, batch_size), into `out` when given and return it; allocated,
+    `out` has the index_dtype of the design's row count."""
+    n_rows, batch = problem.design.shape[0], problem.noise.batch_size
     if out is None:
-        out = np.empty((n_draws, batch), np.int64)
-    # Generator.integers takes no `out`.
-    out[...] = rng.integers(0, problem.design.shape[0], size=(n_draws, batch))
+        out = np.empty((n_draws, batch), index_dtype(n_rows))
+    # Generator.integers takes no `out`, and a narrower `dtype=` would draw
+    # a different stream: the int64 draw is cast on the copy.
+    out[...] = rng.integers(0, n_rows, size=(n_draws, batch))
     return out
 
 
@@ -444,7 +455,8 @@ def noise_kind(problem: Problem) -> tuple:
     gradient(theta, noise) is the stochastic gradient at a (block, d) batch
     of iterates given one step's (block, width) noise."""
     if isinstance(problem.noise, Minibatch):
-        return (minibatch_indices, problem.noise.batch_size, np.int64,
+        return (minibatch_indices, problem.noise.batch_size,
+                index_dtype(problem.design.shape[0]),
                 problem.per_sample_gradient)
 
     def gradient(theta, noise):

@@ -5,8 +5,8 @@ from sgmlab.bounds import (EXPONENT_FORMS, BoundSequence, RateEnvelope,
                            constant_step_plateau,
                            sg_exponential_bound, sg_recursion_bound,
                            sgm_recursion_bound, stage_burn_in)
-from sgmlab.schedules import (ConstantMomentum, ConstantStep, PolynomialStep,
-                              ZeroMomentum)
+from sgmlab.schedules import (ConstantMomentum, ConstantStep,
+                              PolynomialMomentum, PolynomialStep, ZeroMomentum)
 
 
 class TestBoundSequence:
@@ -112,6 +112,74 @@ class TestSgmRecursion:
         with pytest.raises(ValueError, match="eta"):
             sgm_recursion_bound(1.0, ConstantStep(0.1), Saturated(),
                                 1.0, 1.0, 1.0, L=2.0, N=1)
+
+
+def _numpy_scalar_sg(E0, step, m, M, sigma2, N):
+    """The SG recursion stepped on numpy scalars: the oracle for the loop on
+    Python floats."""
+    t = np.asarray(step.step_size(np.arange(N)), dtype=float)
+    values = np.empty(N + 1)
+    values[0] = E0
+    noise = M + sigma2
+    e = E0
+    for j in range(N):
+        e = (1.0 - t[j] * m) * e + t[j] * t[j] * noise
+        values[j + 1] = e
+    return values
+
+
+def _numpy_scalar_sgm(E0, step, momentum, m, M, sigma2, L, N, cap):
+    t = np.asarray(step.step_size(np.arange(N)), dtype=float)
+    eta = np.asarray(momentum.weight(np.arange(N), t), dtype=float)
+    sqrt_M = np.sqrt(M)
+    noise = M + sigma2
+    L2 = L * L
+    values = np.empty(N + 1)
+    e = min(E0, L2) if cap else E0
+    values[0] = e
+    for j in range(N):
+        e = ((1.0 - t[j] * m) * e + t[j] * t[j] * noise
+             + 2.0 * eta[j] * (L + t[j] * sqrt_M) * L + eta[j] * eta[j] * L2)
+        if cap:
+            e = min(e, L2)
+        values[j + 1] = e
+    return values
+
+
+class TestRecursionsMatchNumpyScalarLoop:
+    """The recursions run on Python floats give the numpy-scalar loop's
+    values bit for bit. Constants come in as numpy scalars, as a problem's
+    constants() may give them."""
+
+    STEPS = [PolynomialStep(gamma=1.0, alpha=1.0),
+             PolynomialStep(gamma=0.7, alpha=0.6), ConstantStep(0.013)]
+    # 12,500 steps end in a short chunk; 512 is one whole chunk.
+    HORIZONS = [0, 1, 512, 12_500]
+
+    @pytest.mark.parametrize("N", HORIZONS)
+    @pytest.mark.parametrize("step", STEPS, ids=["alpha1", "alpha06", "const"])
+    def test_sg(self, step, N):
+        args = (0.37, step, 1.0, np.float64(2.3), 0.9, N)
+        got = sg_recursion_bound(*args).values
+        assert got.tobytes() == _numpy_scalar_sg(*args).tobytes()
+
+    @pytest.mark.parametrize("N", HORIZONS)
+    @pytest.mark.parametrize("cap", [True, False])
+    @pytest.mark.parametrize("momentum", [
+        PolynomialMomentum(c=0.9, beta=1.0), ConstantMomentum(0.3),
+        ZeroMomentum()], ids=["poly", "const", "zero"])
+    @pytest.mark.parametrize("step", STEPS, ids=["alpha1", "alpha06", "const"])
+    def test_sgm(self, step, momentum, cap, N):
+        # E0 above L^2, so the cap acts on the first value as well.
+        args = (5.1, step, momentum, 1.0, np.float64(2.3), 0.9,
+                np.float64(2.0), N)
+        got = sgm_recursion_bound(*args, cap=cap).values
+        assert got.tobytes() == _numpy_scalar_sgm(*args, cap).tobytes()
+
+    def test_sgm_negative_M_named(self):
+        with pytest.raises(ValueError, match="M = -1.0 must be nonnegative"):
+            sgm_recursion_bound(1.0, ConstantStep(0.1), ConstantMomentum(0.5),
+                                1.0, -1.0, 1.0, L=2.0, N=3)
 
 
 class TestExponentialBound:

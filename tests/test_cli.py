@@ -236,6 +236,14 @@ class TestBoundsAndFit:
         assert out[0] == "j,bound"
         assert out[3] == "2,0.75"
 
+    def test_bounds_negative_M_exit_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, {"bound": {"sgm_recursion": {
+            "E0": 1.0, "step": {"constant": {"a": 0.1}},
+            "momentum": {"constant": {"eta": 0.5}}, "m": 1.0, "M": -1.0,
+            "sigma2": 1.0, "L": 2.0, "N": 3}}})
+        assert main(["bounds", "--config", cfg]) == 2
+        assert _stderr_line(capsys) == "error: M = -1.0 must be nonnegative"
+
     def test_fit_reads_summary(self, tmp_path, capsys):
         rows = ["checkpoint,mse_mean,mse_sem"]
         for c in (10, 30, 100, 300, 1000):

@@ -114,6 +114,32 @@ class TestConfigValidation:
                            **{"replicates": 4, **changes})
 
 
+def _erm_minibatch():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 2))
+    y = X @ np.array([0.3, -0.2]) + 0.1 * rng.normal(size=30)
+    return ErmLeastSquares(design=X, targets=y,
+                           domain=Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+                           noise=Minibatch(batch_size=3))
+
+
+def _erm_with_rows(n_rows, batch=3):
+    rng = np.random.default_rng(n_rows)
+    X = rng.normal(size=(n_rows, 2))
+    return ErmLeastSquares(design=X, targets=X @ np.array([0.3, -0.2]),
+                           domain=Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+                           noise=Minibatch(batch_size=batch))
+
+
+_each_noise_kind = pytest.mark.parametrize("problem", [
+    _quadratic(),
+    Quadratic(hessian_diag=[1.0, 2.0], theta_star=[0.1, 0.0],
+              domain=Ball(center=[0.0, 0.0], radius=2.0),
+              noise=BoundedRademacher(sigma2=1.0)),
+    _erm_minibatch(),
+], ids=["gaussian", "bounded_rademacher", "minibatch"])
+
+
 class TestRunReplicates:
     def test_noiseless_run_has_zero_sem(self):
         cfg = _config(problem=_quadratic(sigma2=0.0), theta0=[1.0, 0.0],
@@ -142,8 +168,10 @@ class TestRunReplicates:
         b = run_replicates(_config(master_seed=43))
         assert not np.array_equal(a.mse_mean, b.mse_mean)
 
-    def test_worker_count_invariance(self):
-        results = [run_replicates(_config(workers=w, replicates=6))
+    @_each_noise_kind
+    def test_worker_count_invariance(self, problem):
+        results = [run_replicates(_config(problem=problem, workers=w,
+                                          replicates=6))
                    for w in (1, 2, 3)]
         for other in results[1:]:
             np.testing.assert_array_equal(results[0].mse_mean, other.mse_mean)
@@ -348,24 +376,6 @@ class TestMultistage:
         assert len(single) == 1
 
 
-def _erm_minibatch():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(30, 2))
-    y = X @ np.array([0.3, -0.2]) + 0.1 * rng.normal(size=30)
-    return ErmLeastSquares(design=X, targets=y,
-                           domain=Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
-                           noise=Minibatch(batch_size=3))
-
-
-_each_noise_kind = pytest.mark.parametrize("problem", [
-    _quadratic(),
-    Quadratic(hessian_diag=[1.0, 2.0], theta_star=[0.1, 0.0],
-              domain=Ball(center=[0.0, 0.0], radius=2.0),
-              noise=BoundedRademacher(sigma2=1.0)),
-    _erm_minibatch(),
-], ids=["gaussian", "bounded_rademacher", "minibatch"])
-
-
 class TestNoiseChunkInvariance:
     """The noise chunk size only sets how many steps of noise are drawn at a
     time; no result may depend on it."""
@@ -444,6 +454,23 @@ class TestStepMajorNoise:
             tracemalloc.stop()
         assert peak < 1.5 * chunk_bytes
 
+    def test_minibatch_buffer_holds_narrow_indices(self):
+        # 20,000 rows index in int16: draining R=200, b=8 over two chunks
+        # holds one chunk of 2-byte indices, the tile and one int64 draw.
+        # In int64 the step-major buffer alone is 4x a narrow chunk.
+        problem, reps = _erm_with_rows(20_000, batch=8), 200
+        rngs = [harness._replicate_rng(0, r) for r in range(reps)]
+        chunk_bytes = harness.NOISE_CHUNK * reps * 8 * 2
+        tracemalloc.start()
+        try:
+            for _chunk in harness._noise_chunks(problem, rngs,
+                                                2 * harness.NOISE_CHUNK):
+                pass
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * chunk_bytes
+
     def test_lemma1_shape_stays_small(self):
         # R=2000 replicates of d=2 over two chunks: the step-major buffer
         # and one tile, with no per-replicate temporaries.
@@ -458,6 +485,50 @@ class TestStepMajorNoise:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+class TestIndexDtype:
+    """Mini-batch indices are held in the narrowest signed integer type that
+    holds every row index; the draw is still the int64 integers call."""
+
+    @pytest.mark.parametrize("n_rows, dtype", [
+        (128, np.int8), (129, np.int16),
+        (32_768, np.int16), (32_769, np.int32)])
+    def test_row_count_picks_the_type(self, n_rows, dtype):
+        problem = _erm_with_rows(n_rows)
+        assert prob_mod.noise_kind(problem)[2] == dtype
+        drawn = prob_mod.minibatch_indices(
+            problem, harness._replicate_rng(1, 0), 600)
+        assert drawn.dtype == dtype
+        stream = harness._replicate_rng(1, 0).integers(0, n_rows, (600, 3))
+        assert np.array_equal(drawn, stream)
+
+    @pytest.mark.parametrize("n_rows, dtype", [
+        (2**31, np.int32), (2**31 + 1, np.int64)])
+    def test_past_int32(self, n_rows, dtype):
+        assert prob_mod.index_dtype(n_rows) == dtype
+
+    @pytest.mark.parametrize("n_rows", [100, 20_000])
+    def test_gradient_from_narrow_indices_is_the_int64_one(self, n_rows):
+        problem = _erm_with_rows(n_rows, batch=8)
+        rng = np.random.default_rng(2)
+        theta = rng.uniform(-1.0, 1.0, (64, 2))
+        wide = rng.integers(0, n_rows, (64, 8))
+        narrow = wide.astype(prob_mod.index_dtype(n_rows))
+        assert narrow.itemsize < wide.itemsize
+        assert (problem.per_sample_gradient(theta, narrow).tobytes()
+                == problem.per_sample_gradient(theta, wide).tobytes())
+
+
+def test_replicate_rng_is_default_rngs_stream():
+    for seed, r in [(0, 0), (42, 5), (20240901, 1999)]:
+        ours = harness._replicate_rng(seed, r)
+        theirs = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        assert (ours.standard_normal(7).tobytes()
+                == theirs.standard_normal(7).tobytes())
+        assert np.array_equal(ours.integers(0, 1000, 7),
+                              theirs.integers(0, 1000, 7))
 
 
 def _reference_advance(config, theta0, rngs, rep_lo=0):
