@@ -1,15 +1,17 @@
 """Byte-for-byte golden outputs: `summary.csv` of the six `run` templates,
-`stages.csv` of `corollary1`, and three configs that reach every problem,
-noise, domain, step and momentum kind the config format parses.
+`stages.csv` of `corollary1`, three configs that reach every problem,
+noise, domain, step and momentum kind the config format parses, and a
+10-dimensional ball whose projection is active (every other ball case is
+2-dimensional).
 
 The templates are shrunk (R = 8, a 2500-step horizon that crosses one noise
 chunk boundary, short stages) so the whole module takes seconds. Each run's
 `config_hash` from `summary.json` is pinned too.
 
 A change to these bytes must be deliberate and named as such; regenerate
-with
+every case, or only the cases named, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
 import json
@@ -91,6 +93,20 @@ CASES = {
                          variant="sgm",
                          step={"polynomial": {"gamma": 1.0, "alpha": 1.0}},
                          momentum={"polynomial": {"c": 0.5, "beta": 1.0}}),
+    "quadratic_ball10": ("run", {
+        "problem": {"quadratic": {
+            "hessian_diag": [0.5, 0.8, 1.0, 1.3, 1.7, 2.0, 2.5, 3.0, 3.5, 4.0],
+            "theta_star": [0.2, -0.1, 0.0, 0.15, -0.25, 0.1, 0.05, -0.05,
+                           0.3, -0.2]}},
+        "domain": {"ball": {"center": [0.0] * 10, "radius": 0.6}},
+        "noise": {"gaussian": {"sigma2": 4.0}},
+        "variant": "sgm",
+        "step": {"polynomial": {"gamma": 1.0, "alpha": 0.75}},
+        "momentum": {"constant": {"eta": 0.5}},
+        "horizon": HORIZON,
+        "replicates": REPLICATES,
+        "master_seed": 10,
+    }, False),
 }
 
 
@@ -122,8 +138,12 @@ def test_outputs_match_golden(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in names:
             for fname, data in _produce(case, Path(tmp) / case).items():
                 target = GOLDEN / case / fname
                 target.parent.mkdir(parents=True, exist_ok=True)
