@@ -165,15 +165,18 @@ def resolve_config(cfg: dict, args, required: set, defaults: dict) -> dict:
     the required ones, the defaulted ones and `workers`."""
     _fail_closed(cfg, required | set(defaults) | {"workers"}, required,
                  "config")
-    resolved = {**defaults,
-                "workers": int(os.environ.get("SGMLAB_WORKERS", "1")), **cfg}
+    workers = os.environ.get("SGMLAB_WORKERS", "1")
+    try:
+        workers = int(workers)
+    except ValueError:
+        raise ConfigError(f"SGMLAB_WORKERS: expected an integer, got "
+                          f"{workers!r}") from None
+    resolved = {**defaults, "workers": workers, **cfg}
     if getattr(args, "seed", None) is not None:
         resolved["master_seed"] = args.seed
     if getattr(args, "workers", None) is not None:
         resolved["workers"] = args.workers
     _apply_overrides(resolved, args.override)
-    if _coerce(resolved["workers"], "int", "workers") < 1:
-        raise ConfigError(f"workers must be >= 1, got {resolved['workers']}")
     return resolved
 
 

@@ -19,18 +19,17 @@ class Ball:
 
     center: np.ndarray
     radius: float
-    # The largest float whose sqrt is <= radius, and the center repeated to
-    # the last iterate shape projected (derived, so compare=False keeps them
-    # out of config_hash).
+    # The largest float whose sqrt is <= radius, and full_operands' cache
+    # (derived, so compare=False keeps them out of config_hash).
     _inside_sq: float = field(default=0.0, init=False, repr=False,
                               compare=False)
-    _centers: np.ndarray | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    _operands: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.center.ndim != 1:
-            raise ValueError("ball center must be a 1-D vector")
+        if self.center.ndim != 1 or not self.center.size:
+            raise ValueError("ball center must be a non-empty 1-D vector")
         if not np.isfinite(self.center).all():
             raise ValueError(f"ball center must be finite, got "
                              f"{self.center.tolist()}")
@@ -57,36 +56,15 @@ class Ball:
 
     def project(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=float)
-        d = self.center.shape[0]
-        if 0 < d < 8:
-            # sq is the sum of squares _norm takes the root of, same bits. The
-            # center is kept repeated to the point's shape, so the
-            # subtraction is one contiguous pass rather than numpy's
-            # broadcast of a (d,) operand d elements at a time; the
-            # dimension is checked whenever that shape changes.
-            centers = self._centers
-            if centers is None or centers.shape != point.shape:
-                shape = _check_dimension(self, point).shape
-                centers = np.ascontiguousarray(np.broadcast_to(self.center,
-                                                               shape))
-                object.__setattr__(self, "_centers", centers)
-            delta = point - centers
-            delta *= delta
-            sq = delta[..., 0]
-            for k in range(1, d):
-                sq = sq + delta[..., k]     # a contiguous sum, not in place
-            # No row moves when the largest square is at most _inside_sq.
-            # argmax returns the first NaN, which fails that test, so NaN
-            # rows and an empty batch take the mask below.
-            if sq.size and sq.item(sq.argmax()) <= self._inside_sq:
-                return point.copy()
-            outside = np.sqrt(sq) > self.radius
-        else:
-            point = _check_dimension(self, point)
-            outside = self._norm(point) > self.radius
+        centers, = full_operands(self, point, (self.center,))
+        sq = _sum_squares(point - centers)
+        # No row moves when the largest square is at most _inside_sq.
+        # argmax returns the first NaN, which fails that test, so NaN rows
+        # and an empty batch take the mask below, which moves none of them.
+        if sq.size and sq.item(sq.argmax()) <= self._inside_sq:
+            return point.copy()
+        outside = sq > self._inside_sq
         out = point.copy()
-        if not outside.any():
-            return out
         # Only the outside rows move: out[outside] is center + delta * scale
         # with scale = radius / ||delta||. A single rescale can land an ulp
         # outside the ball (breaking bit-for-bit idempotence), and
@@ -107,22 +85,8 @@ class Ball:
 
     def _norm(self, point) -> np.ndarray:
         """||point - center|| over the last axis, bit for bit what
-        np.linalg.norm(point - center, axis=-1) returns. numpy adds fewer
-        than 8 squares left to right, so below 8 coordinates a fold over
-        whole columns gives the same sum without numpy's slow d-element
-        inner loops; from 8 on its pairwise order differs and the norm
-        itself is used."""
-        if not 0 < self.dimension < 8:
-            return np.linalg.norm(point - self.center, axis=-1)
-        total = None
-        for k, c in enumerate(self.center):
-            col = point[..., k] - c
-            col *= col
-            if total is None:
-                total = col
-            else:
-                total += col
-        return np.sqrt(total)
+        np.linalg.norm(point - center, axis=-1) returns."""
+        return np.sqrt(_sum_squares(point - self.center))
 
     def distance(self, point) -> np.ndarray:
         point = _check_dimension(self, point)
@@ -140,6 +104,10 @@ class Ball:
         """max_{x in D} ||x - point||."""
         point = np.asarray(point, dtype=float)
         return float(np.linalg.norm(point - self.center) + self.radius)
+
+    def margin(self, point) -> float:
+        """How far the point lies inside the ball; negative outside."""
+        return self.radius - float(np.linalg.norm(point - self.center))
 
     def sample_interior(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform draw from the ball."""
@@ -160,8 +128,10 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise ValueError("box bounds must be 1-D vectors of equal length")
+        if (self.lower.shape != self.upper.shape or self.lower.ndim != 1
+                or not self.lower.size):
+            raise ValueError("box bounds must be non-empty 1-D vectors of "
+                             "equal length")
         if not np.all(self.upper > self.lower):
             raise ValueError("box must have strictly positive edge lengths")
 
@@ -191,6 +161,10 @@ class Box:
         per_coord = np.maximum(np.abs(point - self.lower), np.abs(point - self.upper))
         return float(np.linalg.norm(per_coord))
 
+    def margin(self, point) -> float:
+        """How far the point lies inside the box; negative outside."""
+        return float(np.min(np.minimum(point - self.lower, self.upper - point)))
+
     def sample_interior(self, rng: np.random.Generator) -> np.ndarray:
         return self.lower + rng.random(self.dimension) * (self.upper - self.lower)
 
@@ -206,6 +180,38 @@ def _check_dimension(domain: Domain, point) -> np.ndarray:
             f"dimension {domain.dimension}"
         )
     return point
+
+
+def full_operands(owner, point: np.ndarray, vectors: tuple) -> tuple:
+    """`vectors`, each of owner's dimension, repeated to point's shape as
+    contiguous arrays, kept in owner._operands for the last shape asked
+    for; the dimension is checked whenever that shape changes. Against
+    (R, d) iterates numpy runs a broadcast (d,) operand d elements at a
+    time; full-shape operands give the same elementwise results in one
+    pass."""
+    cached = owner._operands
+    if cached is None or cached[0].shape != point.shape:
+        shape = _check_dimension(owner, point).shape
+        cached = tuple(np.ascontiguousarray(np.broadcast_to(v, shape))
+                       for v in vectors)
+        object.__setattr__(owner, "_operands", cached)
+    return cached
+
+
+def _sum_squares(delta: np.ndarray) -> np.ndarray:
+    """The sum of squares over the last axis that np.linalg.norm takes the
+    root of, same bits; squares `delta` in place. numpy adds fewer than 8
+    squares left to right, so below 8 coordinates a fold over whole columns
+    gives the same sum without numpy's slow d-element inner loops; from 8
+    on its pairwise order differs and np.add.reduce itself is used."""
+    delta *= delta
+    d = delta.shape[-1]
+    if d >= 8:
+        return np.add.reduce(delta, axis=-1)
+    sq = delta[..., 0]
+    for k in range(1, d):
+        sq = sq + delta[..., k]     # a contiguous sum, not in place
+    return sq
 
 
 def contains(domain: Domain, point, tolerance: float = 0.0):

@@ -24,7 +24,7 @@ from .bounds import BoundSequence, RateEnvelope, constant_step_plateau, stage_bu
 from .optimizers import NumericFailureError, SGM, Variant
 from .problems import Problem
 from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
-                        ValidityReport, validate)
+                        ValidityReport, require_int, validate)
 
 NOISE_CHUNK = 512
 NOISE_TILE = 64
@@ -67,7 +67,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("horizon", "replicates", "master_seed", "suffix_start",
                      "workers"):
-            _require_int(getattr(self, name), name)
+            require_int(getattr(self, name), name)
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
         if self.workers < 1:
@@ -84,7 +84,7 @@ class ExperimentConfig:
         if cps is None:
             cps = default_checkpoints(self.horizon, self.estimator,
                                       self.suffix_start)
-        cps = tuple(_require_int(c, "checkpoints") for c in cps)
+        cps = tuple(require_int(c, "checkpoints") for c in cps)
         if not cps:
             raise ValueError("checkpoints must be strictly increasing")
         _check_increasing(cps)
@@ -101,13 +101,6 @@ class ExperimentConfig:
         else:
             object.__setattr__(self, "theta0",
                                np.asarray(self.theta0, dtype=float))
-
-
-def _require_int(value, name: str) -> int:
-    """value as an int; a bool or a fraction is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_increasing(checkpoints):
@@ -139,13 +132,16 @@ class RateFit:
 class DominanceReport:
     checked: tuple                 # checkpoint indices tested
     violations: tuple              # (checkpoint, mse_mean, bound_value)
-    first_violation: int | None
     calibrated_constant: float | None
     bound_values: np.ndarray       # the bound at every checkpoint
 
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    @property
+    def first_violation(self) -> int | None:
+        return self.violations[0][0] if self.violations else None
 
 
 @dataclass(frozen=True)
@@ -420,10 +416,8 @@ def dominance_check(summary: RunSummary,
         if summary.mse_mean[k] > values[k] + 3.0 * summary.mse_sem[k]:
             violations.append((int(cps[k]), float(summary.mse_mean[k]),
                                float(values[k])))
-    first = violations[0][0] if violations else None
     return DominanceReport(checked=tuple(int(cps[k]) for k in tested),
                            violations=tuple(violations),
-                           first_violation=first,
                            calibrated_constant=calibrated_constant,
                            bound_values=values)
 
@@ -447,7 +441,7 @@ def resolve_stages(problem: Problem, stages) -> list:
         prev_a = a_k
         burn = stage_burn_in(a_k, consts.m, consts.L ** 2, consts.M,
                              consts.sigma2)
-        length = burn if n_k == "auto" else _require_int(n_k, "stage length")
+        length = burn if n_k == "auto" else require_int(n_k, "stage length")
         if length < 1:
             raise ValueError("stage length must be >= 1")
         resolved.append((a_k, length, burn))

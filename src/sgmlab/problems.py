@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, Box, Domain, contains
+from .geometry import Domain, contains, full_operands
 
 DOMAIN_TOL = 1e-9
 INTERIOR_MARGIN = 1e-9
@@ -123,7 +123,7 @@ def _check_in_domain(domain: Domain, theta) -> np.ndarray:
 
 
 def _check_interior(domain: Domain, theta_star: np.ndarray):
-    boundary_margin = _interior_margin(domain, theta_star)
+    boundary_margin = domain.margin(theta_star)
     if boundary_margin < INTERIOR_MARGIN:
         raise ValueError(
             "theta_star must lie strictly inside the domain "
@@ -131,88 +131,77 @@ def _check_interior(domain: Domain, theta_star: np.ndarray):
         )
 
 
-def _interior_margin(domain: Domain, point: np.ndarray) -> float:
-    if isinstance(domain, Ball):
-        return domain.radius - float(np.linalg.norm(point - domain.center))
-    assert isinstance(domain, Box)
-    return float(np.min(np.minimum(point - domain.lower, domain.upper - point)))
+@dataclass(frozen=True)
+class _Diagonal:
+    """The checks and members the diagonal-Hessian problems share. Each
+    subclass declares its own init fields, which set its repr, its config
+    keys and its config_hash."""
 
+    # full_operands' cache of hessian_diag and theta_star (derived, so
+    # compare=False keeps it out of config_hash).
+    _operands: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
-def _init_diagonal(problem):
-    """Normalize and check the fields shared by the diagonal-Hessian problems."""
-    if isinstance(problem.noise, Minibatch):
-        raise ValueError("minibatch noise needs an erm_csv problem")
-    object.__setattr__(problem, "hessian_diag",
-                       np.asarray(problem.hessian_diag, dtype=float))
-    object.__setattr__(problem, "theta_star",
-                       np.asarray(problem.theta_star, dtype=float))
-    if problem.hessian_diag.shape != problem.theta_star.shape:
-        raise ValueError("hessian_diag and theta_star shapes differ")
-    if not np.all(problem.hessian_diag > 0):
-        raise DegenerateProblemError("hessian_diag must be strictly positive")
-    _check_in_domain(problem.domain, problem.theta_star)
-    _check_interior(problem.domain, problem.theta_star)
+    def __post_init__(self):
+        if isinstance(self.noise, Minibatch):
+            raise ValueError("minibatch noise needs an erm_csv problem")
+        object.__setattr__(self, "hessian_diag",
+                           np.asarray(self.hessian_diag, dtype=float))
+        object.__setattr__(self, "theta_star",
+                           np.asarray(self.theta_star, dtype=float))
+        if self.hessian_diag.shape != self.theta_star.shape:
+            raise ValueError("hessian_diag and theta_star shapes differ")
+        if not np.all(self.hessian_diag > 0):
+            raise DegenerateProblemError("hessian_diag must be strictly positive")
+        _check_in_domain(self.domain, self.theta_star)
+        _check_interior(self.domain, self.theta_star)
 
+    @property
+    def dimension(self) -> int:
+        return self.theta_star.shape[0]
 
-def _full_operands(problem, shape) -> tuple:
-    """hessian_diag and theta_star repeated to a contiguous `shape`, kept
-    for the last shape asked for. Against (R, d) iterates numpy runs a
-    broadcast (d,) operand d elements at a time; full-shape operands give
-    the same elementwise results in one pass."""
-    cached = problem._operands
-    if cached is None or cached[0].shape != shape:
-        cached = tuple(np.ascontiguousarray(np.broadcast_to(a, shape))
-                       for a in (problem.hessian_diag, problem.theta_star))
-        object.__setattr__(problem, "_operands", cached)
-    return cached
+    def subgradient(self, theta) -> np.ndarray:
+        return self._subgradient(_check_in_domain(self.domain, theta))
 
+    def constants(self) -> ProblemConstants:
+        sqrt_M = self._sqrt_M()
+        m = float(np.min(self.hessian_diag))
+        if m <= 1e-12:
+            raise DegenerateProblemError(f"strong-convexity constant {m:.3e} "
+                                         "<= 1e-12")
+        return ProblemConstants(m=m, M=_square(sqrt_M),
+                                sigma2=self.noise.sigma2,
+                                L=self.domain.diameter(),
+                                theta_star=self.theta_star)
 
-def _diagonal_constants(problem, sqrt_M: float) -> ProblemConstants:
-    m = float(np.min(problem.hessian_diag))
-    _require_positive_m(m)
-    return ProblemConstants(m=m, M=_square(sqrt_M),
-                            sigma2=problem.noise.sigma2,
-                            L=problem.domain.diameter(),
-                            theta_star=problem.theta_star)
+    def _sqrt_M(self) -> float:
+        """A bound over the domain on the deterministic subgradient's norm."""
+        far = self.domain.farthest_distance(self.theta_star)
+        return float(np.max(self.hessian_diag)) * far
 
 
 @dataclass(frozen=True)
-class Quadratic:
+class Quadratic(_Diagonal):
     """f(theta) = 1/2 (theta - theta*)^T diag(h) (theta - theta*)."""
 
     hessian_diag: np.ndarray
     theta_star: np.ndarray
     domain: Domain
     noise: NoiseModel
-    _operands: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
-
-    def __post_init__(self):
-        _init_diagonal(self)
-
-    @property
-    def dimension(self) -> int:
-        return self.theta_star.shape[0]
 
     def value(self, theta) -> float:
         theta = _check_in_domain(self.domain, theta)
         delta = theta - self.theta_star
         return float(0.5 * np.sum(self.hessian_diag * delta * delta))
 
-    def subgradient(self, theta) -> np.ndarray:
-        return self._subgradient(_check_in_domain(self.domain, theta))
-
     def _subgradient(self, theta) -> np.ndarray:
-        hessian_diag, theta_star = _full_operands(self, theta.shape)
+        hessian_diag, theta_star = full_operands(
+            self, theta, (self.hessian_diag, self.theta_star))
         return hessian_diag * (theta - theta_star)
-
-    def constants(self) -> ProblemConstants:
-        far = self.domain.farthest_distance(self.theta_star)
-        return _diagonal_constants(self, float(np.max(self.hessian_diag)) * far)
 
 
 @dataclass(frozen=True)
-class QuadPlusL1:
+class QuadPlusL1(_Diagonal):
     """Quadratic plus an l1 term c * ||theta - theta*||_1 (non-smooth at theta*)."""
 
     hessian_diag: np.ndarray
@@ -220,17 +209,11 @@ class QuadPlusL1:
     l1_weight: float
     domain: Domain
     noise: NoiseModel
-    _operands: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     def __post_init__(self):
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be nonnegative")
-        _init_diagonal(self)
-
-    @property
-    def dimension(self) -> int:
-        return self.theta_star.shape[0]
+        super().__post_init__()
 
     def value(self, theta) -> float:
         theta = _check_in_domain(self.domain, theta)
@@ -238,21 +221,16 @@ class QuadPlusL1:
         quad = 0.5 * np.sum(self.hessian_diag * delta * delta)
         return float(quad + self.l1_weight * np.sum(np.abs(delta)))
 
-    def subgradient(self, theta) -> np.ndarray:
-        return self._subgradient(_check_in_domain(self.domain, theta))
-
     def _subgradient(self, theta) -> np.ndarray:
         # At a kink coordinate (theta_k == theta*_k) the l1 component is 0,
         # the minimal-norm deterministic selection.
-        hessian_diag, theta_star = _full_operands(self, theta.shape)
+        hessian_diag, theta_star = full_operands(
+            self, theta, (self.hessian_diag, self.theta_star))
         delta = theta - theta_star
         return hessian_diag * delta + self.l1_weight * np.sign(delta)
 
-    def constants(self) -> ProblemConstants:
-        far = self.domain.farthest_distance(self.theta_star)
-        return _diagonal_constants(
-            self, float(np.max(self.hessian_diag)) * far
-            + self.l1_weight * np.sqrt(self.dimension))
+    def _sqrt_M(self) -> float:
+        return super()._sqrt_M() + self.l1_weight * np.sqrt(self.dimension)
 
 
 @dataclass(frozen=True)
@@ -392,11 +370,6 @@ def _sup_per_sample(X: np.ndarray, y: np.ndarray, domain: Domain) -> float:
 
 
 Problem = Quadratic | QuadPlusL1 | ErmLeastSquares
-
-
-def _require_positive_m(m: float):
-    if m <= 1e-12:
-        raise DegenerateProblemError(f"strong-convexity constant {m:.3e} <= 1e-12")
 
 
 def subgradient_batch(problem: Problem, theta: np.ndarray) -> np.ndarray:

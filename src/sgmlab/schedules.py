@@ -18,6 +18,13 @@ class ScheduleExhaustedError(ValueError):
     """Raised when a staged schedule is indexed past its final stage."""
 
 
+def require_int(value, name: str) -> int:
+    """value as an int; a bool, fraction or string is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PolynomialStep:
     """t_j = gamma / (j + 1)^alpha."""
@@ -55,7 +62,8 @@ class StagedStep:
     _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stages = tuple((float(a), int(n)) for a, n in self.stages)
+        stages = tuple((float(a), require_int(n, "stage length"))
+                       for a, n in self.stages)
         if not stages:
             raise ValueError("staged schedule needs at least one stage")
         steps = [a for a, _ in stages]

@@ -146,6 +146,7 @@ class TestMultistage:
         {"theta0": "origin"},
         {"replicates": 1},
         {"noise": {"minibatch": {"batch_size": 2}}},
+        {"workers": 0},
     ])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, changes):
         run_cfg = _write(tmp_path, _base_run_config(**changes), "run.json")
@@ -534,6 +535,31 @@ class TestBadCliInput:
         cfg = _write(tmp_path, _base_run_config())
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "workers" in _stderr_line(capsys)
+
+    @pytest.mark.parametrize("command", ["run", "multistage"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_non_integer_workers_from_environment(self, tmp_path, capsys,
+                                                  monkeypatch, command, value):
+        monkeypatch.setenv("SGMLAB_WORKERS", value)
+        cfg = (_base_run_config() if command == "run"
+               else _multistage_config())
+        assert main([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert _stderr_line(capsys) == (
+            f"error: SGMLAB_WORKERS: expected an integer, got {value!r}")
+
+    @pytest.mark.parametrize("domain, message", [
+        ({"ball": {"center": [], "radius": 1.0}},
+         "error: ball center must be a non-empty 1-D vector"),
+        ({"box": {"lower": [], "upper": []}},
+         "error: box bounds must be non-empty 1-D vectors of equal length"),
+    ])
+    def test_empty_hessian_diag(self, tmp_path, capsys, domain, message):
+        problem = {"quadratic": {"hessian_diag": [], "theta_star": []}}
+        cfg = _base_run_config(problem=problem, domain=domain, theta0=[])
+        assert main(["run", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert _stderr_line(capsys) == message
 
 
 class TestOutputPathErrors:

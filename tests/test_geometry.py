@@ -73,6 +73,47 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Box(lower=[0.0, 0.0], upper=[1.0, 0.0])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Ball(center=[], radius=1.0),
+         "ball center must be a non-empty 1-D vector"),
+        (lambda: Ball(center=[[0.0]], radius=1.0),
+         "ball center must be a non-empty 1-D vector"),
+        (lambda: Box(lower=[], upper=[]),
+         "box bounds must be non-empty 1-D vectors of equal length"),
+        (lambda: Box(lower=[0.0], upper=[1.0, 2.0]),
+         "box bounds must be non-empty 1-D vectors of equal length"),
+    ])
+    def test_empty_or_misshapen_vectors_refused(self, make, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            make()
+
+
+def _interior_margin_formula(domain, point) -> float:
+    """The interior margin as problems.py first computed it, branching on
+    the domain type: the reference Ball.margin and Box.margin must match
+    bit for bit."""
+    if isinstance(domain, Ball):
+        return domain.radius - float(np.linalg.norm(point - domain.center))
+    return float(np.min(np.minimum(point - domain.lower, domain.upper - point)))
+
+
+@pytest.mark.parametrize("domain", [
+    Ball(center=[0.0, 0.0], radius=1.0),
+    Ball(center=[1.5, -2.0, 0.3], radius=0.7),
+    Ball(center=np.linspace(-1.0, 1.0, 10), radius=1e-3),
+    Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]),
+    Box(lower=[-2.0, 0.5, 0.0], upper=[1.0, 3.5, 1e-9]),
+])
+def test_margin_matches_formula(domain):
+    rng = np.random.default_rng(domain.dimension)
+    scale = domain.diameter()
+    points = rng.normal(scale=scale, size=(200, domain.dimension))
+    points = np.concatenate([points, domain.project(points)])
+    for point in points:
+        got = domain.margin(point)
+        assert type(got) is float
+        assert np.array_equal(got, _interior_margin_formula(domain, point))
+
 
 DOMAINS = [
     UNIT_BALL,
@@ -186,10 +227,10 @@ def _ball_points(ball, rng, n, kinds=("near", "outside", "inside")):
 
 class TestBallProjectMatchesNormFormula:
     """Ball.project sums squares column by column below 8 coordinates and
-    calls the norm from 8 on; both must give the norm formula's bits. Below
-    8 it decides "no row moves" on the squares against an exact threshold,
-    with the center cached at the iterate's shape. The golden outputs only
-    reach d <= 2 on a ball."""
+    with np.add.reduce from 8 on; both must give the norm formula's bits.
+    At every dimension it decides "no row moves" on the squares against an
+    exact threshold, with the center cached at the iterate's shape. The
+    golden outputs reach d = 2 and d = 10 on a ball."""
 
     DIMENSIONS = (1, 2, 3, 7, 8, 10, 17)
 
@@ -240,7 +281,7 @@ class TestBallProjectMatchesNormFormula:
         assert math.sqrt(inside_sq) <= radius
         assert radius < math.sqrt(math.nextafter(inside_sq, math.inf))
         rng = np.random.default_rng(7)
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 10):
             ball = Ball(center=np.zeros(d), radius=radius)
             assert ball._inside_sq == inside_sq
             with np.errstate(over="ignore", invalid="ignore"):
@@ -249,7 +290,7 @@ class TestBallProjectMatchesNormFormula:
             for point in points[:12]:
                 self._same_bits(ball, point)
 
-    @pytest.mark.parametrize("d", (1, 2, 3, 7))
+    @pytest.mark.parametrize("d", (1, 2, 3, 7, 10))
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_non_finite_rows(self, d, bad):
         rng = np.random.default_rng(d)
@@ -265,7 +306,7 @@ class TestBallProjectMatchesNormFormula:
                 self._same_bits(ball, batch)
             self._same_bits(ball, np.full(d, bad))
 
-    @pytest.mark.parametrize("d", (1, 2, 7))
+    @pytest.mark.parametrize("d", (1, 2, 7, 10))
     def test_shape_changes(self, d):
         rng = np.random.default_rng(30 + d)
         ball = Ball(center=rng.normal(size=d), radius=1.7)
@@ -290,7 +331,25 @@ class TestBallProjectMatchesNormFormula:
         assert np.array_equal(ball.project(np.full((3, 2), 0.5)),
                               np.full((3, 2), 0.5))
 
-    @pytest.mark.parametrize("d", (1, 2, 7))
+    @pytest.mark.parametrize("center, point", [
+        ([0.42986369482223, 0.6960427239628685],
+         [-1.0541457801565852, -0.13324364284482298]),
+        ([0.9166547888245957, 0.37094683509441023],
+         [2.566593826969309, -0.03856649851769276]),
+    ])
+    def test_row_exactly_at_the_threshold_stays(self, center, point):
+        # Its squared distance is _inside_sq itself, so it lies inside; a
+        # rescale by 1 would still move it, as center + delta != point.
+        ball = Ball(center=center, radius=1.7)
+        delta = np.subtract(point, center)
+        assert delta[0] * delta[0] + delta[1] * delta[1] == ball._inside_sq
+        assert not np.array_equal(ball.center + delta, point)
+        batch = np.array([point, ball.center + [5.0, 0.0]])
+        got = ball.project(batch)
+        assert got.tobytes() == _norm_formula_project(ball, batch).tobytes()
+        assert got[0].tobytes() == batch[0].tobytes()
+
+    @pytest.mark.parametrize("d", (1, 2, 7, 10))
     def test_all_inside_result_is_fresh(self, d):
         # Batch and Last.observe rely on a result that owns its memory.
         ball = Ball(center=np.zeros(d), radius=1.0)
@@ -299,7 +358,9 @@ class TestBallProjectMatchesNormFormula:
             got = ball.project(points)
             assert np.array_equal(got, points)
             assert not np.shares_memory(got, points)
-            assert not np.shares_memory(got, ball._centers)
+            centers, = ball._operands
+            assert centers.shape == points.shape
+            assert not np.shares_memory(got, centers)
             got[:] = 5.0
             assert np.all(points == 0.1)
         single = ball.project(points[0])

@@ -67,6 +67,41 @@ class TestSubgradientExamples:
         np.testing.assert_array_equal(p.subgradient([-1.0]), [-3.0])
 
 
+def _diagonal_problems():
+    return [quad2(diag=(2.0, 3.0), star=(0.5, -0.25)),
+            QuadPlusL1(hessian_diag=[2.0, 3.0], theta_star=[0.5, -0.25],
+                       l1_weight=0.7, domain=BALL2, noise=NO_NOISE)]
+
+
+class TestDiagonalOperands:
+    """The diagonal problems' batched subgradient runs on hessian_diag and
+    theta_star repeated to the iterate shape, cached for the last shape."""
+
+    @pytest.mark.parametrize("problem", _diagonal_problems())
+    def test_shape_changes_match_broadcast_formula(self, problem):
+        rng = np.random.default_rng(3)
+        h, star = problem.hessian_diag, problem.theta_star
+        for shape in ((5, 2), (5, 2), (2,), (0, 2), (3, 4, 2), (5, 2)):
+            theta = rng.normal(size=shape)
+            theta[..., 0][theta[..., 0] > 1.0] = 0.5    # a kink coordinate
+            want = h * (theta - star)
+            if isinstance(problem, QuadPlusL1):
+                want = want + problem.l1_weight * np.sign(theta - star)
+            got = prob_mod.subgradient_batch(problem, theta)
+            assert got.shape == shape
+            assert np.array_equal(got, want)
+            assert problem._operands[0].shape == shape
+
+    @pytest.mark.parametrize("problem", _diagonal_problems())
+    def test_dimension_checked_when_the_shape_changes(self, problem):
+        prob_mod.subgradient_batch(problem, np.zeros((3, 2)))
+        for theta in (np.zeros((2, 3)), np.zeros(6), np.zeros((3, 2, 1))):
+            with pytest.raises(ValueError, match=(
+                    rf"^point dimension {theta.shape[-1]} does not match "
+                    r"domain dimension 2$")):
+                prob_mod.subgradient_batch(problem, theta)
+
+
 class TestConstantsExamples:
     def test_quadratic_closed_forms(self):
         p = Quadratic(hessian_diag=[1.0, 4.0], theta_star=[0.0, 0.0],

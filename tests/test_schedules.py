@@ -32,6 +32,18 @@ class TestStepSize:
         with pytest.raises(ValueError):
             StagedStep(stages=((0.1, 2), (0.1, 2)))
 
+    @pytest.mark.parametrize("length", [2.7, 2.0, True, "3", None])
+    def test_staged_length_must_be_an_integer(self, length):
+        # A casting int() would run 2.7 as 2 steps, True as 1 and "3" as 3.
+        with pytest.raises(ValueError, match=(
+                rf"^stage length must be an integer, got {length!r}$")):
+            StagedStep(stages=((0.1, 2), (0.05, length)))
+
+    def test_staged_numpy_integer_length(self):
+        s = StagedStep(stages=((0.1, np.int64(2)), (0.05, np.int32(4))))
+        assert s.stages == ((0.1, 2), (0.05, 4))
+        assert all(type(n) is int for _, n in s.stages)
+
 
 class TestMomentumWeight:
     def test_polynomial(self):
