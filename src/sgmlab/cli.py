@@ -9,7 +9,9 @@ Exit codes: 0 success, 2 validation/config failure, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -277,18 +279,33 @@ def _check_output(path: Path, overwrite: bool):
         raise ConfigError(f"{path} exists; pass --overwrite to replace it")
 
 
-def _outputs(args, *names) -> list:
-    """Paths of the named files in --out, refusing to replace existing ones."""
+@contextlib.contextmanager
+def _outputs(args, *names):
+    """The paths of the named files in --out, refusing to replace existing
+    ones. --out is made at once, so a place it cannot be made stops the
+    command before the engine runs. When a check inside the block refuses
+    the config, or the run fails numerically, the directories made here are
+    removed again, as far as they are still empty."""
     out_dir = Path(args.out)
     try:
+        made = list(itertools.takewhile(lambda d: not d.exists(),
+                                        (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: "
                           f"{exc.strerror}") from None
-    targets = [out_dir / name for name in names]
-    for t in targets:
-        _check_output(t, args.overwrite)
-    return targets
+    try:
+        targets = [out_dir / name for name in names]
+        for t in targets:
+            _check_output(t, args.overwrite)
+        yield targets
+    except (ValueError, NumericFailureError):
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        raise
 
 
 def _write_outputs(targets: list, texts: list):
@@ -309,9 +326,6 @@ def _write_outputs(targets: list, texts: list):
 def cmd_run(args) -> int:
     resolved = resolve_config(_load_json(args.config), args, RUN_REQUIRED,
                               RUN_DEFAULTS)
-    targets = _outputs(args, "summary.csv", "summary.json",
-                       "config.resolved.json")
-
     config = build_experiment(resolved, force_schedule=args.force_schedule)
     bound = _build_bound(resolved, config)
     window = resolved.get("fit_window")
@@ -319,68 +333,73 @@ def cmd_run(args) -> int:
         if not isinstance(window, list) or len(window) != 2:
             raise ConfigError(f"fit_window: expected [lo, hi], got {window!r}")
         window = tuple(_coerce(x, "float", "fit_window") for x in window)
-    summary = run_replicates(config)
-    if not summary.schedule_report.ok:
-        print(f"schedule warnings (forced):\n{summary.schedule_report}",
-              file=sys.stderr)
-    dom = dominance_check(summary, bound) if bound is not None else None
-    fit = None if window is None else fit_rate(summary, window)
+    # The schedule check is run_replicates' own.
+    with _outputs(args, "summary.csv", "summary.json",
+                  "config.resolved.json") as targets:
+        summary = run_replicates(config)
+        if not summary.schedule_report.ok:
+            print(f"schedule warnings (forced):\n{summary.schedule_report}",
+                  file=sys.stderr)
+        dom = dominance_check(summary, bound) if bound is not None else None
+        fit = None if window is None else fit_rate(summary, window)
 
-    payload = {
-        "fit": None if fit is None else {
-            "exponent": fit.exponent, "log_constant": fit.log_constant,
-            "r2": fit.r2,
-        },
-        "dominance": None if dom is None else {
-            "passed": dom.passed,
-            "violations": [list(v) for v in dom.violations],
-            "first_violation": dom.first_violation,
-            "calibrated_constant": dom.calibrated_constant,
-            "checked": list(dom.checked),
-        },
-        "metadata": {
-            "config_hash": summary.config_hash,
-            "master_seed": summary.master_seed,
-            "replicates": summary.replicates,
-            "estimator": summary.estimator,
-            "wall_time_s": summary.wall_time,
-        },
-    }
-    resolved["checkpoints"] = list(config.checkpoints)
-    _write_outputs(targets, [
-        summary_csv(summary, dom),
-        json.dumps(payload, indent=2) + "\n",
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
+        payload = {
+            "fit": None if fit is None else {
+                "exponent": fit.exponent, "log_constant": fit.log_constant,
+                "r2": fit.r2,
+            },
+            "dominance": None if dom is None else {
+                "passed": dom.passed,
+                "violations": [list(v) for v in dom.violations],
+                "first_violation": dom.first_violation,
+                "calibrated_constant": dom.calibrated_constant,
+                "checked": list(dom.checked),
+            },
+            "metadata": {
+                "config_hash": summary.config_hash,
+                "master_seed": summary.master_seed,
+                "replicates": summary.replicates,
+                "estimator": summary.estimator,
+                "wall_time_s": summary.wall_time,
+            },
+        }
+        resolved["checkpoints"] = list(config.checkpoints)
+        _write_outputs(targets, [
+            summary_csv(summary, dom),
+            json.dumps(payload, indent=2) + "\n",
+            json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
 
 def cmd_multistage(args) -> int:
     resolved = resolve_config(_load_json(args.config), args,
                               MULTISTAGE_REQUIRED, MULTISTAGE_DEFAULTS)
-    targets = _outputs(args, "stages.csv", "config.resolved.json")
-
     problem = build_problem(resolved)
-    reports = run_multistage(
-        problem, _stages(resolved["stages"], "stages"),
-        from_config("momentum", resolved["momentum"]),
-        variant=variant_from_name(resolved["variant"], resolved.get("qhm_v")),
-        theta0=resolved["theta0"],
-        force_schedule=args.force_schedule,
-        **_integers(resolved, ("replicates", "master_seed", "workers")))
-    for k, r in enumerate(reports):
-        if not r.schedule_report.ok:
-            print(f"stage {k} schedule warnings (forced):\n"
-                  f"{r.schedule_report}", file=sys.stderr)
+    stages = _stages(resolved["stages"], "stages")
+    momentum = from_config("momentum", resolved["momentum"])
+    variant = variant_from_name(resolved["variant"], resolved.get("qhm_v"))
+    integers = _integers(resolved, ("replicates", "master_seed", "workers"))
+    # The stage and schedule checks are run_multistage's own.
+    with _outputs(args, "stages.csv", "config.resolved.json") as targets:
+        reports = run_multistage(problem, stages, momentum, variant=variant,
+                                 theta0=resolved["theta0"],
+                                 force_schedule=args.force_schedule,
+                                 **integers)
+        for k, r in enumerate(reports):
+            if not r.schedule_report.ok:
+                print(f"stage {k} schedule warnings (forced):\n"
+                      f"{r.schedule_report}", file=sys.stderr)
 
-    lines = ["stage,step,length,burn_in,suffix_mse_mean,suffix_mse_sem,plateau"]
-    for k, r in enumerate(reports):
-        lines.append(f"{k},{_format_float(r.step)},{r.length},{r.burn_in},"
-                     f"{_format_float(r.suffix_mse_mean)},"
-                     f"{_format_float(r.suffix_mse_sem)},"
-                     f"{_format_float(r.plateau)}")
-    _write_outputs(targets, [
-        "\n".join(lines) + "\n",
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
+        lines = ["stage,step,length,burn_in,suffix_mse_mean,suffix_mse_sem,"
+                 "plateau"]
+        for k, r in enumerate(reports):
+            lines.append(f"{k},{_format_float(r.step)},{r.length},{r.burn_in},"
+                         f"{_format_float(r.suffix_mse_mean)},"
+                         f"{_format_float(r.suffix_mse_sem)},"
+                         f"{_format_float(r.plateau)}")
+        _write_outputs(targets, [
+            "\n".join(lines) + "\n",
+            json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
 

@@ -24,7 +24,8 @@ from .bounds import BoundSequence, RateEnvelope, constant_step_plateau, stage_bu
 from .optimizers import NumericFailureError, SGM, Variant
 from .problems import Problem
 from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
-                        ValidityReport, require_int, validate)
+                        ValidityReport, require_float, require_int,
+                        validate)
 
 NOISE_CHUNK = 512
 NOISE_TILE = 64
@@ -70,6 +71,9 @@ class ExperimentConfig:
             require_int(getattr(self, name), name)
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got "
+                             f"{self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.horizon < 1:
@@ -155,12 +159,93 @@ class StageReport:
     schedule_report: ValidityReport
 
 
-def _replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
-    # SeedSequence mixes (entropy, spawn_key) with good avalanche behavior.
-    # Generator(PCG64(seq)) is what default_rng(seq) builds, without its
+# numpy's SeedSequence hash: its constants and its pool size in words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+class ReplicateSeed:
+    """The seed of one replicate's stream: the four uint64 state words
+    SeedSequence(entropy, spawn_key=spawn_key) generates for PCG64, hashed
+    ahead of time by _replicate_rngs.
+
+    _replicate_rngs registers it as a numpy ISeedSequence. A base class
+    here would import numpy.random along with sgmlab, earlier than a run
+    needs it, and that alone raises a lemma1-shaped run's peak RSS by about
+    0.5 MB."""
+
+    def __init__(self, entropy: int, spawn_key: tuple, state: np.ndarray):
+        self.entropy, self.spawn_key = entropy, spawn_key
+        self._state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if np.dtype(dtype) != np.uint64 or n_words > len(self._state):
+            raise ValueError(f"a ReplicateSeed holds {len(self._state)} "
+                             f"uint64 words; {n_words} of "
+                             f"{np.dtype(dtype)} were asked for")
+        return self._state[:n_words].copy()
+
+
+def _replicate_rngs(master_seed: int, lo: int, hi: int) -> list:
+    """The streams of replicates lo..hi-1: for each r, the generator
+    default_rng(SeedSequence(entropy=master_seed, spawn_key=(r,))) builds,
+    bit for bit. SeedSequence's hash runs once over the whole block, as
+    uint32 array arithmetic, instead of once per replicate; the constants
+    mixed in depend only on the position in the hash, so every replicate
+    sees the same ones."""
+    if hi > 2 ** 32:
+        raise ValueError(f"replicate indices must be below 2**32, got {hi - 1}")
+    master_seed = int(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed}")
+    np.random.bit_generator.ISeedSequence.register(ReplicateSeed)
+    # SeedSequence reads an integer as little-endian 32-bit words, and a
+    # spawned one pads them to the pool size.
+    run = [master_seed >> shift & _MASK32
+           for shift in range(0, max(master_seed.bit_length(), 1), 32)]
+    run += [0] * (_POOL_SIZE - len(run))
+    n = hi - lo
+    entropy = ([np.full(n, w, np.uint32) for w in run]
+               + [np.arange(lo, hi, dtype=np.uint32)])
+    const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64) hashes eight words cycled from the pool
+    # the same way, from other constants.
+    const, mult = _INIT_B, _MULT_B
+    words = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)],
+                     axis=1)
+    states = words.astype("<u4").view("<u8").astype(np.uint64)
+    # Generator(PCG64(seed)) is what default_rng(seed) builds, without its
     # argument dispatch.
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))))
+    return [np.random.Generator(np.random.PCG64(
+                ReplicateSeed(master_seed, (r,), state)))
+            for r, state in zip(range(lo, hi), states)]
+
+
+def _replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
+    return _replicate_rngs(master_seed, replicate, replicate + 1)[0]
 
 
 def _noise_chunks(problem: Problem, rngs, n_steps: int):
@@ -173,8 +258,11 @@ def _noise_chunks(problem: Problem, rngs, n_steps: int):
     reused replicate-major tile of NOISE_TILE replicates; one copy then
     transposes the tile into the step-major buffer. Both arrays are viewed
     as one opaque item per (width,) row, so the copy moves whole rows and
-    writes each step's tile rows contiguously."""
+    writes each step's tile rows contiguously. The draws are standard
+    variates, which the problem's noise finisher turns into noise over the
+    whole chunk at once."""
     draw, width, dtype, _ = prob_mod.noise_kind(problem)
+    finish = prob_mod.noise_finish(problem)
     size = min(NOISE_CHUNK, n_steps)
     by_step = np.empty((size, len(rngs), width), dtype)
     tile = np.empty((min(NOISE_TILE, len(rngs)), size, width), dtype)
@@ -182,14 +270,17 @@ def _noise_chunks(problem: Problem, rngs, n_steps: int):
     steps_v, tile_v = by_step.view(row)[..., 0], tile.view(row)[..., 0]
     for pos in range(0, n_steps, size):
         chunk = min(size, n_steps - pos)
+        rows = [r[:chunk] for r in tile]
         for r0 in range(0, len(rngs), len(tile)):
             block = rngs[r0:r0 + len(tile)]
-            for k, rng in enumerate(block):
+            for rng, out in zip(block, rows):
                 # `out` by keyword: a wrapper around the draw may read only
                 # the positional arguments.
-                draw(problem, rng, chunk, out=tile[k, :chunk])
+                draw(problem, rng, chunk, out=out)
             n = len(block)
             steps_v[:chunk, r0:r0 + n] = tile_v[:n, :chunk].T
+        if finish is not None:
+            finish(by_step[:chunk])
         yield by_step[:chunk]
 
 
@@ -262,8 +353,7 @@ def _run_block(stages: tuple, rep_lo: int, rep_hi: int) -> np.ndarray:
     Overflow and invalid values are not warned about: each one ends up as a
     non-finite proposal or iterate, which the chunk check catches."""
     first = stages[0]
-    rngs = [_replicate_rng(first.master_seed, r)
-            for r in range(rep_lo, rep_hi)]
+    rngs = _replicate_rngs(first.master_seed, rep_lo, rep_hi)
     if isinstance(first.theta0, str):
         theta = np.stack([first.problem.domain.sample_interior(rng)
                           for rng in rngs])
@@ -433,7 +523,7 @@ def resolve_stages(problem: Problem, stages) -> list:
     resolved = []
     prev_a = None
     for a_k, n_k in stages:
-        a_k = float(a_k)
+        a_k = require_float(a_k, "stage step")
         if not 0 < a_k < 1.0 / consts.m:
             raise ValueError(f"stage step {a_k} outside (0, 1/m)")
         if prev_a is not None and a_k >= prev_a:

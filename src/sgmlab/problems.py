@@ -31,8 +31,11 @@ class DegenerateProblemError(ValueError):
 
 
 @dataclass(frozen=True)
-class Gaussian:
-    """Spherical Gaussian noise with total second moment E||n||^2 = sigma2."""
+class _AdditiveNoise:
+    """Additive noise with total second moment E||n||^2 = sigma2, drawn in
+    two halves: `fill` writes a replicate's standard variates from its
+    stream, and `finish` turns them into noise in place, one element at a
+    time, so it may run once over the draws of many replicates."""
 
     sigma2: float
 
@@ -44,31 +47,36 @@ class Gaussian:
                out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty((n_draws, dim))
-        # The same bits as scale * rng.standard_normal((n_draws, dim)).
-        rng.standard_normal(out=out)
-        return np.multiply(np.sqrt(self.sigma2 / dim), out, out=out)
+        return self.finish(self.fill(rng, out))
 
 
 @dataclass(frozen=True)
-class BoundedRademacher:
+class Gaussian(_AdditiveNoise):
+    """Spherical Gaussian noise."""
+
+    @staticmethod
+    def fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.standard_normal(out=out)
+
+    def finish(self, out: np.ndarray) -> np.ndarray:
+        # The same bits as scale * rng.standard_normal(out.shape).
+        return np.multiply(np.sqrt(self.sigma2 / out.shape[-1]), out, out=out)
+
+
+@dataclass(frozen=True)
+class BoundedRademacher(_AdditiveNoise):
     """Each coordinate is +-sigma/sqrt(d) with equal probability."""
 
-    sigma2: float
+    @staticmethod
+    def fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.random(out=out)
 
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
-
-    def sample(self, rng: np.random.Generator, n_draws: int, dim: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty((n_draws, dim))
-        rng.random(out=out)
+    def finish(self, out: np.ndarray) -> np.ndarray:
         # u - 0.5 is exact or keeps its sign for u in [0, 1), so the sign
         # bit is set exactly where u < 0.5: the same bits as
         # magnitude * (-1.0 if u < 0.5 else 1.0), -0.0 included.
         np.subtract(out, 0.5, out=out)
-        return np.copysign(np.sqrt(self.sigma2 / dim), out, out=out)
+        return np.copysign(np.sqrt(self.sigma2 / out.shape[-1]), out, out=out)
 
 
 NoiseModel = Gaussian | BoundedRademacher
@@ -383,8 +391,9 @@ def subgradient_batch(problem: Problem, theta: np.ndarray) -> np.ndarray:
 
 def noise_sample(problem: Problem, rng: np.random.Generator, n_draws: int,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Draw `n_draws` additive-noise vectors, shape (n_draws, d), into `out`
-    when given (C-contiguous floats of that shape) and return it.
+    """Draw the standard variates of `n_draws` additive-noise vectors,
+    shape (n_draws, d), into `out` when given (floats of that shape) and
+    return them; noise_finish(problem) turns them into the noise.
 
     Drawing a block of k vectors consumes the stream exactly like k
     single-draw calls, so replicate blocks can be generated chunk-wise.
@@ -392,7 +401,18 @@ def noise_sample(problem: Problem, rng: np.random.Generator, n_draws: int,
     if isinstance(problem.noise, Minibatch):
         raise ValueError("mini-batch problems have no additive noise; "
                          "use minibatch_indices")
-    return problem.noise.sample(rng, n_draws, problem.dimension, out=out)
+    if out is None:
+        out = np.empty((n_draws, problem.dimension))
+    return problem.noise.fill(rng, out)
+
+
+def noise_finish(problem: Problem):
+    """The in-place finisher of noise_sample's variates, elementwise, so one
+    call may cover any stack of draws of width d; None for mini-batches,
+    whose drawn indices are final."""
+    if isinstance(problem.noise, Minibatch):
+        return None
+    return problem.noise.finish
 
 
 def index_dtype(n_rows: int) -> np.dtype:
@@ -422,9 +442,10 @@ def minibatch_indices(problem: ErmLeastSquares, rng: np.random.Generator,
 def noise_kind(problem: Problem) -> tuple:
     """How the engine draws and applies the problem's noise, decided once:
     (draw, width, dtype, gradient). draw(problem, rng, k, out=None) returns
-    k steps of noise, shape (k, width): additive vectors, or mini-batch
-    sample indices. A given `out` of that shape and dtype is filled and
-    returned.
+    one replicate's k steps of draws, shape (k, width): the standard
+    variates of additive noise, which noise_finish(problem) turns into the
+    noise, or final mini-batch sample indices. A given `out` of that shape
+    and dtype is filled and returned.
     gradient(theta, noise) is the stochastic gradient at a (block, d) batch
     of iterates given one step's (block, width) noise."""
     if isinstance(problem.noise, Minibatch):

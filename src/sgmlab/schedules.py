@@ -25,6 +25,14 @@ def require_int(value, name: str) -> int:
     return int(value)
 
 
+def require_float(value, name: str) -> float:
+    """value as a float; a bool or string is refused, not cast."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PolynomialStep:
     """t_j = gamma / (j + 1)^alpha."""
@@ -62,7 +70,8 @@ class StagedStep:
     _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stages = tuple((float(a), require_int(n, "stage length"))
+        stages = tuple((require_float(a, "stage step"),
+                        require_int(n, "stage length"))
                        for a, n in self.stages)
         if not stages:
             raise ValueError("staged schedule needs at least one stage")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sgmlab import harness
 from sgmlab.cli import TEMPLATES, gen_config, main
 
 
@@ -576,6 +577,126 @@ class TestOutputPathErrors:
         assert main(["gen-config", "lemma1", "--out", str(out)]) == 2
         assert _stderr_line(capsys).startswith(f"error: cannot write {out}")
         assert not out.parent.exists()
+
+
+class TestRefusedConfigLeavesNoOutput:
+    """A refused config leaves no --out behind: the CLI's own checks run
+    before --out is made, and a directory made before a check inside the
+    harness refuses the config is removed again. An existing output or an
+    uncreatable --out still stops the command before the engine runs."""
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+        monkeypatch.setattr(harness, "_mse", engine)
+
+    @pytest.mark.parametrize("command", ["run", "multistage"])
+    @pytest.mark.parametrize("changes, env, line", [
+        ({"master_seed": -1}, {}, "error: master_seed must be >= 0, got -1"),
+        ({}, {"SGMLAB_WORKERS": "0"}, "error: workers must be >= 1, got 0"),
+        ({"momentum": {"polynomial": {"c": 5, "beta": 1}}}, {}, None),
+    ], ids=["negative_seed", "zero_workers", "schedule"])
+    def test_refused_config(self, tmp_path, capsys, monkeypatch, no_engine,
+                            command, changes, env, line):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        cfg = (_base_run_config(**changes) if command == "run"
+               else _multistage_config(**changes))
+        out = tmp_path / "o"
+        assert main([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if line is not None:
+            assert err == line + "\n"
+        else:
+            assert "schedule validation failed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "multistage"])
+    def test_seed_flag_refused(self, tmp_path, capsys, no_engine, command):
+        cfg = _base_run_config() if command == "run" else _multistage_config()
+        out = tmp_path / "o"
+        assert main([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(out), "--seed", "-1"]) == 2
+        assert _stderr_line(capsys) == "error: master_seed must be >= 0, got -1"
+        assert not out.exists()
+
+    def test_bad_step(self, tmp_path, no_engine):
+        cfg = _write(tmp_path, _base_run_config(step={"constant": {"a": 2.0}}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stages", [
+        [{"a": 0.1, "n": 50}, {"a": 0.1, "n": 50}],
+        [{"a": 0.2, "n": 50}, {"a": 0.1, "n": 0}],
+        [],
+    ], ids=["not_decreasing", "empty_stage", "no_stages"])
+    def test_bad_stage(self, tmp_path, no_engine, stages):
+        path = _write(tmp_path, _multistage_config(stages=stages))
+        out = tmp_path / "o"
+        assert main(["multistage", "--config", path, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", [("run", "summary.csv"),
+                                               ("multistage", "stages.csv")])
+    def test_existing_output_stops_before_the_engine(
+            self, tmp_path, capsys, no_engine, command, name):
+        cfg = _base_run_config() if command == "run" else _multistage_config()
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).write_text("kept\n")
+        assert main([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert _stderr_line(capsys) == (f"error: {out / name} exists; pass "
+                                        "--overwrite to replace it")
+        assert (out / name).read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["run", "multistage"])
+    def test_uncreatable_out_stops_before_the_engine(
+            self, tmp_path, capsys, no_engine, command):
+        cfg = _base_run_config() if command == "run" else _multistage_config()
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(out / "sub")]) == 2
+        assert _stderr_line(capsys).startswith(
+            f"error: cannot create output directory {out / 'sub'}")
+
+    def test_unreadable_output_path(self, tmp_path, capsys, monkeypatch):
+        def exists(self):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(Path, "exists", exists)
+        cfg = _write(tmp_path, _base_run_config())
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert _stderr_line(capsys) == (f"error: cannot create output "
+                                        f"directory {out}: Permission denied")
+
+    @pytest.mark.parametrize("command", ["run", "multistage"])
+    def test_only_the_directories_made_are_removed(self, tmp_path, command):
+        # The schedule is refused inside the harness, after --out is made.
+        momentum = {"polynomial": {"c": 5, "beta": 1}}
+        cfg = (_base_run_config(momentum=momentum) if command == "run"
+               else _multistage_config(momentum=momentum))
+        path = _write(tmp_path, cfg)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main([command, "--config", path,
+                     "--out", str(kept / "a" / "b")]) == 2
+        assert kept.is_dir() and list(kept.iterdir()) == []
+        assert main([command, "--config", path, "--out", str(kept)]) == 2
+        assert kept.is_dir()
+
+    def test_numeric_failure_removes_the_directory_made(self, tmp_path):
+        cfg = _base_run_config(noise={"gaussian": {"sigma2": 1e300}},
+                               step={"constant": {"a": 1e300}}, variant="sgm",
+                               momentum={"constant": {"eta": 0.5}})
+        out = tmp_path / "o"
+        assert main(["run", "--config", _write(tmp_path, cfg), "--out",
+                     str(out), "--force-schedule"]) == 3
+        assert not out.exists()
 
 
 def _cli(*argv):

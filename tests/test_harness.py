@@ -95,6 +95,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             _config(**changes)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2**40)])
+    def test_negative_master_seed_refused(self, seed):
+        with pytest.raises(ValueError,
+                           match=f"^master_seed must be >= 0, got {seed}$"):
+            _config(master_seed=seed)
+        with pytest.raises(ValueError,
+                           match=f"^master_seed must be >= 0, got {seed}$"):
+            run_multistage(_quadratic(), drop_stages(0.2, 5, 2),
+                           ZeroMomentum(), replicates=4, master_seed=seed)
+
     def test_numpy_integers_are_integers(self):
         cfg = _config(horizon=np.int64(200), replicates=np.int32(4),
                       checkpoints=np.array([10, 200]))
@@ -306,6 +316,12 @@ class TestMultistage:
         assert drop_stages(0.1, 500, 3) == [(0.1, 500), (0.05, 1000),
                                             (0.025, 2000)]
 
+    @pytest.mark.parametrize("step", [True, "0.5"])
+    def test_resolve_stages_refuses_non_numeric_steps(self, step):
+        with pytest.raises(ValueError, match=(
+                rf"^stage step must be a number, got {step!r}$")):
+            resolve_stages(_quadratic(), [(step, 10)])
+
     def test_resolve_stages_checks_monotonicity(self):
         p = _quadratic()
         with pytest.raises(ValueError, match="decreasing"):
@@ -421,10 +437,13 @@ class TestStepMajorNoise:
         monkeypatch.setattr(harness, "NOISE_TILE", 3)
         n_steps, reps = 18, 5            # chunks of 7, 7 and a short 4
         # and tiles of 3 replicates and a short 2
+        # Each replicate's finished draws: the chunk finishes its standard
+        # variates at once, with the bits of finishing each draw alone.
         if isinstance(problem.noise, Minibatch):
             draw = prob_mod.minibatch_indices
         else:
-            draw = prob_mod.noise_sample
+            def draw(problem, rng, n_draws):
+                return problem.noise.sample(rng, n_draws, problem.dimension)
         rngs = [harness._replicate_rng(3, r) for r in range(reps)]
         fresh = [harness._replicate_rng(3, r) for r in range(reps)]
         sizes = []
@@ -529,6 +548,90 @@ def test_replicate_rng_is_default_rngs_stream():
                 == theirs.standard_normal(7).tobytes())
         assert np.array_equal(ours.integers(0, 1000, 7),
                               theirs.integers(0, 1000, 7))
+
+
+class TestReplicateRngs:
+    """Streams built a block at a time are default_rng's spawned streams."""
+
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 20240901, 2**64 + 5, 2**128 + 7)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2000), (1000, 2000), (1999, 2000)])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_is_default_rngs_streams(self, seed, lo, hi):
+        rngs = harness._replicate_rngs(seed, lo, hi)
+        assert len(rngs) == hi - lo
+        for r, ours in zip(range(lo, hi), rngs):
+            theirs = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+            assert ours.bit_generator.seed_seq.spawn_key == (r,)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        for r in sorted({lo, hi - 1}):
+            ours = rngs[r - lo]
+            theirs = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+            assert (ours.standard_normal(7).tobytes()
+                    == theirs.standard_normal(7).tobytes())
+
+    def test_numpy_integer_seed(self):
+        ours = harness._replicate_rngs(np.int64(7), 0, 3)
+        theirs = harness._replicate_rngs(7, 0, 3)
+        assert ([g.bit_generator.state for g in ours]
+                == [g.bit_generator.state for g in theirs])
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5])
+    def test_seed_words_are_seed_sequences(self, seed):
+        ours = harness._replicate_rng(seed, 11).bit_generator.seed_seq
+        theirs = np.random.SeedSequence(entropy=seed, spawn_key=(11,))
+        assert ours.entropy == seed
+        for n in range(1, 5):
+            assert np.array_equal(ours.generate_state(n, np.uint64),
+                                  theirs.generate_state(n, np.uint64))
+        with pytest.raises(ValueError, match="4 uint64 words; 5 of uint64"):
+            ours.generate_state(5, np.uint64)
+        with pytest.raises(ValueError, match="4 uint64 words; 2 of uint32"):
+            ours.generate_state(2)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            harness._replicate_rngs(-1, 0, 2)
+
+
+class TestNoiseCallPattern:
+    """_noise_chunks calls the noise_kind draw once per replicate per chunk
+    and the finisher once per chunk, over the whole chunk; the benchmark's
+    tracer counts and times these calls."""
+
+    @_each_noise_kind
+    def test_one_draw_per_replicate_and_one_finish_per_chunk(
+            self, monkeypatch, problem):
+        monkeypatch.setattr(harness, "NOISE_CHUNK", 7)
+        monkeypatch.setattr(harness, "NOISE_TILE", 3)
+        n_steps, reps = 18, 5            # chunks of 7, 7 and a short 4
+        # and tiles of 3 replicates and a short 2
+        draw, width, dtype, gradient = prob_mod.noise_kind(problem)
+        finish = prob_mod.noise_finish(problem)
+        draws, finishes = [], []
+
+        def counted_draw(problem, rng, k, out=None):
+            draws.append((rng.bit_generator.seed_seq.spawn_key[0], k))
+            return draw(problem, rng, k, out=out)
+
+        def counted_finish(chunk):
+            finishes.append(chunk.shape)
+            return finish(chunk)
+
+        monkeypatch.setattr(prob_mod, "noise_kind", lambda problem: (
+            counted_draw, width, dtype, gradient))
+        monkeypatch.setattr(prob_mod, "noise_finish", lambda problem: (
+            None if finish is None else counted_finish))
+        rngs = harness._replicate_rngs(3, 0, reps)
+        for chunk in harness._noise_chunks(problem, rngs, n_steps):
+            assert len(finishes) == (0 if finish is None else len(draws) // reps)
+        assert draws == [(r, k) for k in (7, 7, 4) for r in range(reps)]
+        if finish is None:
+            assert finishes == []
+        else:
+            assert finishes == [(k, reps, width) for k in (7, 7, 4)]
 
 
 def _reference_advance(config, theta0, rngs, rep_lo=0):

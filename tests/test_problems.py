@@ -15,7 +15,8 @@ from sgmlab.geometry import Ball, Box
 from sgmlab.problems import (BoundedRademacher, DegenerateProblemError,
                              ErmLeastSquares, Gaussian, Minibatch, QuadPlusL1,
                              Quadratic, _sup_per_sample,
-                             load_erm_csv, minibatch_indices, noise_sample)
+                             load_erm_csv, minibatch_indices, noise_finish,
+                             noise_sample)
 
 BALL2 = Ball(center=[0.0, 0.0], radius=2.0)
 BALL1D = Ball(center=[0.0], radius=5.0)
@@ -161,13 +162,19 @@ class TestConstantsExamples:
                             noise=NO_NOISE)
 
 
+def _noise(problem, rng, n_draws):
+    """n_draws finished additive-noise vectors: the variates noise_sample
+    draws, turned into noise by noise_finish."""
+    return noise_finish(problem)(noise_sample(problem, rng, n_draws))
+
+
 class TestNoisyGradient:
     def test_zero_noise_equals_subgradient(self):
         p = quad2()
         rng = np.random.default_rng(0)
         theta = [0.3, -0.7]
         np.testing.assert_array_equal(
-            p.subgradient(theta) + noise_sample(p, rng, 1)[0],
+            p.subgradient(theta) + _noise(p, rng, 1)[0],
             p.subgradient(theta))
 
     def test_gaussian_mean_monte_carlo(self):
@@ -185,7 +192,7 @@ class TestNoisyGradient:
         rng = np.random.default_rng(5)
         s = float(p.subgradient([1.0])[0])
         for _ in range(200):
-            g = s + float(noise_sample(p, rng, 1)[0, 0])
+            g = s + float(_noise(p, rng, 1)[0, 0])
             assert g in (s - 2.0, s + 2.0)
 
 
@@ -548,6 +555,45 @@ class TestDrawIntoOut:
         assert Gaussian(sigma2).sample(rng, 40, 3).tobytes() == gauss.tobytes()
         assert (BoundedRademacher(sigma2).sample(rng, 40, 3).tobytes()
                 == signs.tobytes())
+
+
+class TestFillAndFinish:
+    """noise_sample draws standard variates and noise_finish scales them in
+    place, elementwise: finishing many replicates' draws at once gives the
+    bits of each replicate's own sample."""
+
+    @pytest.mark.parametrize("noise", [Gaussian(sigma2=2.5),
+                                       BoundedRademacher(sigma2=2.5),
+                                       Gaussian(sigma2=0.0),
+                                       BoundedRademacher(sigma2=0.0)],
+                             ids=["gaussian", "bounded_rademacher",
+                                  "gaussian_0", "bounded_rademacher_0"])
+    def test_stacked_finish_is_each_sample(self, noise):
+        star = (0.0, 0.0, 0.0)
+        problem = Quadratic(hessian_diag=(1.0, 2.0, 3.0), theta_star=star,
+                            domain=Ball(center=star, radius=2.0), noise=noise)
+        stack = np.stack([noise_sample(problem, np.random.default_rng(r), 9)
+                          for r in range(4)], axis=1)     # (steps, reps, d)
+        finish = noise_finish(problem)
+        assert finish(stack) is stack
+        for r in range(4):
+            expected = noise.sample(np.random.default_rng(r), 9, 3)
+            assert stack[:, r].tobytes() == expected.tobytes()
+
+    def test_variates_are_the_streams(self):
+        problem = Quadratic(hessian_diag=(1.0, 2.0), theta_star=(0.0, 0.0),
+                            domain=BALL2, noise=Gaussian(sigma2=4.0))
+        drawn = noise_sample(problem, np.random.default_rng(3), 6)
+        assert (drawn.tobytes()
+                == np.random.default_rng(3).standard_normal((6, 2)).tobytes())
+        problem = Quadratic(hessian_diag=(1.0, 2.0), theta_star=(0.0, 0.0),
+                            domain=BALL2, noise=BoundedRademacher(sigma2=4.0))
+        drawn = noise_sample(problem, np.random.default_rng(3), 6)
+        assert (drawn.tobytes()
+                == np.random.default_rng(3).random((6, 2)).tobytes())
+
+    def test_minibatch_has_no_finisher(self):
+        assert noise_finish(_erm_minibatch()) is None
 
 
 def _row_support(domain, x) -> float:

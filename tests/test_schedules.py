@@ -39,6 +39,18 @@ class TestStepSize:
                 rf"^stage length must be an integer, got {length!r}$")):
             StagedStep(stages=((0.1, 2), (0.05, length)))
 
+    @pytest.mark.parametrize("step", [True, "0.5", None])
+    def test_staged_step_must_be_a_number(self, step):
+        # A casting float() would run True as a step of 1.0 and "0.5" as 0.5.
+        with pytest.raises(ValueError, match=(
+                rf"^stage step must be a number, got {step!r}$")):
+            StagedStep(stages=((step, 2), (0.05, 3)))
+
+    def test_staged_numpy_step(self):
+        s = StagedStep(stages=((np.float64(0.5), 2), (np.float32(0.25), 3)))
+        assert s.stages == ((0.5, 2), (0.25, 3))
+        assert all(type(a) is float for a, _ in s.stages)
+
     def test_staged_numpy_integer_length(self):
         s = StagedStep(stages=((0.1, np.int64(2)), (0.05, np.int32(4))))
         assert s.stages == ((0.1, 2), (0.05, 4))
