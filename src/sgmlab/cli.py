@@ -21,8 +21,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, problems, schedules
-from .harness import (ExperimentConfig, dominance_check, fit_rate,
-                      run_multistage, run_replicates)
+from .harness import (ExperimentConfig, RunSummary, calibration_half,
+                      dominance_check, fit_rate, run_multistage,
+                      run_replicates, stage_configs, window_mask)
 from .optimizers import NumericFailureError, variant_from_name
 
 EXIT_OK = 0
@@ -218,12 +219,9 @@ def _build_bound(resolved: dict, config: ExperimentConfig):
     if resolved.get("envelope") is not None:
         e = resolved["envelope"]
         _fail_closed(e, {"case", "constant", "beta"}, {"case"}, "envelope")
-        try:
-            return bounds_mod.RateEnvelope(case=e["case"],
-                                           constant=e.get("constant"),
-                                           beta=e.get("beta"))
-        except TypeError as exc:
-            raise ConfigError(f"envelope: {exc}") from None
+        numbers = {k: _coerce(e[k], "float", f"envelope.{k}")
+                   for k in ("constant", "beta") if e.get(k) is not None}
+        return bounds_mod.RateEnvelope(case=e["case"], **numbers)
     if resolved.get("recursion_bound") is not None:
         r = resolved["recursion_bound"]
         _fail_closed(r, {"kind", "E0"}, {"kind"}, "recursion_bound")
@@ -283,9 +281,11 @@ def _check_output(path: Path, overwrite: bool):
 def _outputs(args, *names):
     """The paths of the named files in --out, refusing to replace existing
     ones. --out is made at once, so a place it cannot be made stops the
-    command before the engine runs. When a check inside the block refuses
-    the config, or the run fails numerically, the directories made here are
-    removed again, as far as they are still empty."""
+    command before the engine runs. Every check of the config alone runs
+    before this, but a run can still stop inside the block: on a numeric
+    failure, a fit over non-finite or non-positive MSE, a forced staged
+    schedule shorter than the horizon, or a failed write. The directories
+    made here are then removed again, as far as they are still empty."""
     out_dir = Path(args.out)
     try:
         made = list(itertools.takewhile(lambda d: not d.exists(),
@@ -328,17 +328,20 @@ def cmd_run(args) -> int:
                               RUN_DEFAULTS)
     config = build_experiment(resolved, force_schedule=args.force_schedule)
     bound = _build_bound(resolved, config)
+    # The checkpoint counts the bound and the fit need, before --out exists.
+    if isinstance(bound, bounds_mod.RateEnvelope) and bound.constant is None:
+        calibration_half(config.checkpoints)
     window = resolved.get("fit_window")
     if window is not None:
         if not isinstance(window, list) or len(window) != 2:
             raise ConfigError(f"fit_window: expected [lo, hi], got {window!r}")
         window = tuple(_coerce(x, "float", "fit_window") for x in window)
-    # The schedule check is run_replicates' own.
+        window_mask(config.checkpoints, window)
     with _outputs(args, "summary.csv", "summary.json",
                   "config.resolved.json") as targets:
         summary = run_replicates(config)
-        if not summary.schedule_report.ok:
-            print(f"schedule warnings (forced):\n{summary.schedule_report}",
+        if not config.schedule_report.ok:
+            print(f"schedule warnings (forced):\n{config.schedule_report}",
                   file=sys.stderr)
         dom = dominance_check(summary, bound) if bound is not None else None
         fit = None if window is None else fit_rate(summary, window)
@@ -357,9 +360,9 @@ def cmd_run(args) -> int:
             },
             "metadata": {
                 "config_hash": summary.config_hash,
-                "master_seed": summary.master_seed,
-                "replicates": summary.replicates,
-                "estimator": summary.estimator,
+                "master_seed": config.master_seed,
+                "replicates": config.replicates,
+                "estimator": config.estimator,
                 "wall_time_s": summary.wall_time,
             },
         }
@@ -374,21 +377,18 @@ def cmd_run(args) -> int:
 def cmd_multistage(args) -> int:
     resolved = resolve_config(_load_json(args.config), args,
                               MULTISTAGE_REQUIRED, MULTISTAGE_DEFAULTS)
-    problem = build_problem(resolved)
-    stages = _stages(resolved["stages"], "stages")
-    momentum = from_config("momentum", resolved["momentum"])
-    variant = variant_from_name(resolved["variant"], resolved.get("qhm_v"))
-    integers = _integers(resolved, ("replicates", "master_seed", "workers"))
-    # The stage and schedule checks are run_multistage's own.
+    configs = stage_configs(
+        build_problem(resolved), _stages(resolved["stages"], "stages"),
+        from_config("momentum", resolved["momentum"]),
+        variant=variant_from_name(resolved["variant"], resolved.get("qhm_v")),
+        theta0=resolved["theta0"], force_schedule=args.force_schedule,
+        **_integers(resolved, ("replicates", "master_seed", "workers")))
     with _outputs(args, "stages.csv", "config.resolved.json") as targets:
-        reports = run_multistage(problem, stages, momentum, variant=variant,
-                                 theta0=resolved["theta0"],
-                                 force_schedule=args.force_schedule,
-                                 **integers)
-        for k, r in enumerate(reports):
-            if not r.schedule_report.ok:
+        reports = run_multistage(configs)
+        for k, config in enumerate(configs):
+            if not config.schedule_report.ok:
                 print(f"stage {k} schedule warnings (forced):\n"
-                      f"{r.schedule_report}", file=sys.stderr)
+                      f"{config.schedule_report}", file=sys.stderr)
 
         lines = ["stage,step,length,burn_in,suffix_mse_mean,suffix_mse_sem,"
                  "plateau"]
@@ -442,12 +442,7 @@ def cmd_fit(args) -> int:
         sem = np.asarray([float(r[2]) for r in rows])
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"{args.summary}: malformed row ({exc})") from None
-    from .harness import RunSummary
-
-    summary = RunSummary(checkpoints=cps, mse_mean=mse, mse_sem=sem,
-                         estimator="unknown", replicates=0, master_seed=0,
-                         config_hash="", wall_time=0.0)
-    fit = fit_rate(summary, (args.window[0], args.window[1]))
+    fit = fit_rate(RunSummary(cps, mse, sem), tuple(args.window))
     print(json.dumps({"exponent": fit.exponent,
                       "log_constant": fit.log_constant, "r2": fit.r2}))
     return EXIT_OK
@@ -456,9 +451,7 @@ def cmd_fit(args) -> int:
 def cmd_validate(args) -> int:
     resolved = resolve_config(_load_json(args.config), args, RUN_REQUIRED,
                               RUN_DEFAULTS)
-    config = build_experiment(resolved)
-    report = schedules.validate(config.step, config.momentum,
-                                config.problem.constants().m, config.horizon)
+    report = build_experiment(resolved, force_schedule=True).schedule_report
     print(report)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 

@@ -21,6 +21,7 @@ from . import estimators as est_mod
 from . import optimizers as opt_mod
 from . import problems as prob_mod
 from .bounds import BoundSequence, RateEnvelope, constant_step_plateau, stage_burn_in
+from .geometry import contains
 from .optimizers import NumericFailureError, SGM, Variant
 from .problems import Problem
 from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
@@ -47,8 +48,14 @@ def default_checkpoints(horizon: int, estimator: str = "last",
     return tuple(sorted(pts))
 
 
+class ScheduleValidationError(ValueError):
+    """An unforced schedule whose validation report has a violation."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run, checked in full when constructed, its schedule included."""
+
     problem: Problem
     variant: Variant
     step: StepSchedule
@@ -64,6 +71,10 @@ class ExperimentConfig:
     # of config_hash.
     workers: int = field(default=1, compare=False)
     force_schedule: bool = field(default=False, compare=False)
+    # validate's report on step and momentum over the horizon (derived, so
+    # compare=False keeps it out of config_hash).
+    schedule_report: ValidityReport = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         for name in ("horizon", "replicates", "master_seed", "suffix_start",
@@ -103,8 +114,18 @@ class ExperimentConfig:
             if self.theta0 != "random-interior":
                 raise ValueError("theta0 must be a vector or 'random-interior'")
         else:
-            object.__setattr__(self, "theta0",
-                               np.asarray(self.theta0, dtype=float))
+            theta0 = np.asarray(self.theta0)
+            d = self.problem.dimension
+            if (theta0.shape != (d,) or theta0.dtype.kind not in "biuf"
+                    or not contains(self.problem.domain, theta0)):
+                raise ValueError(f"theta0 must be a {d}-vector in the "
+                                 f"domain, got {self.theta0!r}")
+            object.__setattr__(self, "theta0", theta0.astype(float))
+        report = validate(self.step, self.momentum,
+                          self.problem.constants().m, self.horizon)
+        if not report.ok and not self.force_schedule:
+            raise ScheduleValidationError(f"schedule validation failed:\n{report}")
+        object.__setattr__(self, "schedule_report", report)
 
 
 def _check_increasing(checkpoints):
@@ -117,12 +138,9 @@ class RunSummary:
     checkpoints: tuple
     mse_mean: np.ndarray
     mse_sem: np.ndarray
-    estimator: str
-    replicates: int
-    master_seed: int
-    config_hash: str
-    wall_time: float
-    schedule_report: ValidityReport | None = None
+    # Unknown for a summary read back from its CSV.
+    config_hash: str | None = None
+    wall_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -156,7 +174,6 @@ class StageReport:
     suffix_mse_mean: float
     suffix_mse_sem: float
     plateau: float
-    schedule_report: ValidityReport
 
 
 # numpy's SeedSequence hash: its constants and its pool size in words.
@@ -416,45 +433,39 @@ def _fingerprint(obj) -> str:
     return h.hexdigest()[:16]
 
 
-def _check_schedule(config: ExperimentConfig,
-                    what: str = "schedule") -> ValidityReport:
-    """The validation report of config's step and momentum over its horizon.
-    A failed report raises unless config.force_schedule is set."""
-    report = validate(config.step, config.momentum,
-                      config.problem.constants().m, config.horizon)
-    if not report.ok and not config.force_schedule:
-        raise ValueError(f"{what} validation failed:\n{report}")
-    return report
-
-
 def run_replicates(config: ExperimentConfig) -> RunSummary:
     """Run R independent replicates and aggregate squared estimator errors
     at every checkpoint, deterministically in replicate-index order."""
-    report = _check_schedule(config)
     start = time.perf_counter()
     mse_mean, mse_sem = _mse((config,), config.replicates, config.workers)
-    return RunSummary(
-        checkpoints=config.checkpoints,
-        mse_mean=mse_mean,
-        mse_sem=mse_sem,
-        estimator=config.estimator,
-        replicates=config.replicates,
-        master_seed=config.master_seed,
-        config_hash=_fingerprint(config),
-        wall_time=time.perf_counter() - start,
-        schedule_report=report,
-    )
+    return RunSummary(config.checkpoints, mse_mean, mse_sem,
+                      config_hash=_fingerprint(config),
+                      wall_time=time.perf_counter() - start)
+
+
+def window_mask(checkpoints, window: tuple) -> np.ndarray:
+    """The checkpoints in the fit window [lo, hi]: at least 4."""
+    cps = np.asarray(checkpoints)
+    mask = (cps >= window[0]) & (cps <= window[1])
+    if mask.sum() < 4:
+        raise ValueError(f"need >= 4 checkpoints in window, got {int(mask.sum())}")
+    return mask
+
+
+def calibration_half(checkpoints) -> int:
+    """How many leading checkpoints calibrate an envelope: at least 1."""
+    half = len(checkpoints) // 2
+    if half < 1:
+        raise ValueError("need at least 2 checkpoints to calibrate")
+    return half
 
 
 def fit_rate(summary: RunSummary, window: tuple) -> RateFit:
     """Least-squares fit of log(mse) against log(checkpoint + 1) inside the
     window; the slope estimates the convergence order."""
-    j_lo, j_hi = window
     _check_increasing(summary.checkpoints)
     cps = np.asarray(summary.checkpoints)
-    mask = (cps >= j_lo) & (cps <= j_hi)
-    if mask.sum() < 4:
-        raise ValueError(f"need >= 4 checkpoints in window, got {int(mask.sum())}")
+    mask = window_mask(cps, window)
     mse = summary.mse_mean[mask]
     finite = np.isfinite(mse)
     if not finite.all():
@@ -490,9 +501,7 @@ def dominance_check(summary: RunSummary,
     else:
         env = bound
         if env.constant is None:
-            half = len(cps) // 2
-            if half < 1 or len(cps) - half < 1:
-                raise ValueError("need at least 2 checkpoints to calibrate")
+            half = calibration_half(cps)
             shape = env.shape(cps[:half])
             calibrated_constant = float(np.max(summary.mse_mean[:half] / shape))
             env = env.calibrated(calibrated_constant)
@@ -512,63 +521,60 @@ def dominance_check(summary: RunSummary,
                            bound_values=values)
 
 
-def resolve_stages(problem: Problem, stages) -> list:
-    """Resolve (a_k, n_k | 'auto') into concrete (a_k, length, burn_in).
-
-    'auto' uses the burn-in index with the conservative start error L^2.
-    """
-    if not stages:
-        raise ValueError("need at least one stage")
-    consts = problem.constants()
-    resolved = []
-    prev_a = None
-    for a_k, n_k in stages:
-        a_k = require_float(a_k, "stage step")
-        if not 0 < a_k < 1.0 / consts.m:
-            raise ValueError(f"stage step {a_k} outside (0, 1/m)")
-        if prev_a is not None and a_k >= prev_a:
-            raise ValueError("stage steps must be strictly decreasing")
-        prev_a = a_k
-        burn = stage_burn_in(a_k, consts.m, consts.L ** 2, consts.M,
-                             consts.sigma2)
-        length = burn if n_k == "auto" else require_int(n_k, "stage length")
-        if length < 1:
-            raise ValueError("stage length must be >= 1")
-        resolved.append((a_k, length, burn))
-    return resolved
-
-
 def drop_stages(a0: float, n0: int, num_stages: int) -> list:
     """Default constant-and-drop policy: halve the step, double the length."""
     return [(a0 / 2 ** k, n0 * 2 ** k) for k in range(num_stages)]
 
 
-def run_multistage(problem: Problem, stages, momentum: MomentumSchedule, *,
-                   variant: Variant = SGM(), theta0="random-interior",
-                   replicates: int = 2, master_seed: int = 0,
-                   workers: int = 1, force_schedule: bool = False) -> list:
-    """Constant-and-drop driver: a chain of constant-step runs, one per stage,
-    each with re-initialized momentum and a suffix average over the whole
-    stage; stage k+1 continues from stage k's final iterates. Each stage's
-    schedule is validated as run_replicates validates a run's. Returns one
-    StageReport per stage."""
-    resolved = resolve_stages(problem, stages)
+def stage_configs(problem: Problem, stages, momentum: MomentumSchedule, *,
+                  variant: Variant = SGM(), theta0="random-interior",
+                  replicates: int = 2, master_seed: int = 0,
+                  workers: int = 1, force_schedule: bool = False) -> tuple:
+    """The checked configs of a constant-and-drop run: per stage (a_k, n_k),
+    a_k for n_k steps ('auto': the burn-in index from the start error L^2)
+    with a suffix average. A refused schedule names its stage."""
+    if not stages:
+        raise ValueError("need at least one stage")
     consts = problem.constants()
-    configs = tuple(
-        ExperimentConfig(problem=problem, variant=variant,
-                         step=ConstantStep(a_k), momentum=momentum,
-                         estimator="suffix", theta0=theta0, horizon=length,
-                         checkpoints=(length,), replicates=replicates,
-                         master_seed=master_seed, workers=workers,
-                         force_schedule=force_schedule)
-        for a_k, length, _burn in resolved)
-    reports = [_check_schedule(config, f"stage {k} schedule")
-               for k, config in enumerate(configs)]
-    mse_mean, mse_sem = _mse(configs, replicates, workers)
-    return [StageReport(step=a_k, length=length, burn_in=burn,
+    resolved = []
+    for a_k, n_k in stages:
+        a_k = require_float(a_k, "stage step")
+        if not 0 < a_k < 1.0 / consts.m:
+            raise ValueError(f"stage step {a_k} outside (0, 1/m)")
+        if resolved and a_k >= resolved[-1][0]:
+            raise ValueError("stage steps must be strictly decreasing")
+        burn = stage_burn_in(a_k, consts.m, consts.L ** 2, consts.M,
+                             consts.sigma2)
+        length = burn if n_k == "auto" else require_int(n_k, "stage length")
+        if length < 1:
+            raise ValueError("stage length must be >= 1")
+        resolved.append((a_k, length))
+    configs = []
+    for k, (a_k, length) in enumerate(resolved):
+        try:
+            configs.append(ExperimentConfig(
+                problem=problem, variant=variant, step=ConstantStep(a_k),
+                momentum=momentum, estimator="suffix", theta0=theta0,
+                horizon=length, checkpoints=(length,), replicates=replicates,
+                master_seed=master_seed, workers=workers,
+                force_schedule=force_schedule))
+        except ScheduleValidationError as err:
+            raise ScheduleValidationError(f"stage {k} {err}") from None
+    return tuple(configs)
+
+
+def run_multistage(configs: tuple) -> list:
+    """Run stage_configs' configs as one chain: stage k+1 continues from
+    stage k's final iterates with the momentum restarted."""
+    first = configs[0]
+    mse_mean, mse_sem = _mse(configs, first.replicates, first.workers)
+    consts = first.problem.constants()
+    return [StageReport(step=c.step.a, length=c.horizon,
+                        burn_in=stage_burn_in(c.step.a, consts.m,
+                                              consts.L ** 2, consts.M,
+                                              consts.sigma2),
                         suffix_mse_mean=float(mse_mean[k]),
                         suffix_mse_sem=float(mse_sem[k]),
-                        plateau=constant_step_plateau(a_k, consts.m, consts.M,
-                                                      consts.sigma2),
-                        schedule_report=reports[k])
-            for k, (a_k, length, burn) in enumerate(resolved)]
+                        plateau=constant_step_plateau(c.step.a, consts.m,
+                                                      consts.M, consts.sigma2))
+            for k, c in enumerate(configs)]

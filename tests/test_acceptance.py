@@ -21,7 +21,8 @@ from sgmlab.bounds import (RateEnvelope, constant_step_plateau,
 from sgmlab.cli import main as cli_main
 from sgmlab.geometry import Ball
 from sgmlab.harness import (ExperimentConfig, dominance_check, drop_stages,
-                            fit_rate, run_multistage, run_replicates)
+                            fit_rate, run_multistage, run_replicates,
+                            stage_configs)
 from sgmlab.optimizers import (QHM, SG, SGM, NormalizedSGM, StepParams, init,
                                map_qhm_to_nsgm, reference_step)
 from sgmlab.problems import (BoundedRademacher, Gaussian, Quadratic,
@@ -163,10 +164,10 @@ def test_criterion_6_momentum_stage_plateau():
 
 def test_criterion_7_constant_and_drop():
     p = _problem()
-    reports = run_multistage(
+    reports = run_multistage(stage_configs(
         p, drop_stages(0.1, 500, 4), PolynomialMomentum(c=0.9, beta=0.5),
         variant=SGM(), theta0=THETA0, replicates=2000, master_seed=17,
-        workers=WORKERS)
+        workers=WORKERS))
     levels = [r.suffix_mse_mean for r in reports]
     decreasing = all(b < a for a, b in zip(levels, levels[1:]))
     under = all(r.suffix_mse_mean <= r.plateau + 3.0 * r.suffix_mse_sem

@@ -580,10 +580,10 @@ class TestOutputPathErrors:
 
 
 class TestRefusedConfigLeavesNoOutput:
-    """A refused config leaves no --out behind: the CLI's own checks run
-    before --out is made, and a directory made before a check inside the
-    harness refuses the config is removed again. An existing output or an
-    uncreatable --out still stops the command before the engine runs."""
+    """A refused config leaves no --out behind: every check of the config
+    alone runs before --out is made. A directory made before a run fails
+    is removed again. An existing output or an uncreatable --out still
+    stops the command before the engine runs."""
 
     @pytest.fixture
     def no_engine(self, monkeypatch):
@@ -676,7 +676,7 @@ class TestRefusedConfigLeavesNoOutput:
 
     @pytest.mark.parametrize("command", ["run", "multistage"])
     def test_only_the_directories_made_are_removed(self, tmp_path, command):
-        # The schedule is refused inside the harness, after --out is made.
+        # The schedule is refused before --out is made.
         momentum = {"polynomial": {"c": 5, "beta": 1}}
         cfg = (_base_run_config(momentum=momentum) if command == "run"
                else _multistage_config(momentum=momentum))
@@ -697,6 +697,71 @@ class TestRefusedConfigLeavesNoOutput:
         assert main(["run", "--config", _write(tmp_path, cfg), "--out",
                      str(out), "--force-schedule"]) == 3
         assert not out.exists()
+
+    def test_numeric_failure_removes_only_the_directories_made(
+            self, tmp_path, capsys):
+        cfg = _base_run_config(noise={"gaussian": {"sigma2": 1e300}},
+                               step={"constant": {"a": 1e300}})
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main(["run", "--config", _write(tmp_path, cfg), "--out",
+                     str(kept / "a" / "b"), "--force-schedule"]) == 3
+        # a forced run that fails prints only its error line
+        assert _stderr_line(capsys) == (
+            "numeric failure: non-finite value in replicate 0 at step 0")
+        assert kept.is_dir() and list(kept.iterdir()) == []
+
+    @pytest.mark.parametrize("changes, line", [
+        ({"fit_window": [1, 3]}, "need >= 4 checkpoints in window, got 3"),
+        ({"fit_window": [3, 1]}, "need >= 4 checkpoints in window, got 0"),
+        ({"checkpoints": [50], "envelope": {"case": "inv_n"}},
+         "need at least 2 checkpoints to calibrate"),
+    ], ids=["short_window", "reversed_window", "one_checkpoint_envelope"])
+    def test_too_few_checkpoints(self, tmp_path, capsys, no_engine, changes,
+                                 line):
+        out = tmp_path / "o"
+        assert main(["run", "--config", _write(tmp_path, _base_run_config(
+            **changes)), "--out", str(out)]) == 2
+        assert _stderr_line(capsys) == "error: " + line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "multistage"])
+    @pytest.mark.parametrize("theta0", [
+        [[1.0, 0.0], [0.5, 0.0]], [[1.0, 0.0]], 1.0, [3.0, 0.0], {"x": 1.0}],
+        ids=["matrix", "row", "scalar", "outside", "object"])
+    def test_bad_theta0(self, tmp_path, capsys, no_engine, command, theta0):
+        # A matrix used to fail inside the engine with numpy's broadcast
+        # error, a scalar with a dimension error, and a 1x2 row ran; an
+        # object crashed `multistage` with a TypeError.
+        cfg = (_base_run_config(theta0=theta0) if command == "run"
+               else _multistage_config(theta0=theta0))
+        out = tmp_path / "o"
+        assert main([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert _stderr_line(capsys) == (
+            f"error: theta0 must be a 2-vector in the domain, got {theta0!r}")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, calls", [("run", 1), ("multistage", 2),
+                                            ("validate", 1)])
+def test_schedule_validated_once_per_run_and_stage(tmp_path, monkeypatch,
+                                                   command, calls):
+    seen = []
+    validate = harness.validate
+
+    def counting(*args):
+        seen.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(harness, "validate", counting)
+    cfg = (_multistage_config() if command == "multistage"
+           else _base_run_config())
+    argv = [command, "--config", _write(tmp_path, cfg)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert len(seen) == calls
 
 
 def _cli(*argv):
@@ -729,6 +794,7 @@ def test_numeric_failure_exits_3_on_one_and_two_workers(tmp_path):
                noise={"gaussian": {"sigma2": 1e300}}, horizon=50,
                replicates=4)
     cfg.pop("checkpoints", None)
+    cfg.pop("fit_window")   # no checkpoint of 50 steps lies in it
     for stderr in _failing_run_stderr(tmp_path, cfg):
         assert "Traceback" not in stderr
         assert stderr.strip().splitlines()[-1] == (
@@ -817,6 +883,20 @@ def test_bad_envelope_or_fit_window_exits_2(tmp_path, capsys, changes):
     cfg = _write(tmp_path, _base_run_config(**changes))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert _stderr_line(capsys).startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("constant", True), ("constant", "2"), ("beta", True), ("beta", "0.5")])
+def test_envelope_numbers_take_only_numbers(tmp_path, capsys, key, value):
+    # `constant: true` used to run as 1.0, and `constant: "2"` to fail with
+    # a comparison of str and int.
+    envelope = {"case": "inv_n_beta", "beta": 0.5, key: value}
+    cfg = _write(tmp_path, _base_run_config(envelope=envelope))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert _stderr_line(capsys) == (
+        f"error: envelope.{key}: expected a number, got {value!r}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

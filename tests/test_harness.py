@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from sgmlab.bounds import BoundSequence, RateEnvelope, constant_step_plateau
 from sgmlab.geometry import Ball, Box
 from sgmlab.harness import (ExperimentConfig, RunSummary, default_checkpoints,
                             dominance_check, drop_stages, fit_rate,
-                            resolve_stages, run_multistage, run_replicates)
+                            run_multistage, run_replicates, stage_configs)
 from sgmlab.estimators import make_estimator
 from sgmlab.optimizers import (QHM, SG, SGM, NormalizedSGM,
                                NumericFailureError, StepParams, init,
@@ -59,6 +60,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(theta0="origin")
 
+    @pytest.mark.parametrize("theta0", [
+        [[1.0, 0.0], [0.5, 0.0]], [[1.0, 0.0]], 1.0, [1.0, 0.0, 0.0],
+        [3.0, 0.0], [np.nan, 0.0], {"x": 1.0}, ["a", 0.0]])
+    def test_theta0_must_be_a_point_of_the_domain(self, theta0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"theta0 must be a 2-vector in the domain, got {theta0!r}")):
+            _config(theta0=theta0)
+
+    def test_theta0_on_the_boundary_accepted(self):
+        # the domain is closed: the tolerance is 0
+        assert _config(theta0=[2.0, 0.0]).theta0.tolist() == [2.0, 0.0]
+
     def test_suffix_default_grid_starts_at_suffix_start(self):
         cfg = _config(estimator="suffix", suffix_start=50)
         assert cfg.checkpoints[0] >= 50 and cfg.checkpoints[-1] == 200
@@ -77,8 +90,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             _config(workers=workers)
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            run_multistage(_quadratic(), drop_stages(0.2, 5, 2),
-                           ZeroMomentum(), replicates=4, workers=workers)
+            stage_configs(_quadratic(), drop_stages(0.2, 5, 2),
+                          ZeroMomentum(), replicates=4, workers=workers)
 
     @pytest.mark.parametrize("changes, name", [
         ({"checkpoints": (1.5, 50.9)}, "checkpoints"),
@@ -102,8 +115,8 @@ class TestConfigValidation:
             _config(master_seed=seed)
         with pytest.raises(ValueError,
                            match=f"^master_seed must be >= 0, got {seed}$"):
-            run_multistage(_quadratic(), drop_stages(0.2, 5, 2),
-                           ZeroMomentum(), replicates=4, master_seed=seed)
+            stage_configs(_quadratic(), drop_stages(0.2, 5, 2),
+                          ZeroMomentum(), replicates=4, master_seed=seed)
 
     def test_numpy_integers_are_integers(self):
         cfg = _config(horizon=np.int64(200), replicates=np.int32(4),
@@ -120,8 +133,8 @@ class TestConfigValidation:
     def test_multistage_integer_fields_not_truncated(self, stages, changes,
                                                      name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            run_multistage(_quadratic(), stages, ZeroMomentum(),
-                           **{"replicates": 4, **changes})
+            stage_configs(_quadratic(), stages, ZeroMomentum(),
+                          **{"replicates": 4, **changes})
 
 
 def _erm_minibatch():
@@ -188,9 +201,9 @@ class TestRunReplicates:
             np.testing.assert_array_equal(results[0].mse_sem, other.mse_sem)
 
     def test_invalid_schedule_gated(self):
-        cfg = _config(step=ConstantStep(2.0))   # t*m = 2 > 1
-        with pytest.raises(ValueError, match="validation"):
-            run_replicates(cfg)
+        with pytest.raises(harness.ScheduleValidationError,
+                           match="^schedule validation failed:\nviolation"):
+            _config(step=ConstantStep(2.0))   # t*m = 2 > 1
         forced = _config(step=ConstantStep(0.9), momentum=ConstantMomentum(0.9),
                          variant=SGM(), horizon=20, force_schedule=True)
         run_replicates(forced)   # no raise
@@ -198,8 +211,8 @@ class TestRunReplicates:
     def test_forced_run_carries_schedule_report(self):
         forced = _config(step=ConstantStep(2.0), horizon=20,
                          force_schedule=True)
-        assert not run_replicates(forced).schedule_report.ok
-        assert run_replicates(_config(horizon=20)).schedule_report.ok
+        assert not forced.schedule_report.ok
+        assert _config(horizon=20).schedule_report.ok
 
     def test_momentum_run_stays_feasible(self):
         cfg = _config(variant=SGM(), momentum=ConstantMomentum(0.3),
@@ -213,9 +226,7 @@ def _synthetic_summary(cps, mse, sem=None):
     cps = tuple(int(c) for c in cps)
     mse = np.asarray(mse, dtype=float)
     sem = np.zeros_like(mse) if sem is None else np.asarray(sem, dtype=float)
-    return RunSummary(checkpoints=cps, mse_mean=mse, mse_sem=sem,
-                      estimator="last", replicates=2, master_seed=0,
-                      config_hash="x", wall_time=0.0)
+    return RunSummary(checkpoints=cps, mse_mean=mse, mse_sem=sem)
 
 
 class TestFitRate:
@@ -320,40 +331,47 @@ class TestMultistage:
     def test_resolve_stages_refuses_non_numeric_steps(self, step):
         with pytest.raises(ValueError, match=(
                 rf"^stage step must be a number, got {step!r}$")):
-            resolve_stages(_quadratic(), [(step, 10)])
+            stage_configs(_quadratic(), [(step, 10)], ZeroMomentum())
 
     def test_resolve_stages_checks_monotonicity(self):
         p = _quadratic()
         with pytest.raises(ValueError, match="decreasing"):
-            resolve_stages(p, [(0.1, 10), (0.1, 10)])
+            stage_configs(p, [(0.1, 10), (0.1, 10)], ZeroMomentum())
         with pytest.raises(ValueError, match="outside"):
-            resolve_stages(p, [(1.5, 10)])
+            stage_configs(p, [(1.5, 10)], ZeroMomentum())
         with pytest.raises(ValueError, match="need at least one stage"):
-            resolve_stages(p, [])
+            stage_configs(p, [], ZeroMomentum())
 
     def test_stage_schedules_are_validated(self):
-        # eta_j = 5/(j+1) >= 1 for j < 5: run_replicates rejects it, and so
+        # eta_j = 5/(j+1) >= 1 for j < 5: a run's config rejects it, and so
         # must each stage unless forced
         momentum = PolynomialMomentum(c=5.0, beta=1.0)
         stages = [(0.2, 10), (0.1, 10)]
         with pytest.raises(ValueError,
-                           match="stage 0 schedule validation failed"):
-            run_multistage(_quadratic(), stages, momentum, replicates=4)
-        reports = run_multistage(_quadratic(), stages, momentum,
-                                 replicates=4, force_schedule=True)
-        assert [r.schedule_report.ok for r in reports] == [False, False]
+                           match="^stage 0 schedule validation failed:\n"):
+            stage_configs(_quadratic(), stages, momentum, replicates=4)
+        configs = stage_configs(_quadratic(), stages, momentum,
+                                replicates=4, force_schedule=True)
+        assert [c.schedule_report.ok for c in configs] == [False, False]
+        # every stage is resolved before any schedule is validated
+        with pytest.raises(ValueError, match="^stage length must be >= 1$"):
+            stage_configs(_quadratic(), [(0.2, 10), (0.1, 0)], momentum,
+                          replicates=4)
 
     def test_resolve_auto_uses_burn_in(self):
         p = _quadratic()
-        (a, length, burn), = resolve_stages(p, [(0.1, "auto")])
-        assert a == 0.1 and length == burn >= 1
+        config, = stage_configs(p, [(0.1, "auto")], ZeroMomentum())
+        report, = run_multistage((config,))
+        assert config.step.a == 0.1
+        assert config.horizon == report.burn_in >= 1
+        assert config.checkpoints == (report.burn_in,)
 
     def test_suffix_error_below_plateau(self):
         p = _quadratic()
         stages = drop_stages(0.1, 400, 2)
-        reports = run_multistage(p, stages, ZeroMomentum(), variant=SG(),
-                                 theta0=[1.0, 0.0], replicates=64,
-                                 master_seed=7, workers=2)
+        reports = run_multistage(stage_configs(
+            p, stages, ZeroMomentum(), variant=SG(), theta0=[1.0, 0.0],
+            replicates=64, master_seed=7, workers=2))
         assert len(reports) == 2
         c = p.constants()
         for rep, (a_k, _n) in zip(reports, stages):
@@ -366,10 +384,12 @@ class TestMultistage:
     def test_multistage_worker_invariance(self):
         p = _quadratic()
         stages = drop_stages(0.2, 50, 2)
-        a = run_multistage(p, stages, ZeroMomentum(), theta0=[1.0, 0.0],
-                           replicates=6, master_seed=3, workers=1)
-        b = run_multistage(p, stages, ZeroMomentum(), theta0=[1.0, 0.0],
-                           replicates=6, master_seed=3, workers=3)
+        a = run_multistage(stage_configs(p, stages, ZeroMomentum(),
+                                         theta0=[1.0, 0.0], replicates=6,
+                                         master_seed=3, workers=1))
+        b = run_multistage(stage_configs(p, stages, ZeroMomentum(),
+                                         theta0=[1.0, 0.0], replicates=6,
+                                         master_seed=3, workers=3))
         for ra, rb in zip(a, b):
             assert ra.suffix_mse_mean == rb.suffix_mse_mean
             assert ra.suffix_mse_sem == rb.suffix_mse_sem
@@ -384,7 +404,8 @@ class TestMultistage:
 
         monkeypatch.setattr(harness, "_run_block", recording)
         stages = drop_stages(0.2, 20, 2)
-        run_multistage(_quadratic(), stages, ZeroMomentum(), replicates=4)
+        run_multistage(stage_configs(_quadratic(), stages, ZeroMomentum(),
+                                     replicates=4))
         run_replicates(_config(horizon=20))
         multi, single = seen
         assert [(c.step.a, c.horizon, c.checkpoints) for c in multi] == [
@@ -420,9 +441,9 @@ class TestNoiseChunkInvariance:
         reports = []
         for chunk in self.CHUNKS:
             monkeypatch.setattr(harness, "NOISE_CHUNK", chunk)
-            reports.append(run_multistage(_quadratic(), stages,
-                                          ConstantMomentum(0.5), replicates=5,
-                                          master_seed=8))
+            reports.append(run_multistage(stage_configs(
+                _quadratic(), stages, ConstantMomentum(0.5), replicates=5,
+                master_seed=8)))
         assert all(report == reports[0] for report in reports[1:])
 
 
