@@ -163,6 +163,15 @@ def build_problem(cfg: dict) -> problems.Problem:
     return from_config("problem", cfg["problem"], domain=domain, noise=noise)
 
 
+def _variant(resolved: dict):
+    """The variant named by 'variant', QHM's v coming from 'qhm_v'."""
+    name, v = resolved["variant"], resolved.get("qhm_v")
+    if not isinstance(name, str):
+        raise ConfigError(f"variant: expected a name, got {name!r}")
+    return variant_from_name(name, None if v is None
+                             else _coerce(v, "float", "qhm_v"))
+
+
 def resolve_config(cfg: dict, args, required: set, defaults: dict) -> dict:
     """Fill defaults, then --seed/--workers, then -O overrides; the keys are
     the required ones, the defaulted ones and `workers`."""
@@ -200,7 +209,7 @@ def build_experiment(resolved: dict, force_schedule: bool = False) -> Experiment
     try:
         return ExperimentConfig(
             problem=problem,
-            variant=variant_from_name(resolved["variant"], resolved.get("qhm_v")),
+            variant=_variant(resolved),
             step=from_config("step", resolved["step"]),
             momentum=from_config("momentum", resolved["momentum"]),
             estimator=resolved["estimator"],
@@ -380,7 +389,7 @@ def cmd_multistage(args) -> int:
     configs = stage_configs(
         build_problem(resolved), _stages(resolved["stages"], "stages"),
         from_config("momentum", resolved["momentum"]),
-        variant=variant_from_name(resolved["variant"], resolved.get("qhm_v")),
+        variant=_variant(resolved),
         theta0=resolved["theta0"], force_schedule=args.force_schedule,
         **_integers(resolved, ("replicates", "master_seed", "workers")))
     with _outputs(args, "stages.csv", "config.resolved.json") as targets:

@@ -11,8 +11,8 @@ any value, and aggregation is always done in replicate-index order.
 from __future__ import annotations
 
 import hashlib
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -30,6 +30,20 @@ from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
 
 NOISE_CHUNK = 512
 NOISE_TILE = 64
+
+
+def __getattr__(name):
+    # The process pool is imported on first access, so a one-worker run never
+    # loads multiprocessing. A class set on the module in its place, such as
+    # a tracing subclass, is the one _mse enters.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _pool_class():
+    return sys.modules[__name__].ProcessPoolExecutor
 
 
 def default_checkpoints(horizon: int, estimator: str = "last",
@@ -126,6 +140,8 @@ class ExperimentConfig:
         if not report.ok and not self.force_schedule:
             raise ScheduleValidationError(f"schedule validation failed:\n{report}")
         object.__setattr__(self, "schedule_report", report)
+        if self.workers > 1:
+            _pool_class()   # the import belongs to setup, not the engine
 
 
 def _check_increasing(checkpoints):
@@ -399,7 +415,7 @@ def _mse(stages: tuple, replicates: int, workers: int) -> tuple:
     if len(ranges) == 1:
         blocks = [_run_block(stages, *ranges[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        with _pool_class()(max_workers=len(ranges)) as pool:
             futures = [pool.submit(_run_block, stages, lo, hi)
                        for lo, hi in ranges]
             blocks = [f.result() for f in futures]

@@ -596,7 +596,14 @@ class TestRefusedConfigLeavesNoOutput:
         ({"master_seed": -1}, {}, "error: master_seed must be >= 0, got -1"),
         ({}, {"SGMLAB_WORKERS": "0"}, "error: workers must be >= 1, got 0"),
         ({"momentum": {"polynomial": {"c": 5, "beta": 1}}}, {}, None),
-    ], ids=["negative_seed", "zero_workers", "schedule"])
+        ({"variant": ["sg"]}, {},
+         "error: variant: expected a name, got ['sg']"),
+        ({"variant": "qhm", "qhm_v": "x"}, {},
+         "error: qhm_v: expected a number, got 'x'"),
+        ({"variant": "qhm", "qhm_v": True}, {},
+         "error: qhm_v: expected a number, got True"),
+    ], ids=["negative_seed", "zero_workers", "schedule", "variant_list",
+            "qhm_v_string", "qhm_v_bool"])
     def test_refused_config(self, tmp_path, capsys, monkeypatch, no_engine,
                             command, changes, env, line):
         for key, value in env.items():

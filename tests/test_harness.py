@@ -1,5 +1,10 @@
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +416,84 @@ class TestMultistage:
         assert [(c.step.a, c.horizon, c.checkpoints) for c in multi] == [
             (a, n, (n,)) for a, n in stages]
         assert len(single) == 1
+
+
+_POOL_PROBE = """
+import json, sys
+from sgmlab.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("concurrent", "multiprocessing"))))
+"""
+
+
+def _pool_modules_after(*commands) -> list:
+    """The concurrent and multiprocessing modules loaded once the sgmlab
+    `commands` (argument lists) have run in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("SGMLAB_WORKERS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_RUN_CONFIG = {"problem": {"quadratic": {"hessian_diag": [1.0, 1.0],
+                                         "theta_star": [0.0, 0.0]}},
+               "domain": {"ball": {"center": [0.0, 0.0], "radius": 2.0}},
+               "noise": {"gaussian": {"sigma2": 1.0}},
+               "variant": "sg",
+               "step": {"polynomial": {"gamma": 1.0, "alpha": 1.0}},
+               "momentum": {"zero": {}},
+               "horizon": 20, "replicates": 4}
+
+
+class TestPoolImport:
+    """The process pool, and multiprocessing with it, is imported only for a
+    config with more than one worker, and then while the config is built."""
+
+    def test_one_worker_commands_leave_the_pool_unloaded(self, tmp_path):
+        stages = {k: v for k, v in _RUN_CONFIG.items()
+                  if k not in ("variant", "step", "horizon")}
+        stages["stages"] = [{"a": 0.2, "n": 20}, {"a": 0.1, "n": 20}]
+        commands = []
+        for name, cfg in (("run", _RUN_CONFIG), ("multistage", stages)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            commands.append([name, "--config", str(path),
+                             "--out", str(tmp_path / name)])
+        assert _pool_modules_after(*commands) == []
+        assert (tmp_path / "run" / "summary.csv").exists()
+        assert (tmp_path / "multistage" / "stages.csv").exists()
+
+    def test_two_worker_config_loads_the_pool(self, tmp_path):
+        loaded = {}
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.json"
+            path.write_text(json.dumps({**_RUN_CONFIG, "workers": workers}))
+            loaded[workers] = _pool_modules_after(
+                ["validate", "--config", str(path)])
+        assert loaded[1] == []
+        assert {"concurrent.futures.process", "multiprocessing"} <= set(
+            loaded[2])
+
+    def test_mse_enters_the_module_attribute(self, monkeypatch):
+        entered = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __enter__(self):
+                entered.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        run_replicates(_config(horizon=20, workers=2))
+        run_multistage(stage_configs(_quadratic(), drop_stages(0.2, 20, 2),
+                                     ZeroMomentum(), replicates=4, workers=2))
+        run_replicates(_config(horizon=20))
+        assert len(entered) == 2
 
 
 class TestNoiseChunkInvariance:

@@ -4,8 +4,9 @@ directory) still runs and still attributes time to the engine.
 The tracer patches sgmlab functions by name, so a refactor that renames or
 bypasses one of them would silently empty the per-layer figures; this runs
 one tiny two-worker `sgmlab run` the way the benchmark does and checks that
-the pool workers recorded engine, update-kernel, noise, gradient and
-projection spans, and one update and one projection per step.
+the main process recorded the pool's span, that the pool workers recorded
+engine, update-kernel, noise, gradient and projection spans, and one update
+and one projection per step.
 """
 
 import json
@@ -39,7 +40,11 @@ def test_traced_pool_run_records_engine_spans(tmp_path):
          "--workers", "2"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(stats.read_text())["exit_code"] == 0
+    main = json.loads(stats.read_text())
+    assert main["exit_code"] == 0
+    # the pool the engine entered is the tracer's: without its span the
+    # benchmark's pool start-up figure reads 0
+    assert "harness.pool" in {span[0] for span in main["trace"]["spans"]}
     workers = [json.loads(p.read_text())
                for p in trace_dir.glob("worker-*.json")]
     assert len(workers) == 2
