@@ -109,14 +109,14 @@ def sg_recursion_bound(E0: float, step: StepSchedule, m: float, M: float,
 
 
 def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedule,
-                        m: float, M: float, sigma2: float, L: float, N: int,
-                        cap: bool = True) -> BoundSequence:
+                        m: float, M: float, sigma2: float, L: float,
+                        N: int) -> BoundSequence:
     """SG recursion plus the worst-case momentum terms.
 
     Cross terms are bounded via Cauchy-Schwarz on the compact domain:
     2 eta_j E{(theta_j - theta* - t_j s_j)^T (theta_j - theta_{j-1})}
       <= 2 eta_j (L + t_j sqrt(M)) L, and eta_j^2 E||theta_j - theta_{j-1}||^2
-      <= eta_j^2 L^2. With cap=True every value is clipped at L^2, which
+      <= eta_j^2 L^2. Every value, E0 included, is clipped at L^2, which
     always holds on a domain of diameter L.
     """
     if E0 < 0:
@@ -132,15 +132,14 @@ def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedul
     noise = float(M + sigma2)
     L2 = L * L
     values = np.empty(N + 1)
-    values[0] = e = float(min(E0, L2) if cap else E0)
+    values[0] = e = float(min(E0, L2))
     for lo in range(0, N, FLOAT_CHUNK):
         chunk = []
         for t_j, eta_j in zip(t[lo:lo + FLOAT_CHUNK].tolist(),
                               eta[lo:lo + FLOAT_CHUNK].tolist()):
             e = ((1.0 - t_j * m) * e + t_j * t_j * noise
                  + 2.0 * eta_j * (L + t_j * sqrt_M) * L + eta_j * eta_j * L2)
-            if cap:
-                e = min(e, L2)
+            e = min(e, L2)
             chunk.append(e)
         values[lo + 1:lo + 1 + len(chunk)] = chunk
     return BoundSequence(values=values)

@@ -168,8 +168,13 @@ def _variant(resolved: dict):
     name, v = resolved["variant"], resolved.get("qhm_v")
     if not isinstance(name, str):
         raise ConfigError(f"variant: expected a name, got {name!r}")
-    return variant_from_name(name, None if v is None
-                             else _coerce(v, "float", "qhm_v"))
+    v = None if v is None else _coerce(v, "float", "qhm_v")
+    try:
+        return variant_from_name(name, v)
+    except ValueError as exc:
+        if name != "qhm":   # the name, not v, was refused
+            raise
+        raise ConfigError(f"qhm_v: {exc}") from None
 
 
 def resolve_config(cfg: dict, args, required: set, defaults: dict) -> dict:
@@ -292,9 +297,9 @@ def _outputs(args, *names):
     ones. --out is made at once, so a place it cannot be made stops the
     command before the engine runs. Every check of the config alone runs
     before this, but a run can still stop inside the block: on a numeric
-    failure, a fit over non-finite or non-positive MSE, a forced staged
-    schedule shorter than the horizon, or a failed write. The directories
-    made here are then removed again, as far as they are still empty."""
+    failure, a fit over non-finite or non-positive MSE, or a failed write.
+    The directories made here are then removed again, as far as they are
+    still empty."""
     out_dir = Path(args.out)
     try:
         made = list(itertools.takewhile(lambda d: not d.exists(),
@@ -337,6 +342,7 @@ def cmd_run(args) -> int:
                               RUN_DEFAULTS)
     config = build_experiment(resolved, force_schedule=args.force_schedule)
     bound = _build_bound(resolved, config)
+    config.step.step_size(config.horizon - 1)   # refuses a short forced staged step
     # The checkpoint counts the bound and the fit need, before --out exists.
     if isinstance(bound, bounds_mod.RateEnvelope) and bound.constant is None:
         calibration_half(config.checkpoints)
@@ -514,17 +520,10 @@ def gen_config(template: str) -> dict:
                 "momentum": {"polynomial": {"c": 0.9, "beta": 0.5}},
                 "estimator": "suffix", "horizon": 5000}
     if template == "corollary1":
-        return {
-            "problem": base_problem["problem"],
-            "domain": base_problem["domain"],
-            "noise": base_problem["noise"],
-            "theta0": base_problem["theta0"],
-            "replicates": 2000,
-            "master_seed": base_problem["master_seed"],
-            "momentum": {"polynomial": {"c": 0.9, "beta": 0.5}},
-            "stages": [{"a": 0.1, "n": 500}, {"a": 0.05, "n": 1000},
-                       {"a": 0.025, "n": 2000}, {"a": 0.0125, "n": 4000}],
-        }
+        return {**base_problem,
+                "momentum": {"polynomial": {"c": 0.9, "beta": 0.5}},
+                "stages": [{"a": 0.1, "n": 500}, {"a": 0.05, "n": 1000},
+                           {"a": 0.025, "n": 2000}, {"a": 0.0125, "n": 4000}]}
     raise ConfigError(f"unknown template {template!r}; "
                       f"available: {', '.join(TEMPLATES)}")
 

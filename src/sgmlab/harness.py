@@ -115,7 +115,7 @@ class ExperimentConfig:
                                       self.suffix_start)
         cps = tuple(require_int(c, "checkpoints") for c in cps)
         if not cps:
-            raise ValueError("checkpoints must be strictly increasing")
+            raise ValueError("checkpoints must not be empty")
         _check_increasing(cps)
         if cps[0] < 1 or cps[-1] > self.horizon:
             raise ValueError("checkpoints must lie in [1, horizon]")
@@ -277,10 +277,6 @@ def _replicate_rngs(master_seed: int, lo: int, hi: int) -> list:
             for r, state in zip(range(lo, hi), states)]
 
 
-def _replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
-    return _replicate_rngs(master_seed, replicate, replicate + 1)[0]
-
-
 def _noise_chunks(problem: Problem, rngs, n_steps: int):
     """The noise of n_steps steps, one chunk of at most NOISE_CHUNK steps at
     a time, step-major: chunk[i] is step i's (block, d) noise, or its
@@ -294,8 +290,7 @@ def _noise_chunks(problem: Problem, rngs, n_steps: int):
     writes each step's tile rows contiguously. The draws are standard
     variates, which the problem's noise finisher turns into noise over the
     whole chunk at once."""
-    draw, width, dtype, _ = prob_mod.noise_kind(problem)
-    finish = prob_mod.noise_finish(problem)
+    draw, width, dtype, finish, _ = prob_mod.noise_kind(problem)
     size = min(NOISE_CHUNK, n_steps)
     by_step = np.empty((size, len(rngs), width), dtype)
     tile = np.empty((min(NOISE_TILE, len(rngs)), size, width), dtype)
@@ -328,7 +323,7 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
     replayed through the reference kernel, which raises at the exact step
     and replicate. If the replay finds no failure, the run goes on."""
     problem, variant = config.problem, config.variant
-    gradient = prob_mod.noise_kind(problem)[3]
+    gradient = prob_mod.noise_kind(problem)[4]
     theta_star = problem.theta_star
     domain = problem.domain
     batch = opt_mod.Batch(opt_mod.init(theta0, variant, domain), variant,

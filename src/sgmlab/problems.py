@@ -43,11 +43,9 @@ class _AdditiveNoise:
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
 
-    def sample(self, rng: np.random.Generator, n_draws: int, dim: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty((n_draws, dim))
-        return self.finish(self.fill(rng, out))
+    def sample(self, rng: np.random.Generator, n_draws: int,
+               dim: int) -> np.ndarray:
+        return self.finish(self.fill(rng, np.empty((n_draws, dim))))
 
 
 @dataclass(frozen=True)
@@ -393,26 +391,14 @@ def noise_sample(problem: Problem, rng: np.random.Generator, n_draws: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Draw the standard variates of `n_draws` additive-noise vectors,
     shape (n_draws, d), into `out` when given (floats of that shape) and
-    return them; noise_finish(problem) turns them into the noise.
+    return them; the noise model's `finish` turns them into the noise.
 
     Drawing a block of k vectors consumes the stream exactly like k
     single-draw calls, so replicate blocks can be generated chunk-wise.
     """
-    if isinstance(problem.noise, Minibatch):
-        raise ValueError("mini-batch problems have no additive noise; "
-                         "use minibatch_indices")
     if out is None:
         out = np.empty((n_draws, problem.dimension))
     return problem.noise.fill(rng, out)
-
-
-def noise_finish(problem: Problem):
-    """The in-place finisher of noise_sample's variates, elementwise, so one
-    call may cover any stack of draws of width d; None for mini-batches,
-    whose drawn indices are final."""
-    if isinstance(problem.noise, Minibatch):
-        return None
-    return problem.noise.finish
 
 
 def index_dtype(n_rows: int) -> np.dtype:
@@ -441,22 +427,23 @@ def minibatch_indices(problem: ErmLeastSquares, rng: np.random.Generator,
 
 def noise_kind(problem: Problem) -> tuple:
     """How the engine draws and applies the problem's noise, decided once:
-    (draw, width, dtype, gradient). draw(problem, rng, k, out=None) returns
-    one replicate's k steps of draws, shape (k, width): the standard
-    variates of additive noise, which noise_finish(problem) turns into the
-    noise, or final mini-batch sample indices. A given `out` of that shape
-    and dtype is filled and returned.
+    (draw, width, dtype, finish, gradient). draw(problem, rng, k, out=None)
+    returns one replicate's k steps of draws, shape (k, width), filling a
+    given `out` of that shape and dtype: the standard variates of additive
+    noise, which finish turns into noise in place over any stack of them,
+    or final mini-batch sample indices, whose finish is None.
     gradient(theta, noise) is the stochastic gradient at a (block, d) batch
     of iterates given one step's (block, width) noise."""
     if isinstance(problem.noise, Minibatch):
         return (minibatch_indices, problem.noise.batch_size,
-                index_dtype(problem.design.shape[0]),
+                index_dtype(problem.design.shape[0]), None,
                 problem.per_sample_gradient)
 
     def gradient(theta, noise):
         return subgradient_batch(problem, theta) + noise
 
-    return noise_sample, problem.dimension, float, gradient
+    return (noise_sample, problem.dimension, float, problem.noise.finish,
+            gradient)
 
 
 def load_erm_csv(path, domain: Domain, noise: NoiseModel | Minibatch) -> ErmLeastSquares:

@@ -85,23 +85,27 @@ class TestSgmRecursion:
         # E0=1, t=0.1, m=1, M=1, sigma2=1, L=2, eta=0.5:
         # 0.9*1 + 0.01*2 + 2*0.5*(2 + 0.1*1)*2 + 0.25*4 = 6.12, capped at 4
         kwargs = dict(E0=1.0, step=ConstantStep(0.1),
-                      momentum=ConstantMomentum(0.5),
-                      m=1.0, M=1.0, sigma2=1.0, L=2.0, N=1)
-        raw = sgm_recursion_bound(cap=False, **kwargs)
-        assert raw.values[1] == pytest.approx(6.12)
-        capped = sgm_recursion_bound(cap=True, **kwargs)
+                      m=1.0, M=1.0, sigma2=1.0, N=1)
+        capped = sgm_recursion_bound(momentum=ConstantMomentum(0.5), L=2.0,
+                                     **kwargs)
         assert capped.values[1] == pytest.approx(4.0)
+        # eta=0.01, L=3: 0.92 + 2*0.01*(3 + 0.1)*3 + 0.0001*9 = 1.1069 < 9
+        below = sgm_recursion_bound(momentum=ConstantMomentum(0.01), L=3.0,
+                                    **kwargs)
+        assert below.values[1] == pytest.approx(1.1069)
 
     def test_zero_momentum_collapses_to_sg(self):
-        step = PolynomialStep(gamma=0.5, alpha=1.0)
-        a = sg_recursion_bound(1.0, step, 1.0, 1.0, 1.0, 200)
-        b = sgm_recursion_bound(1.0, step, ZeroMomentum(), 1.0, 1.0, 1.0,
-                                L=100.0, N=200, cap=False)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
+        # The momentum terms add +0.0 and the cap at L^2 = 10^4 never acts.
+        for step in TestRecursionsMatchNumpyScalarLoop.STEPS:
+            for N in (0, 1, 200, 12_500):
+                a = sg_recursion_bound(1.0, step, 1.0, 1.0, 1.0, N)
+                b = sgm_recursion_bound(1.0, step, ZeroMomentum(), 1.0, 1.0,
+                                        1.0, L=100.0, N=N)
+                assert a.values.tobytes() == b.values.tobytes()
 
     def test_cap_never_exceeded(self):
         b = sgm_recursion_bound(4.0, ConstantStep(0.1), ConstantMomentum(0.9),
-                                1.0, 1.0, 1.0, L=2.0, N=100, cap=True)
+                                1.0, 1.0, 1.0, L=2.0, N=100)
         assert np.all(b.values <= 4.0 + 1e-12)
 
     def test_eta_ge_one_rejected(self):
@@ -128,20 +132,19 @@ def _numpy_scalar_sg(E0, step, m, M, sigma2, N):
     return values
 
 
-def _numpy_scalar_sgm(E0, step, momentum, m, M, sigma2, L, N, cap):
+def _numpy_scalar_sgm(E0, step, momentum, m, M, sigma2, L, N):
     t = np.asarray(step.step_size(np.arange(N)), dtype=float)
     eta = np.asarray(momentum.weight(np.arange(N), t), dtype=float)
     sqrt_M = np.sqrt(M)
     noise = M + sigma2
     L2 = L * L
     values = np.empty(N + 1)
-    e = min(E0, L2) if cap else E0
+    e = min(E0, L2)
     values[0] = e
     for j in range(N):
         e = ((1.0 - t[j] * m) * e + t[j] * t[j] * noise
              + 2.0 * eta[j] * (L + t[j] * sqrt_M) * L + eta[j] * eta[j] * L2)
-        if cap:
-            e = min(e, L2)
+        e = min(e, L2)
         values[j + 1] = e
     return values
 
@@ -164,17 +167,18 @@ class TestRecursionsMatchNumpyScalarLoop:
         assert got.tobytes() == _numpy_scalar_sg(*args).tobytes()
 
     @pytest.mark.parametrize("N", HORIZONS)
-    @pytest.mark.parametrize("cap", [True, False])
+    @pytest.mark.parametrize("e0_above_l2", [True, False])
     @pytest.mark.parametrize("momentum", [
         PolynomialMomentum(c=0.9, beta=1.0), ConstantMomentum(0.3),
         ZeroMomentum()], ids=["poly", "const", "zero"])
     @pytest.mark.parametrize("step", STEPS, ids=["alpha1", "alpha06", "const"])
-    def test_sgm(self, step, momentum, cap, N):
-        # E0 above L^2, so the cap acts on the first value as well.
-        args = (5.1, step, momentum, 1.0, np.float64(2.3), 0.9,
-                np.float64(2.0), N)
-        got = sgm_recursion_bound(*args, cap=cap).values
-        assert got.tobytes() == _numpy_scalar_sgm(*args, cap).tobytes()
+    def test_sgm(self, step, momentum, e0_above_l2, N):
+        # L^2 = 4: E0 = 5.1 is capped from the first value on, E0 = 0.37
+        # starts below the cap.
+        args = (5.1 if e0_above_l2 else 0.37, step, momentum, 1.0,
+                np.float64(2.3), 0.9, np.float64(2.0), N)
+        got = sgm_recursion_bound(*args).values
+        assert got.tobytes() == _numpy_scalar_sgm(*args).tobytes()
 
     def test_sgm_negative_M_named(self):
         with pytest.raises(ValueError, match="M = -1.0 must be nonnegative"):

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from sgmlab import harness
+from sgmlab.bounds import sg_recursion_bound
 from sgmlab.cli import TEMPLATES, gen_config, main
+from sgmlab.schedules import PolynomialStep
 
 
 def _base_run_config(**overrides):
@@ -127,6 +129,20 @@ class TestRun:
         verdicts = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert "calibration" in verdicts
         assert verdicts <= {"calibration", "ok", "violation"}
+
+    def test_recursion_bound_from_explicit_E0_with_random_theta0(self,
+                                                                 tmp_path):
+        cfg = _write(tmp_path, _base_run_config(
+            theta0="random-interior", checkpoints=[10, 50],
+            recursion_bound={"kind": "sg", "E0": 2.5}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        # t_j = 1/(j+1); m = 1, M = 4 on the radius-2 ball, sigma2 = 1.
+        bound = sg_recursion_bound(2.5, PolynomialStep(1.0, 1.0), 1.0, 4.0,
+                                   1.0, 50).values
+        assert [line.split(",")[3] for line in lines[1:]] == [
+            repr(float(bound[10])), repr(float(bound[50]))]
 
 
 class TestMultistage:
@@ -469,14 +485,22 @@ class TestWrongTypedValues:
     @pytest.mark.parametrize("changes", [
         {}, {"recursion_bound": {"kind": "sg"}}])
     def test_forced_run_past_a_staged_schedule(self, tmp_path, capsys,
-                                               changes):
+                                               monkeypatch, changes):
+        # Refused before --out is made and before the engine, or its pool,
+        # starts.
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+        monkeypatch.setattr(harness, "_mse", engine)
         cfg = _write(tmp_path, _base_run_config(
             step={"staged": {"stages": [{"a": 0.1, "n": 5}]}}, horizon=20,
             **changes))
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--force-schedule"]) == 2
-        assert (_stderr_line(capsys)
-                == "error: index beyond final stage (total length 5)")
+        out = tmp_path / "o"
+        for workers in ("1", "2"):
+            assert main(["run", "--config", cfg, "--out", str(out),
+                         "--force-schedule", "--workers", workers]) == 2
+            assert (_stderr_line(capsys)
+                    == "error: index beyond final stage (total length 5)")
+            assert not out.exists()
 
     def test_multistage_stages_not_a_list(self, tmp_path, capsys):
         cfg = _base_run_config()
@@ -602,8 +626,20 @@ class TestRefusedConfigLeavesNoOutput:
          "error: qhm_v: expected a number, got 'x'"),
         ({"variant": "qhm", "qhm_v": True}, {},
          "error: qhm_v: expected a number, got True"),
+        ({"variant": "qhm", "qhm_v": 2}, {},
+         "error: qhm_v: QHM interpolation parameter v must lie in [0, 1]"),
+        ({"variant": "qhm"}, {},
+         "error: qhm_v: qhm variant requires the interpolation parameter v"),
+        ({"momentum": {"constant": {"eta": 1.5}}}, {},
+         "error: eta must lie in [0, 1)"),
+        ({"noise": {"gaussian": {"sigma2": -1}}}, {},
+         "error: sigma2 must be nonnegative"),
+        ({"problem": {"quadratic": {"hessian_diag": [1.0, 1.0],
+                                    "theta_star": [0.0, 0.0, 0.0]}}}, {},
+         "error: hessian_diag and theta_star shapes differ"),
     ], ids=["negative_seed", "zero_workers", "schedule", "variant_list",
-            "qhm_v_string", "qhm_v_bool"])
+            "qhm_v_string", "qhm_v_bool", "qhm_v_range", "qhm_v_missing",
+            "eta_above_one", "negative_sigma2", "mismatched_problem"])
     def test_refused_config(self, tmp_path, capsys, monkeypatch, no_engine,
                             command, changes, env, line):
         for key, value in env.items():
@@ -618,6 +654,29 @@ class TestRefusedConfigLeavesNoOutput:
             assert err == line + "\n"
         else:
             assert "schedule validation failed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("changes, line", [
+        ({"recursion_bound": {"kind": "sgm2"}},
+         "error: unknown recursion_bound kind 'sgm2' (expected one of sg, "
+         "sgm)"),
+        ({"recursion_bound": {"kind": "sg"}, "theta0": "random-interior"},
+         "error: recursion_bound with random theta0 needs explicit E0"),
+        ({"estimator": "median"}, "error: unknown estimator 'median'"),
+        ({"horizon": 0}, "error: horizon must be >= 1"),
+        ({"step": {"polynomial": {"gamma": -1, "alpha": 1.0}}},
+         "error: gamma must be positive"),
+        ({"checkpoints": []}, "error: checkpoints must not be empty"),
+    ], ids=["recursion_bound_kind", "recursion_bound_without_E0",
+            "estimator", "zero_horizon", "negative_gamma", "no_checkpoints"])
+    def test_refused_run_config(self, tmp_path, capsys, no_engine, changes,
+                                line):
+        # Keys only `run` takes.
+        out = tmp_path / "o"
+        assert main(["run", "--config",
+                     _write(tmp_path, _base_run_config(**changes)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line + "\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "multistage"])

@@ -548,8 +548,8 @@ class TestStepMajorNoise:
         else:
             def draw(problem, rng, n_draws):
                 return problem.noise.sample(rng, n_draws, problem.dimension)
-        rngs = [harness._replicate_rng(3, r) for r in range(reps)]
-        fresh = [harness._replicate_rng(3, r) for r in range(reps)]
+        rngs = harness._replicate_rngs(3, 0, reps)
+        fresh = harness._replicate_rngs(3, 0, reps)
         sizes = []
         for chunk in harness._noise_chunks(problem, rngs, n_steps):
             # Compared before the next chunk reuses the buffers. The short
@@ -566,7 +566,7 @@ class TestStepMajorNoise:
         # Each replicate draws straight into the reused step-major buffer,
         # so draining the chunks holds about one chunk, not two.
         problem, reps, n_steps = _quadratic(), 300, 2 * harness.NOISE_CHUNK
-        rngs = [harness._replicate_rng(0, r) for r in range(reps)]
+        rngs = harness._replicate_rngs(0, 0, reps)
         chunk_bytes = harness.NOISE_CHUNK * reps * problem.dimension * 8
         tracemalloc.start()
         try:
@@ -582,7 +582,7 @@ class TestStepMajorNoise:
         # holds one chunk of 2-byte indices, the tile and one int64 draw.
         # In int64 the step-major buffer alone is 4x a narrow chunk.
         problem, reps = _erm_with_rows(20_000, batch=8), 200
-        rngs = [harness._replicate_rng(0, r) for r in range(reps)]
+        rngs = harness._replicate_rngs(0, 0, reps)
         chunk_bytes = harness.NOISE_CHUNK * reps * 8 * 2
         tracemalloc.start()
         try:
@@ -598,7 +598,7 @@ class TestStepMajorNoise:
         # R=2000 replicates of d=2 over two chunks: the step-major buffer
         # and one tile, with no per-replicate temporaries.
         problem, reps = _quadratic(), 2000
-        rngs = [harness._replicate_rng(0, r) for r in range(reps)]
+        rngs = harness._replicate_rngs(0, 0, reps)
         tracemalloc.start()
         try:
             for _chunk in harness._noise_chunks(problem, rngs,
@@ -621,9 +621,10 @@ class TestIndexDtype:
         problem = _erm_with_rows(n_rows)
         assert prob_mod.noise_kind(problem)[2] == dtype
         drawn = prob_mod.minibatch_indices(
-            problem, harness._replicate_rng(1, 0), 600)
+            problem, harness._replicate_rngs(1, 0, 1)[0], 600)
         assert drawn.dtype == dtype
-        stream = harness._replicate_rng(1, 0).integers(0, n_rows, (600, 3))
+        stream = harness._replicate_rngs(1, 0, 1)[0].integers(
+            0, n_rows, (600, 3))
         assert np.array_equal(drawn, stream)
 
     @pytest.mark.parametrize("n_rows, dtype", [
@@ -645,7 +646,7 @@ class TestIndexDtype:
 
 def test_replicate_rng_is_default_rngs_stream():
     for seed, r in [(0, 0), (42, 5), (20240901, 1999)]:
-        ours = harness._replicate_rng(seed, r)
+        ours, = harness._replicate_rngs(seed, r, r + 1)
         theirs = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         assert (ours.standard_normal(7).tobytes()
@@ -684,7 +685,7 @@ class TestReplicateRngs:
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 5])
     def test_seed_words_are_seed_sequences(self, seed):
-        ours = harness._replicate_rng(seed, 11).bit_generator.seed_seq
+        ours = harness._replicate_rngs(seed, 11, 12)[0].bit_generator.seed_seq
         theirs = np.random.SeedSequence(entropy=seed, spawn_key=(11,))
         assert ours.entropy == seed
         for n in range(1, 5):
@@ -712,8 +713,7 @@ class TestNoiseCallPattern:
         monkeypatch.setattr(harness, "NOISE_TILE", 3)
         n_steps, reps = 18, 5            # chunks of 7, 7 and a short 4
         # and tiles of 3 replicates and a short 2
-        draw, width, dtype, gradient = prob_mod.noise_kind(problem)
-        finish = prob_mod.noise_finish(problem)
+        draw, width, dtype, finish, gradient = prob_mod.noise_kind(problem)
         draws, finishes = [], []
 
         def counted_draw(problem, rng, k, out=None):
@@ -725,9 +725,8 @@ class TestNoiseCallPattern:
             return finish(chunk)
 
         monkeypatch.setattr(prob_mod, "noise_kind", lambda problem: (
-            counted_draw, width, dtype, gradient))
-        monkeypatch.setattr(prob_mod, "noise_finish", lambda problem: (
-            None if finish is None else counted_finish))
+            counted_draw, width, dtype,
+            None if finish is None else counted_finish, gradient))
         rngs = harness._replicate_rngs(3, 0, reps)
         for chunk in harness._noise_chunks(problem, rngs, n_steps):
             assert len(finishes) == (0 if finish is None else len(draws) // reps)
@@ -743,7 +742,7 @@ def _reference_advance(config, theta0, rngs, rep_lo=0):
     step at a time: the final iterates and the squared estimator errors."""
     problem, variant = config.problem, config.variant
     domain = problem.domain
-    gradient = prob_mod.noise_kind(problem)[3]
+    gradient = prob_mod.noise_kind(problem)[4]
     t = config.step.step_size(np.arange(config.horizon))
     eta = config.momentum.weight(np.arange(config.horizon), t)
     state = init(theta0, variant, domain)
@@ -780,8 +779,7 @@ def _engine_and_reference(config, reps):
     theta0 = np.random.default_rng(5).uniform(-0.2, 0.2, (reps, 2))
     results = []
     for advance in (harness._advance_block, _reference_advance):
-        rngs = [harness._replicate_rng(config.master_seed, r)
-                for r in range(reps)]
+        rngs = harness._replicate_rngs(config.master_seed, 0, reps)
         with np.errstate(over="ignore", invalid="ignore"):
             results.append(advance(config, theta0, rngs, 0))
     return results
@@ -833,7 +831,7 @@ def _inject_non_finite(monkeypatch, replicate, step):
     """Make replicate's noise, and so its gradient, infinite at step, by
     wrapping the noise draw. Pool workers are forked and inherit the
     patch."""
-    draw, width, dtype, gradient = prob_mod.noise_kind(_quadratic())
+    draw, width, dtype, finish, gradient = prob_mod.noise_kind(_quadratic())
     drawn = {}
 
     def bad_draw(problem, rng, k, out=None):
@@ -846,7 +844,8 @@ def _inject_non_finite(monkeypatch, replicate, step):
         return out
 
     monkeypatch.setattr(prob_mod, "noise_kind",
-                        lambda problem: (bad_draw, width, dtype, gradient))
+                        lambda problem: (bad_draw, width, dtype, finish,
+                                         gradient))
 
 
 class TestChunkFailure:
@@ -876,8 +875,7 @@ class TestChunkFailure:
         with pytest.raises(NumericFailureError) as engine:
             run_replicates(config)
         _inject_non_finite(monkeypatch, 3, step)
-        rngs = [harness._replicate_rng(config.master_seed, r)
-                for r in range(4)]
+        rngs = harness._replicate_rngs(config.master_seed, 0, 4)
         with pytest.raises(NumericFailureError) as reference:
             with np.errstate(over="ignore", invalid="ignore"):
                 _reference_advance(config, np.tile(config.theta0, (4, 1)),

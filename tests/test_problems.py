@@ -15,7 +15,7 @@ from sgmlab.geometry import Ball, Box
 from sgmlab.problems import (BoundedRademacher, DegenerateProblemError,
                              ErmLeastSquares, Gaussian, Minibatch, QuadPlusL1,
                              Quadratic, _sup_per_sample,
-                             load_erm_csv, minibatch_indices, noise_finish,
+                             load_erm_csv, minibatch_indices, noise_kind,
                              noise_sample)
 
 BALL2 = Ball(center=[0.0, 0.0], radius=2.0)
@@ -163,9 +163,10 @@ class TestConstantsExamples:
 
 
 def _noise(problem, rng, n_draws):
-    """n_draws finished additive-noise vectors: the variates noise_sample
-    draws, turned into noise by noise_finish."""
-    return noise_finish(problem)(noise_sample(problem, rng, n_draws))
+    """n_draws finished additive-noise vectors: the variates noise_kind's
+    draw gives, turned into noise by its finish."""
+    draw, _, _, finish, _ = noise_kind(problem)
+    return finish(draw(problem, rng, n_draws))
 
 
 class TestNoisyGradient:
@@ -558,9 +559,9 @@ class TestDrawIntoOut:
 
 
 class TestFillAndFinish:
-    """noise_sample draws standard variates and noise_finish scales them in
-    place, elementwise: finishing many replicates' draws at once gives the
-    bits of each replicate's own sample."""
+    """noise_sample draws standard variates and noise_kind's finish scales
+    them in place, elementwise: finishing many replicates' draws at once
+    gives the bits of each replicate's own sample."""
 
     @pytest.mark.parametrize("noise", [Gaussian(sigma2=2.5),
                                        BoundedRademacher(sigma2=2.5),
@@ -574,7 +575,7 @@ class TestFillAndFinish:
                             domain=Ball(center=star, radius=2.0), noise=noise)
         stack = np.stack([noise_sample(problem, np.random.default_rng(r), 9)
                           for r in range(4)], axis=1)     # (steps, reps, d)
-        finish = noise_finish(problem)
+        finish = noise_kind(problem)[3]
         assert finish(stack) is stack
         for r in range(4):
             expected = noise.sample(np.random.default_rng(r), 9, 3)
@@ -593,7 +594,7 @@ class TestFillAndFinish:
                 == np.random.default_rng(3).random((6, 2)).tobytes())
 
     def test_minibatch_has_no_finisher(self):
-        assert noise_finish(_erm_minibatch()) is None
+        assert noise_kind(_erm_minibatch())[3] is None
 
 
 def _row_support(domain, x) -> float:
