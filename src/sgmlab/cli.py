@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import dataclasses
 import itertools
 import json
@@ -471,61 +472,49 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-TEMPLATES = ("lemma1", "theorem1-i", "theorem1-ii", "theorem1-iii", "plateau",
-             "theorem2", "corollary1")
+_BASE = {
+    "problem": {"quadratic": {"hessian_diag": [1.0, 1.0],
+                              "theta_star": [0.0, 0.0]}},
+    "domain": {"ball": {"center": [0.0, 0.0], "radius": 2.0}},
+    "noise": {"gaussian": {"sigma2": 1.0}},
+    "theta0": [1.0, 0.0],
+    "replicates": 2000,
+    "master_seed": 20240901,
+}
+_HARMONIC = {**_BASE, "step": {"polynomial": {"gamma": 1.0, "alpha": 1.0}},
+             "horizon": 100_000}
+_FIT = {"fit_window": [1000, 100_000]}
+_CONSTANT = {**_BASE, "step": {"constant": {"a": 0.1}}, "horizon": 5000}
+_HALF_POWER_MOMENTUM = {"momentum": {"polynomial": {"c": 0.9, "beta": 0.5}}}
+
+# Ready-to-run configs reproducing the acceptance experiments, by name.
+TEMPLATES = {
+    "lemma1": {**_HARMONIC, **_FIT, "variant": "sg", "momentum": {"zero": {}}},
+    "theorem1-i": {**_HARMONIC, **_FIT, "variant": "sgm",
+                   "momentum": {"polynomial": {"c": 0.9, "beta": 1.0}}},
+    "theorem1-ii": {**_HARMONIC, "variant": "sgm",
+                    "momentum": {"polynomial": {"c": 1.0, "beta": 1.0}},
+                    "envelope": {"case": "log_n_over_n"}},
+    "theorem1-iii": {**_HARMONIC, **_FIT, "variant": "sgm",
+                     "momentum": {"polynomial": {"c": 1.0, "beta": 0.5}},
+                     "envelope": {"case": "inv_n_beta", "beta": 0.5}},
+    "plateau": {**_CONSTANT, "variant": "sg", "momentum": {"zero": {}},
+                "estimator": "last", "recursion_bound": {"kind": "sg"}},
+    "theorem2": {**_CONSTANT, **_HALF_POWER_MOMENTUM, "variant": "sgm",
+                 "estimator": "suffix"},
+    "corollary1": {**_BASE, **_HALF_POWER_MOMENTUM,
+                   "stages": [{"a": 0.1, "n": 500}, {"a": 0.05, "n": 1000},
+                              {"a": 0.025, "n": 2000},
+                              {"a": 0.0125, "n": 4000}]},
+}
 
 
 def gen_config(template: str) -> dict:
-    """A ready-to-run config reproducing the named acceptance experiment."""
-    base_problem = {
-        "problem": {"quadratic": {"hessian_diag": [1.0, 1.0],
-                                  "theta_star": [0.0, 0.0]}},
-        "domain": {"ball": {"center": [0.0, 0.0], "radius": 2.0}},
-        "noise": {"gaussian": {"sigma2": 1.0}},
-        "theta0": [1.0, 0.0],
-        "replicates": 2000,
-        "master_seed": 20240901,
-    }
-    if template == "lemma1":
-        return {**base_problem, "variant": "sg",
-                "step": {"polynomial": {"gamma": 1.0, "alpha": 1.0}},
-                "momentum": {"zero": {}},
-                "horizon": 100_000, "fit_window": [1000, 100_000]}
-    if template == "theorem1-i":
-        return {**base_problem, "variant": "sgm",
-                "step": {"polynomial": {"gamma": 1.0, "alpha": 1.0}},
-                "momentum": {"polynomial": {"c": 0.9, "beta": 1.0}},
-                "horizon": 100_000, "fit_window": [1000, 100_000]}
-    if template == "theorem1-ii":
-        return {**base_problem, "variant": "sgm",
-                "step": {"polynomial": {"gamma": 1.0, "alpha": 1.0}},
-                "momentum": {"polynomial": {"c": 1.0, "beta": 1.0}},
-                "horizon": 100_000,
-                "envelope": {"case": "log_n_over_n"}}
-    if template == "theorem1-iii":
-        return {**base_problem, "variant": "sgm",
-                "step": {"polynomial": {"gamma": 1.0, "alpha": 1.0}},
-                "momentum": {"polynomial": {"c": 1.0, "beta": 0.5}},
-                "horizon": 100_000, "fit_window": [1000, 100_000],
-                "envelope": {"case": "inv_n_beta", "beta": 0.5}}
-    if template == "plateau":
-        return {**base_problem, "variant": "sg",
-                "step": {"constant": {"a": 0.1}},
-                "momentum": {"zero": {}},
-                "estimator": "last", "horizon": 5000,
-                "recursion_bound": {"kind": "sg"}}
-    if template == "theorem2":
-        return {**base_problem, "variant": "sgm",
-                "step": {"constant": {"a": 0.1}},
-                "momentum": {"polynomial": {"c": 0.9, "beta": 0.5}},
-                "estimator": "suffix", "horizon": 5000}
-    if template == "corollary1":
-        return {**base_problem,
-                "momentum": {"polynomial": {"c": 0.9, "beta": 0.5}},
-                "stages": [{"a": 0.1, "n": 500}, {"a": 0.05, "n": 1000},
-                           {"a": 0.025, "n": 2000}, {"a": 0.0125, "n": 4000}]}
-    raise ConfigError(f"unknown template {template!r}; "
-                      f"available: {', '.join(TEMPLATES)}")
+    """A fresh copy of the named template config."""
+    if template not in TEMPLATES:
+        raise ConfigError(f"unknown template {template!r}; "
+                          f"available: {', '.join(TEMPLATES)}")
+    return copy.deepcopy(TEMPLATES[template])
 
 
 def cmd_gen_config(args) -> int:

@@ -3,6 +3,11 @@
 O(d) memory per trajectory: runs at 10^6 iterations x 10^3 replicates never
 store trajectories. Accumulators broadcast over leading axes, so one
 estimator can track a whole batch of replicates at once.
+
+The estimators only average. ExperimentConfig is what makes the averages
+defined: the engine observes j = 0, 1, 2, ... on a fresh estimator, and
+every checkpoint lies at or after 1, and for the suffix average at or after
+a nonnegative start_index, so current() always has a term to average.
 """
 
 from __future__ import annotations
@@ -10,28 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 
-class EmptyEstimatorError(ValueError):
-    """current() called before any observation."""
-
-
 class Last:
     """Keeps only the most recent iterate."""
-
-    def __init__(self):
-        self._value = None
-        self._last_j = -1
 
     def observe(self, theta_j, j: int):
         # No defensive copy: the engine's iterates are fresh arrays it never
         # writes to again, and copying (R, d) per step is measurable.
-        _check_order(self, j)
         self._value = np.asarray(theta_j, dtype=float)
-        self._last_j = j
         return self
 
     def current(self) -> np.ndarray:
-        if self._value is None:
-            raise EmptyEstimatorError("no iterates observed")
         return self._value
 
 
@@ -39,28 +32,19 @@ class SuffixAverage:
     """Arithmetic mean of theta_i for i >= start_index."""
 
     def __init__(self, start_index: int = 0):
-        if start_index < 0:
-            raise ValueError("start_index must be nonnegative")
         self.start_index = start_index
-        self._accumulator = None
+        self._accumulator = 0.0
         self._count = 0
-        self._last_j = -1
 
     def observe(self, theta_j, j: int):
-        _check_order(self, j)
-        self._last_j = j
         if j < self.start_index:
             return self
-        theta_j = np.asarray(theta_j, dtype=float)
-        if self._accumulator is None:
-            self._accumulator = np.zeros_like(theta_j)
-        self._accumulator += theta_j
+        # From 0.0, the first += makes a new array: no iterate is aliased.
+        self._accumulator += np.asarray(theta_j, dtype=float)
         self._count += 1
         return self
 
     def current(self) -> np.ndarray:
-        if self._count == 0:
-            raise EmptyEstimatorError("no iterates at or past start_index")
         return self._accumulator / self._count
 
 
@@ -68,46 +52,27 @@ class WeightedAverage:
     """(j+1)-weighted average: sum (i+1) theta_i / sum (i+1)."""
 
     def __init__(self):
-        self._accumulator = None
+        self._accumulator = 0.0
         self._weight_total = 0.0
-        self._last_j = -1
 
     def observe(self, theta_j, j: int):
-        _check_order(self, j)
-        self._last_j = j
         w = float(j + 1)
-        theta_j = np.asarray(theta_j, dtype=float)
-        if self._accumulator is None:
-            self._accumulator = np.zeros_like(theta_j)
-        self._accumulator += w * theta_j
+        self._accumulator += w * np.asarray(theta_j, dtype=float)
         self._weight_total += w
         return self
 
     def current(self) -> np.ndarray:
-        if self._weight_total == 0.0:
-            raise EmptyEstimatorError("no iterates observed")
         return self._accumulator / self._weight_total
 
 
 RunningEstimator = Last | SuffixAverage | WeightedAverage
 
-ESTIMATOR_NAMES = ("last", "suffix", "weighted")
+ESTIMATORS = {"last": Last, "suffix": SuffixAverage,
+              "weighted": WeightedAverage}
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 
 def make_estimator(kind: str, suffix_start: int = 0) -> RunningEstimator:
-    if kind == "last":
-        return Last()
     if kind == "suffix":
         return SuffixAverage(start_index=suffix_start)
-    if kind == "weighted":
-        return WeightedAverage()
-    raise ValueError(f"unknown estimator kind {kind!r} "
-                     f"(expected one of {ESTIMATOR_NAMES})")
-
-
-def _check_order(est, j: int):
-    if j <= est._last_j:
-        raise ValueError(
-            f"iteration indices must be strictly increasing "
-            f"(got {j} after {est._last_j})"
-        )
+    return ESTIMATORS[kind]()

@@ -96,6 +96,10 @@ class ExperimentConfig:
             require_int(getattr(self, name), name)
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
+        if self.replicates > 2 ** 32:
+            # A replicate's spawn key is one uint32 word.
+            raise ValueError(f"replicates must be <= 2**32, got "
+                             f"{self.replicates}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got "
                              f"{self.master_seed}")
@@ -106,6 +110,9 @@ class ExperimentConfig:
         if self.estimator not in est_mod.ESTIMATOR_NAMES:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         suffix = self.estimator == "suffix"
+        if suffix and self.suffix_start < 0:
+            raise ValueError(f"suffix_start must be >= 0, got "
+                             f"{self.suffix_start}")
         if suffix and self.suffix_start > self.horizon:
             raise ValueError(f"suffix_start {self.suffix_start} exceeds "
                              f"horizon {self.horizon}")
@@ -228,12 +235,9 @@ def _replicate_rngs(master_seed: int, lo: int, hi: int) -> list:
     bit for bit. SeedSequence's hash runs once over the whole block, as
     uint32 array arithmetic, instead of once per replicate; the constants
     mixed in depend only on the position in the hash, so every replicate
-    sees the same ones."""
-    if hi > 2 ** 32:
-        raise ValueError(f"replicate indices must be below 2**32, got {hi - 1}")
+    sees the same ones. ExperimentConfig has refused a negative seed and
+    more than 2**32 replicates."""
     master_seed = int(master_seed)
-    if master_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {master_seed}")
     np.random.bit_generator.ISeedSequence.register(ReplicateSeed)
     # SeedSequence reads an integer as little-endian 32-bit words, and a
     # spawned one pads them to the pool size.

@@ -296,6 +296,17 @@ class TestValidate:
         cfg = _write(tmp_path, _base_run_config(step={"constant": {"a": 5.0}}))
         assert main(["validate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("changes, line", [
+        ({"estimator": "suffix", "suffix_start": -1},
+         "error: suffix_start must be >= 0, got -1"),
+        ({"replicates": 2**32 + 1},
+         "error: replicates must be <= 2**32, got 4294967297"),
+    ], ids=["negative_suffix_start", "too_many_replicates"])
+    def test_refused_plan_exits_2(self, tmp_path, capsys, changes, line):
+        cfg = _write(tmp_path, _base_run_config(**changes))
+        assert main(["validate", "--config", cfg]) == 2
+        assert _stderr_line(capsys) == line
+
 
 class TestGenConfig:
     @pytest.mark.parametrize("template", TEMPLATES)
@@ -331,9 +342,22 @@ class TestGenConfig:
             else:
                 assert code == 0
 
-    def test_unknown_template_exits_2(self, tmp_path):
+    def test_unknown_template_exits_2(self, tmp_path, capsys):
         assert main(["gen-config", "lemma99",
                      "--out", str(tmp_path / "x.json")]) == 2
+        assert _stderr_line(capsys) == (
+            "error: unknown template 'lemma99'; available: lemma1, "
+            "theorem1-i, theorem1-ii, theorem1-iii, plateau, theorem2, "
+            "corollary1")
+
+    def test_edited_template_leaves_the_next_copy_alone(self):
+        cfg = gen_config("corollary1")
+        cfg["stages"][0]["a"] = 0.5
+        cfg["problem"]["quadratic"]["theta_star"][0] = 1.0
+        fresh = gen_config("corollary1")
+        assert fresh["stages"][0]["a"] == 0.1
+        assert fresh["problem"]["quadratic"]["theta_star"] == [0.0, 0.0]
+        assert gen_config("lemma1")["problem"] == fresh["problem"]
 
     def test_gen_config_shapes(self):
         cfg = gen_config("plateau")
@@ -368,6 +392,15 @@ class TestSuffixStart:
             checkpoints=[10, 60, 200]))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "checkpoint 10" in _stderr_line(capsys)
+
+    def test_negative_start_runs_without_the_suffix_estimator(self,
+                                                              tmp_path):
+        # suffix_start is read only by the suffix average.
+        cfg = _write(tmp_path, _base_run_config(estimator="last",
+                                                suffix_start=-1))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert _checkpoints(out)[0] == 1
 
     def test_start_past_horizon_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, _base_run_config(
@@ -637,9 +670,12 @@ class TestRefusedConfigLeavesNoOutput:
         ({"problem": {"quadratic": {"hessian_diag": [1.0, 1.0],
                                     "theta_star": [0.0, 0.0, 0.0]}}}, {},
          "error: hessian_diag and theta_star shapes differ"),
+        ({"replicates": 2**32 + 1}, {},
+         "error: replicates must be <= 2**32, got 4294967297"),
     ], ids=["negative_seed", "zero_workers", "schedule", "variant_list",
             "qhm_v_string", "qhm_v_bool", "qhm_v_range", "qhm_v_missing",
-            "eta_above_one", "negative_sigma2", "mismatched_problem"])
+            "eta_above_one", "negative_sigma2", "mismatched_problem",
+            "too_many_replicates"])
     def test_refused_config(self, tmp_path, capsys, monkeypatch, no_engine,
                             command, changes, env, line):
         for key, value in env.items():
@@ -667,8 +703,11 @@ class TestRefusedConfigLeavesNoOutput:
         ({"step": {"polynomial": {"gamma": -1, "alpha": 1.0}}},
          "error: gamma must be positive"),
         ({"checkpoints": []}, "error: checkpoints must not be empty"),
+        ({"estimator": "suffix", "suffix_start": -1},
+         "error: suffix_start must be >= 0, got -1"),
     ], ids=["recursion_bound_kind", "recursion_bound_without_E0",
-            "estimator", "zero_horizon", "negative_gamma", "no_checkpoints"])
+            "estimator", "zero_horizon", "negative_gamma", "no_checkpoints",
+            "negative_suffix_start"])
     def test_refused_run_config(self, tmp_path, capsys, no_engine, changes,
                                 line):
         # Keys only `run` takes.

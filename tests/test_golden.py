@@ -6,7 +6,8 @@ noise, domain, step and momentum kind the config format parses, and a
 
 The templates are shrunk (R = 8, a 2500-step horizon that crosses one noise
 chunk boundary, short stages) so the whole module takes seconds. Each run's
-`config_hash` from `summary.json` is pinned too.
+`config_hash` from `summary.json` is pinned too, and so is each template's
+`gen-config.json` as `sgmlab gen-config` writes it, unshrunk.
 
 A change to these bytes must be deliberate and named as such; regenerate
 every case, or only the cases named, with
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from sgmlab.cli import gen_config, main
+from sgmlab.cli import TEMPLATES, gen_config, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ERM_CSV = GOLDEN / "erm_small.csv"
@@ -127,6 +128,18 @@ def _produce(name: str, work: Path) -> dict:
             "config_hash": (meta["config_hash"] + "\n").encode()}
 
 
+def _gen_config(template: str, work: Path) -> bytes:
+    out = work / "gen-config.json"
+    assert main(["gen-config", template, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_gen_config_matches_golden(template, tmp_path):
+    expected = (GOLDEN / template / "gen-config.json").read_bytes()
+    assert _gen_config(template, tmp_path) == expected
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden(name, tmp_path):
     produced = _produce(name, tmp_path)
@@ -144,7 +157,11 @@ if __name__ == "__main__":
         sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
         for case in names:
-            for fname, data in _produce(case, Path(tmp) / case).items():
+            work = Path(tmp) / case
+            produced = _produce(case, work)
+            if case in TEMPLATES:
+                produced["gen-config.json"] = _gen_config(case, work)
+            for fname, data in produced.items():
                 target = GOLDEN / case / fname
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_bytes(data)

@@ -61,6 +61,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(replicates=1)
 
+    def test_replicates_beyond_the_spawn_keys_refused(self):
+        # Construction only: a run this size would not fit in memory.
+        assert _config(replicates=2**32).replicates == 2**32
+        with pytest.raises(ValueError, match=r"^replicates must be <= "
+                           r"2\*\*32, got 4294967297$"):
+            _config(replicates=2**32 + 1)
+        with pytest.raises(ValueError, match=r"^replicates must be <= "):
+            stage_configs(_quadratic(), drop_stages(0.2, 5, 2),
+                          ZeroMomentum(), replicates=2**32 + 1)
+
     def test_bad_theta0_string_rejected(self):
         with pytest.raises(ValueError):
             _config(theta0="origin")
@@ -89,6 +99,13 @@ class TestConfigValidation:
     def test_suffix_start_past_horizon_rejected(self):
         with pytest.raises(ValueError, match="exceeds horizon"):
             _config(estimator="suffix", suffix_start=201)
+
+    def test_negative_suffix_start_refused_only_for_the_suffix(self):
+        with pytest.raises(ValueError,
+                           match="^suffix_start must be >= 0, got -1$"):
+            _config(estimator="suffix", suffix_start=-1)
+        for estimator in ("last", "weighted"):
+            assert _config(estimator=estimator, suffix_start=-1).checkpoints
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_nonpositive_workers_rejected(self, workers):
@@ -695,10 +712,6 @@ class TestReplicateRngs:
             ours.generate_state(5, np.uint64)
         with pytest.raises(ValueError, match="4 uint64 words; 2 of uint32"):
             ours.generate_state(2)
-
-    def test_negative_seed_refused(self):
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            harness._replicate_rngs(-1, 0, 2)
 
 
 class TestNoiseCallPattern:
