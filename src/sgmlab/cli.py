@@ -1,5 +1,5 @@
 """Config-driven command line: run experiments, evaluate bounds, fit rates,
-validate schedules, and generate ready-to-run template configs.
+validate configs, and generate ready-to-run template configs.
 
 The JSON config file is the primary interface (experiments have too many
 parameters for flags); flags only override. Unknown config keys are errors.
@@ -183,13 +183,7 @@ def resolve_config(cfg: dict, args, required: set, defaults: dict) -> dict:
     the required ones, the defaulted ones and `workers`."""
     _fail_closed(cfg, required | set(defaults) | {"workers"}, required,
                  "config")
-    workers = os.environ.get("SGMLAB_WORKERS", "1")
-    try:
-        workers = int(workers)
-    except ValueError:
-        raise ConfigError(f"SGMLAB_WORKERS: expected an integer, got "
-                          f"{workers!r}") from None
-    resolved = {**defaults, "workers": workers, **cfg}
+    resolved = {**defaults, "workers": 1, **cfg}
     if getattr(args, "seed", None) is not None:
         resolved["master_seed"] = args.seed
     if getattr(args, "workers", None) is not None:
@@ -314,7 +308,7 @@ def _outputs(args, *names):
         for t in targets:
             _check_output(t, args.overwrite)
         yield targets
-    except (ValueError, NumericFailureError):
+    except (ValueError, NumericFailureError, MemoryError):
         for d in made:
             try:
                 d.rmdir()
@@ -338,13 +332,13 @@ def _write_outputs(targets: list, texts: list):
             tmp.unlink(missing_ok=True)
 
 
-def cmd_run(args) -> int:
-    resolved = resolve_config(_load_json(args.config), args, RUN_REQUIRED,
-                              RUN_DEFAULTS)
-    config = build_experiment(resolved, force_schedule=args.force_schedule)
+def _checked_run(resolved: dict, force_schedule: bool) -> tuple:
+    """The run's config, bound and fit window, through every check `run`
+    makes before --out exists."""
+    config = build_experiment(resolved, force_schedule=force_schedule)
     bound = _build_bound(resolved, config)
     config.step.step_size(config.horizon - 1)   # refuses a short forced staged step
-    # The checkpoint counts the bound and the fit need, before --out exists.
+    # The checkpoint counts the bound and the fit need.
     if isinstance(bound, bounds_mod.RateEnvelope) and bound.constant is None:
         calibration_half(config.checkpoints)
     window = resolved.get("fit_window")
@@ -353,6 +347,13 @@ def cmd_run(args) -> int:
             raise ConfigError(f"fit_window: expected [lo, hi], got {window!r}")
         window = tuple(_coerce(x, "float", "fit_window") for x in window)
         window_mask(config.checkpoints, window)
+    return config, bound, window
+
+
+def cmd_run(args) -> int:
+    resolved = resolve_config(_load_json(args.config), args, RUN_REQUIRED,
+                              RUN_DEFAULTS)
+    config, bound, window = _checked_run(resolved, args.force_schedule)
     with _outputs(args, "summary.csv", "summary.json",
                   "config.resolved.json") as targets:
         summary = run_replicates(config)
@@ -467,7 +468,7 @@ def cmd_fit(args) -> int:
 def cmd_validate(args) -> int:
     resolved = resolve_config(_load_json(args.config), args, RUN_REQUIRED,
                               RUN_DEFAULTS)
-    report = build_experiment(resolved, force_schedule=True).schedule_report
+    report = _checked_run(resolved, force_schedule=True)[0].schedule_report
     print(report)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
@@ -584,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--window", nargs=2, type=float, required=True,
                        metavar=("J_LO", "J_HI"))
 
-    p_val = sub.add_parser("validate", help="check config and schedules only")
+    p_val = sub.add_parser("validate",
+                           help="every check run makes before --out")
     p_val.add_argument("--config", required=True)
     p_val.add_argument("-O", "--override", action="append", default=[],
                        metavar="KEY=VALUE")
@@ -610,7 +612,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericFailureError as exc:

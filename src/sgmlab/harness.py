@@ -326,12 +326,10 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
     is checked once per noise chunk, and a chunk that fails the check is
     replayed through the reference kernel, which raises at the exact step
     and replicate. If the replay finds no failure, the run goes on."""
-    problem, variant = config.problem, config.variant
+    problem = config.problem
     gradient = prob_mod.noise_kind(problem)[4]
     theta_star = problem.theta_star
-    domain = problem.domain
-    batch = opt_mod.Batch(opt_mod.init(theta0, variant, domain), variant,
-                          domain)
+    batch = opt_mod.Batch(theta0, config.variant, problem.domain)
     n_steps = config.horizon
     t_arr = np.asarray(config.step.step_size(np.arange(n_steps)), float)
     eta_arr = np.asarray(config.momentum.weight(np.arange(n_steps), t_arr),
@@ -342,7 +340,7 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
     out = np.empty((len(config.checkpoints), len(rngs)))
     j = 0
     for noise in _noise_chunks(problem, rngs, n_steps):
-        start = batch.snapshot(j)
+        start, start_j = batch.copy(), j
         # Python floats, one chunk at a time: the whole horizon as lists
         # would cost more memory than the arrays.
         ts = t_arr[j:j + len(noise)].tolist()
@@ -355,19 +353,18 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
                 delta = estimator.current() - theta_star
                 out[record_at[j]] = np.sum(delta * delta, axis=-1)
         if not batch.finite():
-            _replay(start, noise, ts, etas, gradient, variant, domain, rep_lo)
+            _replay(start, start_j, noise, ts, etas, gradient, rep_lo)
     return batch.theta_curr, out
 
 
-def _replay(state, noise, ts, etas, gradient, variant, domain, rep_lo: int):
-    """Rerun one chunk from its start state through the reference kernel;
-    raise at its first non-finite gradient or iterate, naming the
-    replicate."""
-    for noise_j, t, w in zip(noise, ts, etas):
-        g = gradient(state.theta_curr, noise_j)
+def _replay(batch, j: int, noise, ts, etas, gradient, rep_lo: int):
+    """Rerun one chunk, from its start batch at step j, through the
+    reference kernel; raise at its first non-finite gradient or iterate,
+    naming the replicate."""
+    for j, (noise_j, t, w) in enumerate(zip(noise, ts, etas), j):
+        g = gradient(batch.theta_curr, noise_j)
         try:
-            state = opt_mod.reference_step(state, g, opt_mod.StepParams(t, w),
-                                           variant, domain)
+            batch = opt_mod.reference_step(batch, g, t, w, j)
         except NumericFailureError as err:
             raise NumericFailureError(
                 f"non-finite value in replicate {rep_lo + err.row}",

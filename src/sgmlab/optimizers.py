@@ -3,15 +3,16 @@ and QHM.
 
 Each variant's update formula is written once, as its `update` method: a
 fixed sequence of numpy ufunc calls that writes into the buffers of a
-`Batch`. Two kernels run it:
+`Batch`, the one state of a set of trajectories. Two kernels run it:
 
 - `step` advances the engine's `Batch` in place. It allocates nothing but
   the projection's result and checks nothing; the engine checks the
   batch once per noise chunk (`Batch.finite`).
-- `reference_step` is the pure state -> state transition. It works on
-  copies, checks every gradient and iterate, and raises NumericFailureError
-  at the first non-finite one. The tests and the engine's replay of a
-  chunk that failed its check use it.
+- `reference_step` takes the same arguments plus the step index and
+  returns a new `Batch`, leaving its input as it was. It checks every
+  gradient and iterate and raises NumericFailureError at the first
+  non-finite one. The tests and the engine's replay of a chunk that failed
+  its check use it.
 
 Both broadcast over leading axes, so a batch of R independent trajectories
 advances with the exact same arithmetic as R scalar calls. Gradient samples
@@ -21,6 +22,7 @@ stream across variants.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,49 +118,10 @@ def variant_from_name(name: str, qhm_v: float | None = None) -> Variant:
     return VARIANT_NAMES[name]()
 
 
-def _uses_velocity(variant: Variant) -> bool:
-    return isinstance(variant, (NormalizedSGM, QHM))
-
-
-@dataclass(frozen=True)
-class IterateState:
-    """Current/previous iterates plus the EMA buffer for NSGM/QHM.
-
-    Arrays have shape (..., d); leading axes index independent trajectories.
-    """
-
-    theta_curr: np.ndarray
-    theta_prev: np.ndarray
-    velocity: np.ndarray   # shape (..., d) for NSGM/QHM, (..., 0) otherwise
-    j: int
-
-
-@dataclass(frozen=True)
-class StepParams:
-    """(t_j, eta_j) for SG/SGM, (alpha_j, beta_j) for NSGM/QHM."""
-
-    step: float
-    weight: float = 0.0
-
-
-def init(theta0, variant: Variant, domain: Domain) -> IterateState:
-    """Start a trajectory: theta_prev = theta_curr = theta0, buffers zeroed."""
-    theta0 = np.asarray(theta0, dtype=float)
-    if not np.all(contains(domain, theta0, 0.0)):
-        raise ValueError("theta0 lies outside the domain")
-    if _uses_velocity(variant):
-        velocity = np.zeros_like(theta0)
-    else:
-        velocity = np.zeros(theta0.shape[:-1] + (0,))
-    return IterateState(theta_curr=theta0, theta_prev=theta0,
-                        velocity=velocity, j=0)
-
-
 class Batch:
-    """Trajectories that `step` advances in place: the current and previous
-    iterates, the EMA velocity, a proposal and a scratch buffer, each of the
-    iterates' shape, and a running sum of the proposals since the last
-    `finite` check.
+    """Trajectories at one step: the current and previous iterates, the EMA
+    velocity, a proposal and a scratch buffer, each of the iterates' shape,
+    and a running sum of the proposals since the last `finite` check.
 
     The iterates are the arrays domain.project returns, which are new
     (Ball.project copies, Box.project clips into a new array) and never
@@ -168,21 +131,31 @@ class Batch:
     __slots__ = ("update", "domain", "theta_curr", "theta_prev", "velocity",
                  "proposal", "scratch", "proposal_sum")
 
-    def __init__(self, state: IterateState, variant: Variant, domain: Domain):
+    def __init__(self, theta0, variant: Variant, domain: Domain):
+        """Start at theta0 (..., d): theta_prev = theta_curr = theta0, the
+        velocity zeroed, (..., d) for NSGM/QHM and (..., 0) otherwise."""
+        theta0 = np.asarray(theta0, dtype=float)
+        if not np.all(contains(domain, theta0, 0.0)):
+            raise ValueError("theta0 lies outside the domain")
+        ema = isinstance(variant, (NormalizedSGM, QHM))
         self.update = variant.update
         self.domain = domain
-        self.theta_curr = state.theta_curr
-        self.theta_prev = state.theta_prev
-        self.velocity = state.velocity.copy()
-        self.proposal = np.empty_like(state.theta_curr)
-        self.scratch = np.empty_like(state.theta_curr)
-        self.proposal_sum = np.zeros_like(state.theta_curr)
+        self.theta_curr = self.theta_prev = theta0
+        self.velocity = np.zeros_like(theta0 if ema else theta0[..., :0])
+        self._new_buffers()
 
-    def snapshot(self, j: int) -> IterateState:
-        """The state as an IterateState at step index j, for reference_step."""
-        return IterateState(theta_curr=self.theta_curr,
-                            theta_prev=self.theta_prev,
-                            velocity=self.velocity.copy(), j=j)
+    def _new_buffers(self):
+        self.proposal = np.empty_like(self.theta_curr)
+        self.scratch = np.empty_like(self.theta_curr)
+        self.proposal_sum = np.zeros_like(self.theta_curr)
+
+    def copy(self) -> Batch:
+        """The same state in a new batch, which shares the iterates and has
+        its own velocity and work buffers."""
+        new = copy.copy(self)
+        new.velocity = self.velocity.copy()
+        new._new_buffers()
+        return new
 
     def finite(self) -> bool:
         """False if a proposal since the last call or the current iterates
@@ -218,24 +191,24 @@ def _first_non_finite_row(*arrays) -> int:
     return int(np.flatnonzero(bad)[0])
 
 
-def reference_step(state: IterateState, g, params: StepParams,
-                   variant: Variant, domain: Domain) -> IterateState:
-    """Advance one iteration and project back onto the domain, as a new
-    state; g has the iterates' shape. Raises NumericFailureError on a
+def reference_step(batch: Batch, g, t: float, w: float, j: int) -> Batch:
+    """Step j of the batch, with step size t and momentum weight w, projected
+    back onto the domain, as a new batch; g has the iterates' shape and the
+    input batch is left as it was. Raises NumericFailureError at step j on a
     non-finite gradient, current iterate or next iterate."""
     g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all() or not np.isfinite(state.theta_curr).all():
+    if not np.isfinite(g).all() or not np.isfinite(batch.theta_curr).all():
         raise NumericFailureError(
-            "non-finite gradient or iterate", state.j,
-            _first_non_finite_row(g, state.theta_curr))
-    batch = Batch(state, variant, domain)
-    variant.update(batch, g, params.step, params.weight)
-    theta_next = domain.project(batch.proposal)
-    if not np.isfinite(theta_next).all():
-        raise NumericFailureError("non-finite iterate after update", state.j,
-                                  _first_non_finite_row(theta_next))
-    return IterateState(theta_curr=theta_next, theta_prev=state.theta_curr,
-                        velocity=batch.velocity, j=state.j + 1)
+            "non-finite gradient or iterate", j,
+            _first_non_finite_row(g, batch.theta_curr))
+    out = batch.copy()
+    out.update(out, g, t, w)
+    out.theta_prev = batch.theta_curr
+    out.theta_curr = out.domain.project(out.proposal)
+    if not np.isfinite(out.theta_curr).all():
+        raise NumericFailureError("non-finite iterate after update", j,
+                                  _first_non_finite_row(out.theta_curr))
+    return out
 
 
 def map_qhm_to_nsgm(alpha: float, beta: float) -> tuple:

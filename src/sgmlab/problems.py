@@ -157,6 +157,8 @@ class _Diagonal:
                            np.asarray(self.theta_star, dtype=float))
         if self.hessian_diag.shape != self.theta_star.shape:
             raise ValueError("hessian_diag and theta_star shapes differ")
+        if self.theta_star.ndim != 1:
+            raise ValueError("hessian_diag and theta_star must be 1-D vectors")
         if not np.all(self.hessian_diag > 0):
             raise DegenerateProblemError("hessian_diag must be strictly positive")
         _check_in_domain(self.domain, self.theta_star)

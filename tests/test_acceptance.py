@@ -23,7 +23,7 @@ from sgmlab.geometry import Ball
 from sgmlab.harness import (ExperimentConfig, dominance_check, drop_stages,
                             fit_rate, run_multistage, run_replicates,
                             stage_configs)
-from sgmlab.optimizers import (QHM, SG, SGM, NormalizedSGM, StepParams, init,
+from sgmlab.optimizers import (QHM, SG, SGM, Batch, NormalizedSGM,
                                map_qhm_to_nsgm, reference_step)
 from sgmlab.problems import (BoundedRademacher, Gaussian, Quadratic,
                              subgradient_batch)
@@ -184,11 +184,10 @@ def test_criterion_8_reductions_and_coupling():
     horizonless = Ball(center=[0.0, 0.0], radius=2.0)
 
     def run(variant, t, eta):
-        st = init(THETA0, variant, horizonless)
+        st = Batch(THETA0, variant, horizonless)
         out = []
-        for g in gs:
-            st = reference_step(st, g, StepParams(t, eta), variant,
-                                horizonless)
+        for j, g in enumerate(gs):
+            st = reference_step(st, g, t, eta, j)
             out.append(st.theta_curr)
         return np.asarray(out)
 

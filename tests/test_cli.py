@@ -38,6 +38,22 @@ def _multistage_config(**overrides):
     return cfg
 
 
+# Problem vectors that are not 1-D; the last one used to run as a 1-D
+# problem.
+_NOT_1D_PROBLEMS = {
+    "scalar_problem": {"problem": {"quadratic": {"hessian_diag": 1.0,
+                                                 "theta_star": 0.0}}},
+    "matrix_problem": {"problem": {"quadratic": {
+        "hessian_diag": [[1.0, 1.0]], "theta_star": [[0.0, 0.0]]}}},
+    "matrix_problem_on_1d_ball": {
+        "problem": {"quadratic": {"hessian_diag": [[1.0]],
+                                  "theta_star": [[0.0]]}},
+        "domain": {"ball": {"center": [0.0], "radius": 2.0}},
+        "theta0": [0.5]},
+}
+_NOT_1D_LINE = "error: hessian_diag and theta_star must be 1-D vectors"
+
+
 def _write(tmp_path, cfg, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -588,24 +604,6 @@ class TestBadCliInput:
                      "--workers", workers]) == 2
         assert "workers" in _stderr_line(capsys)
 
-    def test_zero_workers_from_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SGMLAB_WORKERS", "0")
-        cfg = _write(tmp_path, _base_run_config())
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "workers" in _stderr_line(capsys)
-
-    @pytest.mark.parametrize("command", ["run", "multistage"])
-    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
-    def test_non_integer_workers_from_environment(self, tmp_path, capsys,
-                                                  monkeypatch, command, value):
-        monkeypatch.setenv("SGMLAB_WORKERS", value)
-        cfg = (_base_run_config() if command == "run"
-               else _multistage_config())
-        assert main([command, "--config", _write(tmp_path, cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert _stderr_line(capsys) == (
-            f"error: SGMLAB_WORKERS: expected an integer, got {value!r}")
-
     @pytest.mark.parametrize("domain, message", [
         ({"ball": {"center": [], "radius": 1.0}},
          "error: ball center must be a non-empty 1-D vector"),
@@ -649,37 +647,36 @@ class TestRefusedConfigLeavesNoOutput:
         monkeypatch.setattr(harness, "_mse", engine)
 
     @pytest.mark.parametrize("command", ["run", "multistage"])
-    @pytest.mark.parametrize("changes, env, line", [
-        ({"master_seed": -1}, {}, "error: master_seed must be >= 0, got -1"),
-        ({}, {"SGMLAB_WORKERS": "0"}, "error: workers must be >= 1, got 0"),
-        ({"momentum": {"polynomial": {"c": 5, "beta": 1}}}, {}, None),
-        ({"variant": ["sg"]}, {},
+    @pytest.mark.parametrize("changes, line", [
+        ({"master_seed": -1}, "error: master_seed must be >= 0, got -1"),
+        ({"workers": 0}, "error: workers must be >= 1, got 0"),
+        ({"momentum": {"polynomial": {"c": 5, "beta": 1}}}, None),
+        ({"variant": ["sg"]},
          "error: variant: expected a name, got ['sg']"),
-        ({"variant": "qhm", "qhm_v": "x"}, {},
+        ({"variant": "qhm", "qhm_v": "x"},
          "error: qhm_v: expected a number, got 'x'"),
-        ({"variant": "qhm", "qhm_v": True}, {},
+        ({"variant": "qhm", "qhm_v": True},
          "error: qhm_v: expected a number, got True"),
-        ({"variant": "qhm", "qhm_v": 2}, {},
+        ({"variant": "qhm", "qhm_v": 2},
          "error: qhm_v: QHM interpolation parameter v must lie in [0, 1]"),
-        ({"variant": "qhm"}, {},
+        ({"variant": "qhm"},
          "error: qhm_v: qhm variant requires the interpolation parameter v"),
-        ({"momentum": {"constant": {"eta": 1.5}}}, {},
+        ({"momentum": {"constant": {"eta": 1.5}}},
          "error: eta must lie in [0, 1)"),
-        ({"noise": {"gaussian": {"sigma2": -1}}}, {},
+        ({"noise": {"gaussian": {"sigma2": -1}}},
          "error: sigma2 must be nonnegative"),
         ({"problem": {"quadratic": {"hessian_diag": [1.0, 1.0],
-                                    "theta_star": [0.0, 0.0, 0.0]}}}, {},
+                                    "theta_star": [0.0, 0.0, 0.0]}}},
          "error: hessian_diag and theta_star shapes differ"),
-        ({"replicates": 2**32 + 1}, {},
+        ({"replicates": 2**32 + 1},
          "error: replicates must be <= 2**32, got 4294967297"),
+        *((changes, _NOT_1D_LINE) for changes in _NOT_1D_PROBLEMS.values()),
     ], ids=["negative_seed", "zero_workers", "schedule", "variant_list",
             "qhm_v_string", "qhm_v_bool", "qhm_v_range", "qhm_v_missing",
             "eta_above_one", "negative_sigma2", "mismatched_problem",
-            "too_many_replicates"])
-    def test_refused_config(self, tmp_path, capsys, monkeypatch, no_engine,
-                            command, changes, env, line):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+            "too_many_replicates", *_NOT_1D_PROBLEMS])
+    def test_refused_config(self, tmp_path, capsys, no_engine, command,
+                            changes, line):
         cfg = (_base_run_config(**changes) if command == "run"
                else _multistage_config(**changes))
         out = tmp_path / "o"
@@ -716,6 +713,51 @@ class TestRefusedConfigLeavesNoOutput:
                      _write(tmp_path, _base_run_config(**changes)),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("changes, line", [
+        ({"fit_window": [1, 3]},
+         "error: need >= 4 checkpoints in window, got 3"),
+        ({"envelope": {"case": "inv_n"}, "checkpoints": [5]},
+         "error: need at least 2 checkpoints to calibrate"),
+        ({"recursion_bound": {"kind": "sgm", "E0": -1}},
+         "error: E0 must be nonnegative"),
+        ({"envelope": {"case": "bogus"}},
+         "error: unknown envelope case 'bogus'"),
+        *((changes, _NOT_1D_LINE) for changes in _NOT_1D_PROBLEMS.values()),
+    ], ids=["short_window", "one_checkpoint_envelope", "negative_E0",
+            "unknown_envelope", *_NOT_1D_PROBLEMS])
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
+                                               no_engine, changes, line):
+        path = _write(tmp_path, _base_run_config(**changes))
+        out = tmp_path / "o"
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    def test_unallocatable_horizon(self, tmp_path, capsys, no_engine):
+        # The schedule of 10**15 steps needs 8 PB, a request no machine
+        # can map, so it fails before any memory is touched.
+        path = _write(tmp_path, _base_run_config(horizon=10**15))
+        out = tmp_path / "o"
+        assert main(["validate", "--config", path]) == 2
+        line = _stderr_line(capsys)
+        assert line.startswith("error: Unable to allocate")
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        assert _stderr_line(capsys) == line
+        assert not out.exists()
+
+    def test_memory_error_removes_the_directory_made(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def engine(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 PiB")
+        monkeypatch.setattr(harness, "_mse", engine)
+        out = tmp_path / "o"
+        assert main(["run", "--config", _write(tmp_path, _base_run_config()),
+                     "--out", str(out)]) == 2
+        assert _stderr_line(capsys) == "error: Unable to allocate 8.00 PiB"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "multistage"])

@@ -17,9 +17,8 @@ from sgmlab.harness import (ExperimentConfig, RunSummary, default_checkpoints,
                             dominance_check, drop_stages, fit_rate,
                             run_multistage, run_replicates, stage_configs)
 from sgmlab.estimators import make_estimator
-from sgmlab.optimizers import (QHM, SG, SGM, NormalizedSGM,
-                               NumericFailureError, StepParams, init,
-                               reference_step)
+from sgmlab.optimizers import (QHM, SG, SGM, Batch, NormalizedSGM,
+                               NumericFailureError, reference_step)
 from sgmlab.problems import (BoundedRademacher, ErmLeastSquares, Gaussian,
                              Minibatch, Quadratic)
 from sgmlab.schedules import (ConstantMomentum, ConstantStep,
@@ -450,7 +449,6 @@ def _pool_modules_after(*commands) -> list:
     `commands` (argument lists) have run in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    env.pop("SGMLAB_WORKERS", None)
     proc = subprocess.run(
         [sys.executable, "-c", _POOL_PROBE, json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=120)
@@ -753,12 +751,11 @@ class TestNoiseCallPattern:
 def _reference_advance(config, theta0, rngs, rep_lo=0):
     """The engine's block loop on the reference kernel, one pure, checked
     step at a time: the final iterates and the squared estimator errors."""
-    problem, variant = config.problem, config.variant
-    domain = problem.domain
+    problem = config.problem
     gradient = prob_mod.noise_kind(problem)[4]
     t = config.step.step_size(np.arange(config.horizon))
     eta = config.momentum.weight(np.arange(config.horizon), t)
-    state = init(theta0, variant, domain)
+    state = Batch(theta0, config.variant, problem.domain)
     estimator = make_estimator(config.estimator, config.suffix_start)
     estimator.observe(state.theta_curr, 0)
     out = []
@@ -767,9 +764,8 @@ def _reference_advance(config, theta0, rngs, rep_lo=0):
         for noise_j in noise:
             g = gradient(state.theta_curr, noise_j)
             try:
-                state = reference_step(
-                    state, g, StepParams(float(t[j]), float(eta[j])), variant,
-                    domain)
+                state = reference_step(state, g, float(t[j]), float(eta[j]),
+                                       j)
             except NumericFailureError as err:
                 raise NumericFailureError(
                     f"non-finite value in replicate {rep_lo + err.row}",
