@@ -1,7 +1,6 @@
 """Closed-form mean-squared-error bounds: per-step recursions for SG and
-heavy-ball SGM, the exponential decay bound, the constant-step plateau, the
-stage burn-in index, and the rate envelopes the empirical curves are checked
-against.
+heavy-ball SGM, the constant-step plateau, the stage burn-in index, and the
+rate envelopes the empirical curves are checked against.
 """
 
 from __future__ import annotations
@@ -143,33 +142,6 @@ def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedul
             chunk.append(e)
         values[lo + 1:lo + 1 + len(chunk)] = chunk
     return BoundSequence(values=values)
-
-
-EXPONENT_FORMS = ("proof", "statement", "appendix")
-
-
-def sg_exponential_bound(step: StepSchedule, m: float, N: int,
-                         calibration: tuple, form: str = "proof") -> float:
-    """c0 * exp(-exponent(N)) for N >= j0, with three exponent variants.
-
-    "proof" (default): m*sum t_j + (m^2/2)*sum t_j^2, the form the product
-    inequality exp(-(x + x^2/2)) >= 1 - x actually yields. "statement":
-    sum (t_j + 2 t_j^2). "appendix": sum (t_j + t_j^2/2). Sums run over
-    j = 1..N.
-    """
-    j0, c0 = int(calibration[0]), float(calibration[1])
-    if N < j0:
-        raise ValueError(f"N = {N} below calibration index j0 = {j0}")
-    if form not in EXPONENT_FORMS:
-        raise ValueError(f"unknown exponent form {form!r}")
-    t = np.asarray(step.step_size(np.arange(1, N + 1)), dtype=float)
-    if form == "proof":
-        exponent = m * np.sum(t) + 0.5 * m * m * np.sum(t * t)
-    elif form == "statement":
-        exponent = np.sum(t + 2.0 * t * t)
-    else:
-        exponent = np.sum(t + 0.5 * t * t)
-    return c0 * float(np.exp(-exponent))
 
 
 def constant_step_plateau(a: float, m: float, M: float, sigma2: float) -> float:

@@ -101,8 +101,14 @@ CONFIG_KINDS = {
 
 def _coerce(value, type_name: str, where: str):
     """A config value as its field's type. An int field takes an int or a
-    whole-valued float such as 1e5, a float field an int or a float; any
-    other value is refused rather than truncated or parsed into a run."""
+    whole-valued float such as 1e5, a float field an int or a float, a
+    vector field a list of such numbers, nested at any depth; any other
+    value is refused rather than truncated or parsed into a run."""
+    if type_name == "np.ndarray":   # the class checks the vector's shape
+        if isinstance(value, list):
+            return [_coerce(v, type_name, f"{where}[{i}]")
+                    for i, v in enumerate(value)]
+        type_name = "float"
     if type_name == "int":
         if isinstance(value, float) and value.is_integer():
             return int(value)
@@ -337,7 +343,6 @@ def _checked_run(resolved: dict, force_schedule: bool) -> tuple:
     makes before --out exists."""
     config = build_experiment(resolved, force_schedule=force_schedule)
     bound = _build_bound(resolved, config)
-    config.step.step_size(config.horizon - 1)   # refuses a short forced staged step
     # The checkpoint counts the bound and the fit need.
     if isinstance(bound, bounds_mod.RateEnvelope) and bound.constant is None:
         calibration_half(config.checkpoints)
@@ -391,15 +396,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_multistage(args) -> int:
-    resolved = resolve_config(_load_json(args.config), args,
-                              MULTISTAGE_REQUIRED, MULTISTAGE_DEFAULTS)
-    configs = stage_configs(
+def _checked_stages(resolved: dict, force_schedule: bool) -> tuple:
+    """The stage configs, through every check `multistage` makes before
+    --out exists."""
+    return stage_configs(
         build_problem(resolved), _stages(resolved["stages"], "stages"),
         from_config("momentum", resolved["momentum"]),
         variant=_variant(resolved),
-        theta0=resolved["theta0"], force_schedule=args.force_schedule,
+        theta0=resolved["theta0"], force_schedule=force_schedule,
         **_integers(resolved, ("replicates", "master_seed", "workers")))
+
+
+def cmd_multistage(args) -> int:
+    resolved = resolve_config(_load_json(args.config), args,
+                              MULTISTAGE_REQUIRED, MULTISTAGE_DEFAULTS)
+    configs = _checked_stages(resolved, args.force_schedule)
     with _outputs(args, "stages.csv", "config.resolved.json") as targets:
         reports = run_multistage(configs)
         for k, config in enumerate(configs):
@@ -466,11 +477,20 @@ def cmd_fit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    resolved = resolve_config(_load_json(args.config), args, RUN_REQUIRED,
-                              RUN_DEFAULTS)
-    report = _checked_run(resolved, force_schedule=True)[0].schedule_report
-    print(report)
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    cfg = _load_json(args.config)
+    if isinstance(cfg, dict) and "stages" in cfg:
+        resolved = resolve_config(cfg, args, MULTISTAGE_REQUIRED,
+                                  MULTISTAGE_DEFAULTS)
+        configs = _checked_stages(resolved, force_schedule=True)
+        prefixes = [f"stage {k}: " for k in range(len(configs))]
+    else:
+        resolved = resolve_config(cfg, args, RUN_REQUIRED, RUN_DEFAULTS)
+        configs = [_checked_run(resolved, force_schedule=True)[0]]
+        prefixes = [""]
+    for prefix, config in zip(prefixes, configs):
+        print(f"{prefix}{config.schedule_report}")
+    ok = all(config.schedule_report.ok for config in configs)
+    return EXIT_OK if ok else EXIT_VALIDATION
 
 
 _BASE = {
@@ -586,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("J_LO", "J_HI"))
 
     p_val = sub.add_parser("validate",
-                           help="every check run makes before --out")
+                           help="every check run, or multistage for a "
+                                "config with stages, makes before --out")
     p_val.add_argument("--config", required=True)
     p_val.add_argument("-O", "--override", action="append", default=[],
                        metavar="KEY=VALUE")

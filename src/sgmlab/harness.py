@@ -137,7 +137,7 @@ class ExperimentConfig:
         else:
             theta0 = np.asarray(self.theta0)
             d = self.problem.dimension
-            if (theta0.shape != (d,) or theta0.dtype.kind not in "biuf"
+            if (theta0.shape != (d,) or theta0.dtype.kind not in "iuf"
                     or not contains(self.problem.domain, theta0)):
                 raise ValueError(f"theta0 must be a {d}-vector in the "
                                  f"domain, got {self.theta0!r}")

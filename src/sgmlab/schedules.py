@@ -1,5 +1,5 @@
 """Step-size and momentum-weight sequences as pure functions of the iteration
-index, plus validity checks and prefix-sum diagnostics.
+index, plus validity checks.
 
 Indexing starts at j = 0 and polynomial formulas use (j + 1), so the first
 polynomial step equals gamma.
@@ -12,10 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MOMENTUM_CLAMP = 1.0 - 1e-12
-
-
-class ScheduleExhaustedError(ValueError):
-    """Raised when a staged schedule is indexed past its final stage."""
 
 
 def require_int(value, name: str) -> int:
@@ -87,7 +83,7 @@ class StagedStep:
     def step_size(self, j):
         j_arr = np.asarray(j)
         if np.any(j_arr >= self._ends[-1]) or np.any(j_arr < 0):
-            raise ScheduleExhaustedError(
+            raise ValueError(
                 f"index beyond final stage (total length {int(self._ends[-1])})"
             )
         stage_idx = np.searchsorted(self._ends, j_arr, side="right")
@@ -173,17 +169,11 @@ class ValidityReport:
 def validate(step: StepSchedule, momentum: MomentumSchedule, m: float,
              horizon: int) -> ValidityReport:
     """Check the step/momentum pair against the convergence-theory conditions
-    over j < horizon. Returns a report; never raises."""
+    over j < horizon. Returns a report; a staged step that ends before the
+    horizon raises ValueError, since no forced run can use it."""
     report = ValidityReport()
     j = np.arange(horizon)
-    try:
-        t = np.asarray(step.step_size(j), dtype=float)
-    except ScheduleExhaustedError:
-        report.violations.append(
-            f"staged schedule shorter than horizon {horizon}")
-        total = int(step._ends[-1])
-        j = np.arange(total)
-        t = np.asarray(step.step_size(j), dtype=float)
+    t = np.asarray(step.step_size(j), dtype=float)
 
     tm = t * m
     bad = np.flatnonzero((tm <= 0) | (tm > 1))
@@ -216,18 +206,3 @@ def validate(step: StepSchedule, momentum: MomentumSchedule, m: float,
             np.any(np.diff(eta) > 1e-15):
         report.violations.append("momentum weights are not non-increasing")
     return report
-
-
-def partial_sums(step: StepSchedule, momentum: MomentumSchedule, N: int) -> dict:
-    """Prefix sums over j = 0..N-1 of t_j, t_j^2, eta_j, eta_j^2."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    j = np.arange(N)
-    t = np.asarray(step.step_size(j), dtype=float)
-    eta = np.asarray(momentum.weight(j, t), dtype=float)
-    return {
-        "sum_t": float(np.sum(t)),
-        "sum_t2": float(np.sum(t * t)),
-        "sum_eta": float(np.sum(eta)),
-        "sum_eta2": float(np.sum(eta * eta)),
-    }

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from sgmlab.bounds import (EXPONENT_FORMS, BoundSequence, RateEnvelope,
-                           constant_step_plateau,
-                           sg_exponential_bound, sg_recursion_bound,
-                           sgm_recursion_bound, stage_burn_in)
+from sgmlab.bounds import (BoundSequence, RateEnvelope, constant_step_plateau,
+                           sg_recursion_bound, sgm_recursion_bound,
+                           stage_burn_in)
 from sgmlab.schedules import (ConstantMomentum, ConstantStep,
                               PolynomialMomentum, PolynomialStep, ZeroMomentum)
 
@@ -184,39 +183,6 @@ class TestRecursionsMatchNumpyScalarLoop:
         with pytest.raises(ValueError, match="M = -1.0 must be nonnegative"):
             sgm_recursion_bound(1.0, ConstantStep(0.1), ConstantMomentum(0.5),
                                 1.0, -1.0, 1.0, L=2.0, N=3)
-
-
-class TestExponentialBound:
-    def test_forms_ordering_small_steps(self):
-        # for m = 1 and small t: proof exponent t + t^2/2 matches appendix,
-        # statement t + 2 t^2 decays faster
-        step = PolynomialStep(gamma=0.5, alpha=1.0)
-        vals = {f: sg_exponential_bound(step, 1.0, 100, (1, 1.0), form=f)
-                for f in EXPONENT_FORMS}
-        assert vals["proof"] == pytest.approx(vals["appendix"], rel=1e-12)
-        assert vals["statement"] < vals["proof"]
-
-    def test_one_term_hand_value(self):
-        # N=1: t_1 = 1/2, proof exponent = 0.5 + 0.125
-        got = sg_exponential_bound(PolynomialStep(1.0, 1.0), 1.0, 1, (1, 3.0))
-        assert got == pytest.approx(3.0 * np.exp(-0.625))
-
-    def test_ratio_to_inv_n_stabilizes(self):
-        # gamma=1, alpha=1, m=1: the bound decays like 1/N up to a drifting
-        # constant; the ratio over a dyadic jump settles within 5% of 1/2
-        step = PolynomialStep(gamma=1.0, alpha=1.0)
-        b1 = sg_exponential_bound(step, 1.0, 20000, (1, 1.0))
-        b2 = sg_exponential_bound(step, 1.0, 40000, (1, 1.0))
-        assert b2 / b1 == pytest.approx(0.5, rel=0.05)
-
-    def test_n_below_calibration_rejected(self):
-        with pytest.raises(ValueError, match="calibration"):
-            sg_exponential_bound(ConstantStep(0.1), 1.0, 4, (5, 1.0))
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            sg_exponential_bound(ConstantStep(0.1), 1.0, 10, (1, 1.0),
-                                 form="tightest")
 
 
 class TestPlateau:

@@ -323,40 +323,55 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == 2
         assert _stderr_line(capsys) == line
 
+    def test_multistage_config(self, tmp_path, capsys):
+        path = _write(tmp_path, _multistage_config())
+        assert main(["validate", "--config", path]) == 0
+        assert capsys.readouterr() == ("stage 0: ok\nstage 1: ok\n", "")
+        path = _write(tmp_path, _multistage_config(
+            momentum={"polynomial": {"c": 1.5, "beta": 1}}))
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr() == (
+            "stage 0: violation: eta_j >= 1 at j=0 (1 indices)\n"
+            "stage 1: violation: eta_j >= 1 at j=0 (1 indices)\n", "")
+
 
 class TestGenConfig:
     @pytest.mark.parametrize("template", TEMPLATES)
-    def test_templates_are_valid_configs(self, template, tmp_path):
+    def test_templates_are_valid_configs(self, template, tmp_path, capsys):
         out = tmp_path / f"{template}.json"
         assert main(["gen-config", template, "--out", str(out)]) == 0
+        capsys.readouterr()
+        # validate takes every generated config as written. The theorem1-ii
+        # and theorem1-iii schedules start at eta_0 = 1, which the validator
+        # flags; they are meant to run with --force-schedule (the first
+        # momentum term multiplies theta_0 - theta_-1 = 0).
+        forced = template in ("theorem1-ii", "theorem1-iii")
+        if template == "corollary1":
+            expected = "".join(f"stage {k}: ok\n" for k in range(4))
+        elif forced:
+            expected = "violation: eta_j >= 1 at j=0 (1 indices)\n"
+        else:
+            expected = "ok\n"
+        assert main(["validate", "--config", str(out)]) == (2 if forced
+                                                            else 0)
+        assert capsys.readouterr() == (expected, "")
+        # and its own command runs it when shrunk to a fast size
         cfg = json.loads(out.read_text())
-        # every generated config passes its own command's validation when
-        # shrunk to a fast size
         if "stages" in cfg:
             cfg["replicates"] = 4
-            path = _write(tmp_path, cfg, "small.json")
             cfg["stages"] = [{"a": s["a"], "n": 5} for s in cfg["stages"]]
             path = _write(tmp_path, cfg, "small.json")
             assert main(["multistage", "--config", path,
                          "--out", str(tmp_path / "o")]) == 0
-        else:
-            path = _write(tmp_path, cfg, "small.json")
-            code = main(["validate", "--config", path])
-            if template in ("theorem1-ii", "theorem1-iii"):
-                # these schedules start at eta_0 = 1, which the validator
-                # flags; they are meant to run with --force-schedule (the
-                # first momentum term multiplies theta_0 - theta_-1 = 0)
-                assert code == 2
-                cfg["horizon"] = 20
-                cfg["replicates"] = 4
-                cfg.pop("fit_window", None)
-                cfg.pop("envelope", None)
-                path = _write(tmp_path, cfg, "forced.json")
-                assert main(["run", "--config", path,
-                             "--out", str(tmp_path / "o"),
-                             "--force-schedule"]) == 0
-            else:
-                assert code == 0
+        elif forced:
+            cfg["horizon"] = 20
+            cfg["replicates"] = 4
+            cfg.pop("fit_window", None)
+            cfg.pop("envelope", None)
+            path = _write(tmp_path, cfg, "forced.json")
+            assert main(["run", "--config", path,
+                         "--out", str(tmp_path / "o"),
+                         "--force-schedule"]) == 0
 
     def test_unknown_template_exits_2(self, tmp_path, capsys):
         assert main(["gen-config", "lemma99",
@@ -535,8 +550,8 @@ class TestWrongTypedValues:
         {}, {"recursion_bound": {"kind": "sg"}}])
     def test_forced_run_past_a_staged_schedule(self, tmp_path, capsys,
                                                monkeypatch, changes):
-        # Refused before --out is made and before the engine, or its pool,
-        # starts.
+        # One refusal, forced or not, and from validate: before --out is
+        # made and before the engine, or its pool, starts.
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran")
         monkeypatch.setattr(harness, "_mse", engine)
@@ -544,11 +559,13 @@ class TestWrongTypedValues:
             step={"staged": {"stages": [{"a": 0.1, "n": 5}]}}, horizon=20,
             **changes))
         out = tmp_path / "o"
-        for workers in ("1", "2"):
-            assert main(["run", "--config", cfg, "--out", str(out),
-                         "--force-schedule", "--workers", workers]) == 2
-            assert (_stderr_line(capsys)
-                    == "error: index beyond final stage (total length 5)")
+        run = ["run", "--config", cfg, "--out", str(out)]
+        for argv in (run, [*run, "--force-schedule"],
+                     [*run, "--force-schedule", "--workers", "2"],
+                     ["validate", "--config", cfg]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == (
+                "", "error: index beyond final stage (total length 5)\n")
             assert not out.exists()
 
     def test_multistage_stages_not_a_list(self, tmp_path, capsys):
@@ -646,7 +663,7 @@ class TestRefusedConfigLeavesNoOutput:
             raise AssertionError("the engine ran")
         monkeypatch.setattr(harness, "_mse", engine)
 
-    @pytest.mark.parametrize("command", ["run", "multistage"])
+    @pytest.mark.parametrize("command", ["run", "multistage", "validate"])
     @pytest.mark.parametrize("changes, line", [
         ({"master_seed": -1}, "error: master_seed must be >= 0, got -1"),
         ({"workers": 0}, "error: workers must be >= 1, got 0"),
@@ -671,21 +688,49 @@ class TestRefusedConfigLeavesNoOutput:
         ({"replicates": 2**32 + 1},
          "error: replicates must be <= 2**32, got 4294967297"),
         *((changes, _NOT_1D_LINE) for changes in _NOT_1D_PROBLEMS.values()),
+        # Vector elements are checked one by one: these used to run as
+        # the vectors numpy casts them to, or crash with an OverflowError.
+        ({"domain": {"ball": {"center": ["0.0", "0"], "radius": 2.0}}},
+         "error: domain.ball.center[0]: expected a number, got '0.0'"),
+        ({"domain": {"ball": {"center": [0.0, False], "radius": 2.0}}},
+         "error: domain.ball.center[1]: expected a number, got False"),
+        ({"domain": {"ball": {"center": [10**400, 0], "radius": 2.0}}},
+         f"error: domain.ball.center[0]: expected a number, got {10**400}"),
+        ({"problem": {"quadratic": {"hessian_diag": [True, True],
+                                    "theta_star": [0.0, 0.0]}}},
+         "error: problem.quadratic.hessian_diag[0]: expected a number, "
+         "got True"),
+        ({"problem": {"quadratic": {"hessian_diag": [1, 10**400],
+                                    "theta_star": [0.0, 0.0]}}},
+         "error: problem.quadratic.hessian_diag[1]: expected a number, "
+         f"got {10**400}"),
+        ({"problem": {"quadratic": {"hessian_diag": [[1.0, "1"]],
+                                    "theta_star": [[0.0, 0.0]]}}},
+         "error: problem.quadratic.hessian_diag[0][1]: expected a number, "
+         "got '1'"),
+        ({"theta0": [True, False]},
+         "error: theta0 must be a 2-vector in the domain, got [True, False]"),
     ], ids=["negative_seed", "zero_workers", "schedule", "variant_list",
             "qhm_v_string", "qhm_v_bool", "qhm_v_range", "qhm_v_missing",
             "eta_above_one", "negative_sigma2", "mismatched_problem",
-            "too_many_replicates", *_NOT_1D_PROBLEMS])
+            "too_many_replicates", *_NOT_1D_PROBLEMS, "center_strings",
+            "center_bool", "center_huge_int", "hessian_bools",
+            "hessian_huge_int", "nested_hessian_string", "theta0_bools"])
     def test_refused_config(self, tmp_path, capsys, no_engine, command,
                             changes, line):
+        # validate reads the multistage config here; the run config's
+        # refusals are checked by test_validate_refuses_what_run_refuses.
         cfg = (_base_run_config(**changes) if command == "run"
                else _multistage_config(**changes))
         out = tmp_path / "o"
-        assert main([command, "--config", _write(tmp_path, cfg),
-                     "--out", str(out)]) == 2
+        argv = [command, "--config", _write(tmp_path, cfg)]
+        if command != "validate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         if line is not None:
             assert err == line + "\n"
-        else:
+        elif command != "validate":     # validate prints the report
             assert "schedule validation failed" in err
         assert not out.exists()
 

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgmlab.schedules import (ConstantMomentum, ConstantStep, PolynomialMomentum,
-                              PolynomialStep, ProportionalToStep,
-                              ScheduleExhaustedError, StagedStep, ZeroMomentum,
-                              partial_sums, validate)
+                              PolynomialStep, ProportionalToStep, StagedStep,
+                              ZeroMomentum, validate)
 from sgmlab.cli import from_config
 
 
@@ -25,7 +24,8 @@ class TestStepSize:
 
     def test_staged_exhausted(self):
         s = StagedStep(stages=((0.1, 2), (0.05, 4)))
-        with pytest.raises(ScheduleExhaustedError):
+        with pytest.raises(ValueError, match=(
+                r"^index beyond final stage \(total length 6\)$")):
             s.step_size(6)
 
     def test_staged_must_decrease(self):
@@ -99,22 +99,12 @@ class TestValidate:
                           m=1.0, horizon=5)
         assert report.clamped_indices == [0, 1, 2, 3, 4]
 
-
-class TestPartialSums:
-    def test_constant(self):
-        s = partial_sums(ConstantStep(a=0.1), ZeroMomentum(), 10)
-        assert s["sum_t"] == pytest.approx(1.0)
-        assert s["sum_t2"] == pytest.approx(0.1)
-        assert s["sum_eta"] == 0.0
-
-    def test_polynomial_two_terms(self):
-        s = partial_sums(PolynomialStep(gamma=1.0, alpha=1.0), ZeroMomentum(), 2)
-        assert s["sum_t"] == pytest.approx(1.5)
-
-    def test_harmonic_momentum_prefix(self):
-        s = partial_sums(PolynomialStep(gamma=1.0, alpha=1.0),
-                         PolynomialMomentum(c=1.0, beta=1.0), 3)
-        assert s["sum_eta"] == pytest.approx(11.0 / 6.0)
+    def test_short_staged_step_raises(self):
+        # No run, forced or not, can use a step that ends before the horizon.
+        with pytest.raises(ValueError, match=(
+                r"^index beyond final stage \(total length 5\)$")):
+            validate(StagedStep(stages=((0.1, 5),)), ZeroMomentum(), m=1.0,
+                     horizon=20)
 
 
 @given(j=st.integers(0, 10**6))
@@ -127,33 +117,19 @@ def test_purity(j):
     assert mom.weight(j, t) == mom.weight(j, t)
 
 
-@given(n=st.integers(2, 500))
-@settings(max_examples=50, deadline=None)
-def test_partial_sums_telescoping(n):
-    step = PolynomialStep(gamma=0.7, alpha=0.9)
-    mom = ProportionalToStep(k=1.1)
-    full = partial_sums(step, mom, n)
-    prev = partial_sums(step, mom, n - 1)
-    t = step.step_size(n - 1)
-    eta = mom.weight(n - 1, t)
-    assert full["sum_t"] - prev["sum_t"] == pytest.approx(t, rel=1e-12)
-    assert full["sum_eta"] - prev["sum_eta"] == pytest.approx(eta, rel=1e-12)
-
-
 @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.0])
 def test_square_summable_above_half(alpha):
     step = PolynomialStep(gamma=1.0, alpha=alpha)
-    mom = ZeroMomentum()
-    tail = []
-    for n in (1000, 2000, 4000, 8000):
-        tail.append(partial_sums(step, mom, 2 * n)["sum_t2"]
-                    - partial_sums(step, mom, n)["sum_t2"])
+
+    def sum_t(n, power=1):
+        return float(np.sum(step.step_size(np.arange(n)) ** power))
+
     # dyadic tail blocks of sum t^2 shrink geometrically when 2*alpha > 1
+    tail = [sum_t(2 * n, 2) - sum_t(n, 2) for n in (1000, 2000, 4000, 8000)]
     assert all(a > b for a, b in zip(tail, tail[1:]))
     assert tail[-1] < tail[0] * 2.0 ** (-3 * (2 * alpha - 1)) * 1.01
     # sum_t keeps growing
-    assert (partial_sums(step, mom, 16000)["sum_t"]
-            > partial_sums(step, mom, 8000)["sum_t"] + 0.1)
+    assert sum_t(16000) > sum_t(8000) + 0.1
 
 
 def test_config_round_trip():
