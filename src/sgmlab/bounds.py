@@ -75,26 +75,31 @@ class RateEnvelope:
 FLOAT_CHUNK = 512
 
 
-def _steps(step: StepSchedule, N: int) -> np.ndarray:
+def _steps(E0: float, step: StepSchedule, m: float, M: float, sigma2: float,
+           N: int, L: float | None = None) -> np.ndarray:
+    """The steps t_0..t_{N-1}, after the argument checks of both recursions;
+    L is the heavy-ball recursion's only."""
+    if E0 < 0:
+        raise ValueError("E0 must be nonnegative")
+    for name, value in (("M", M), ("sigma2", sigma2)):
+        if not value >= 0:
+            raise ValueError(f"{name} = {value} must be nonnegative")
+    if L is not None and not L > 0:
+        raise ValueError(f"L = {L} must be positive")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    return np.asarray(step.step_size(np.arange(N)), dtype=float)
-
-
-def _check_tm(t: np.ndarray, m: float):
+    t = np.asarray(step.step_size(np.arange(N)), dtype=float)
     tm = t * m
-    if np.any(tm <= 0) or np.any(tm > 1):
-        j = int(np.flatnonzero((tm <= 0) | (tm > 1))[0])
-        raise ValueError(f"t_j*m = {tm[j]:.6g} not in (0, 1] at j={j}")
+    bad = np.flatnonzero((tm <= 0) | (tm > 1))
+    if bad.size:
+        raise ValueError(f"t_j*m = {tm[bad[0]]:.6g} not in (0, 1] at j={bad[0]}")
+    return t
 
 
 def sg_recursion_bound(E0: float, step: StepSchedule, m: float, M: float,
                        sigma2: float, N: int) -> BoundSequence:
     """Iterate E_{j+1} = (1 - t_j m) E_j + t_j^2 (M + sigma^2) exactly."""
-    if E0 < 0:
-        raise ValueError("E0 must be nonnegative")
-    t = _steps(step, N)
-    _check_tm(t, m)
+    t = _steps(E0, step, m, M, sigma2, N)
     m, noise = float(m), float(M + sigma2)
     values = np.empty(N + 1)
     values[0] = e = float(E0)
@@ -118,15 +123,10 @@ def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedul
       <= eta_j^2 L^2. Every value, E0 included, is clipped at L^2, which
     always holds on a domain of diameter L.
     """
-    if E0 < 0:
-        raise ValueError("E0 must be nonnegative")
-    t = _steps(step, N)
-    _check_tm(t, m)
+    t = _steps(E0, step, m, M, sigma2, N, L)
     eta = np.asarray(momentum.weight(np.arange(N), t), dtype=float)
     if np.any(eta >= 1):
         raise ValueError("momentum weights must satisfy eta_j < 1")
-    if not M >= 0:
-        raise ValueError(f"M = {M} must be nonnegative")
     m, L, sqrt_M = float(m), float(L), math.sqrt(M)
     noise = float(M + sigma2)
     L2 = L * L

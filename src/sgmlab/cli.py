@@ -32,10 +32,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 RUN_REQUIRED = {"problem", "domain", "noise", "variant", "step", "momentum",
                 "horizon", "replicates"}
 RUN_DEFAULTS = {
@@ -58,23 +54,23 @@ MULTISTAGE_DEFAULTS = {"variant": "sgm", "qhm_v": None,
 def _fail_closed(cfg: dict, allowed: set, required: set, where: str):
     """The one key checker for every config section."""
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object")
+        raise ValueError(f"{where}: expected an object")
     unknown = set(cfg) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
     missing = required - set(cfg)
     if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+        raise ValueError(f"missing keys in {where}: {sorted(missing)}")
 
 
 def _kind(spec, section: str, kinds) -> tuple:
     """Split a single-key `{kind: params}` object; kind must be in `kinds`."""
     if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError(f"{section}: expected a single-key object")
+        raise ValueError(f"{section}: expected a single-key object")
     (kind, params), = spec.items()
     if kind not in kinds:
-        raise ConfigError(f"unknown {section} kind {kind!r} "
-                          f"(expected one of {', '.join(kinds)})")
+        raise ValueError(f"unknown {section} kind {kind!r} "
+                         f"(expected one of {', '.join(kinds)})")
     return kind, params
 
 
@@ -114,7 +110,7 @@ def _coerce(value, type_name: str, where: str):
             return int(value)
         if isinstance(value, int) and not isinstance(value, bool):
             return value
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
     if type_name != "float":
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -122,13 +118,13 @@ def _coerce(value, type_name: str, where: str):
             return float(value)
         except OverflowError:       # an int past the float range
             pass
-    raise ConfigError(f"{where}: expected a number, got {value!r}")
+    raise ValueError(f"{where}: expected a number, got {value!r}")
 
 
 def _stages(stages, where: str) -> list:
     """[(a, n)] from a list of {a, n} objects; n may be 'auto'."""
     if not isinstance(stages, list):
-        raise ConfigError(f"{where}: expected a list of {{a, n}} objects")
+        raise ValueError(f"{where}: expected a list of {{a, n}} objects")
     pairs = []
     for i, stage in enumerate(stages):
         at = f"{where}[{i}]"
@@ -149,8 +145,8 @@ def from_config(section: str, spec, **context):
         try:
             return problems.load_erm_csv(str(params["path"]), **context)
         except OSError as exc:
-            raise ConfigError(f"{where}: cannot read {params['path']!r}: "
-                              f"{exc.strerror}") from None
+            raise ValueError(f"{where}: cannot read {params['path']!r}: "
+                             f"{exc.strerror}") from None
     cls = CONFIG_KINDS[section][kind]
     types = {f.name: f.type for f in dataclasses.fields(cls)
              if f.init and f.name not in context}
@@ -161,7 +157,7 @@ def from_config(section: str, spec, **context):
     try:
         return cls(**kwargs, **context)
     except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def build_problem(cfg: dict) -> problems.Problem:
@@ -174,14 +170,14 @@ def _variant(resolved: dict):
     """The variant named by 'variant', QHM's v coming from 'qhm_v'."""
     name, v = resolved["variant"], resolved.get("qhm_v")
     if not isinstance(name, str):
-        raise ConfigError(f"variant: expected a name, got {name!r}")
+        raise ValueError(f"variant: expected a name, got {name!r}")
     v = None if v is None else _coerce(v, "float", "qhm_v")
     try:
         return variant_from_name(name, v)
     except ValueError as exc:
         if name != "qhm":   # the name, not v, was refused
             raise
-        raise ConfigError(f"qhm_v: {exc}") from None
+        raise ValueError(f"qhm_v: {exc}") from None
 
 
 def resolve_config(cfg: dict, args, required: set, defaults: dict) -> dict:
@@ -195,6 +191,8 @@ def resolve_config(cfg: dict, args, required: set, defaults: dict) -> dict:
     if getattr(args, "workers", None) is not None:
         resolved["workers"] = args.workers
     _apply_overrides(resolved, args.override)
+    if isinstance(resolved["theta0"], list):    # checked; kept as written
+        _coerce(resolved["theta0"], "np.ndarray", "theta0")
     return resolved
 
 
@@ -208,8 +206,8 @@ def build_experiment(resolved: dict, force_schedule: bool = False) -> Experiment
     checkpoints = resolved["checkpoints"]
     if checkpoints is not None:
         if not isinstance(checkpoints, list):
-            raise ConfigError(f"checkpoints: expected a list of integers, "
-                              f"got {checkpoints!r}")
+            raise ValueError(f"checkpoints: expected a list of integers, "
+                             f"got {checkpoints!r}")
         checkpoints = [_coerce(c, "int", f"checkpoints[{i}]")
                        for i, c in enumerate(checkpoints)]
     try:
@@ -225,71 +223,79 @@ def build_experiment(resolved: dict, force_schedule: bool = False) -> Experiment
             **_integers(resolved, ("suffix_start", "horizon", "replicates",
                                    "master_seed", "workers")),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+# The recursion bounds by kind: the name of the `bounds` function, looked up
+# when a bound is built, so that the function called is the one `bounds`
+# holds then, and the keys the kind takes beyond RECURSION_KEYS.
+RECURSION_KEYS = ("E0", "step", "m", "M", "sigma2", "N")
+RECURSIONS = {"sg": ("sg_recursion_bound", ()),
+              "sgm": ("sgm_recursion_bound", ("momentum", "L"))}
+
+
+def _recursion(kind: str, **values) -> bounds_mod.BoundSequence:
+    """The `kind` recursion bound, over the keys it takes from `values`."""
+    name, extra = RECURSIONS[kind]
+    return getattr(bounds_mod, name)(
+        **{k: values[k] for k in (*RECURSION_KEYS, *extra)})
 
 
 def _build_bound(resolved: dict, config: ExperimentConfig):
     """Optional dominance target from 'envelope' or 'recursion_bound'."""
-    if resolved.get("envelope") is not None:
-        e = resolved["envelope"]
+    e, r = resolved.get("envelope"), resolved.get("recursion_bound")
+    if e is not None and r is not None:
+        raise ValueError("envelope and recursion_bound: give at most one")
+    if e is not None:
         _fail_closed(e, {"case", "constant", "beta"}, {"case"}, "envelope")
         numbers = {k: _coerce(e[k], "float", f"envelope.{k}")
                    for k in ("constant", "beta") if e.get(k) is not None}
         return bounds_mod.RateEnvelope(case=e["case"], **numbers)
-    if resolved.get("recursion_bound") is not None:
-        r = resolved["recursion_bound"]
-        _fail_closed(r, {"kind", "E0"}, {"kind"}, "recursion_bound")
-        if r["kind"] not in ("sg", "sgm"):
-            raise ConfigError(f"unknown recursion_bound kind {r['kind']!r} "
-                              "(expected one of sg, sgm)")
-        consts = config.problem.constants()
-        if r.get("E0") is not None:
-            E0 = _coerce(r["E0"], "float", "recursion_bound.E0")
-        elif not isinstance(config.theta0, str):
-            delta = config.theta0 - consts.theta_star
-            E0 = float(delta @ delta)
-        else:
-            raise ConfigError("recursion_bound with random theta0 needs explicit E0")
-        if r["kind"] == "sg":
-            return bounds_mod.sg_recursion_bound(
-                E0, config.step, consts.m, consts.M, consts.sigma2,
-                config.horizon)
-        return bounds_mod.sgm_recursion_bound(
-            E0, config.step, config.momentum, consts.m, consts.M,
-            consts.sigma2, consts.L, config.horizon)
-    return None
+    if r is None:
+        return None
+    _fail_closed(r, {"kind", "E0"}, {"kind"}, "recursion_bound")
+    if r["kind"] not in tuple(RECURSIONS):      # a kind may be unhashable
+        raise ValueError(f"unknown recursion_bound kind {r['kind']!r} "
+                         f"(expected one of {', '.join(RECURSIONS)})")
+    consts = config.problem.constants()
+    if r.get("E0") is not None:
+        E0 = _coerce(r["E0"], "float", "recursion_bound.E0")
+    elif not isinstance(config.theta0, str):
+        delta = config.theta0 - consts.theta_star
+        E0 = float(delta @ delta)
+    else:
+        raise ValueError("recursion_bound with random theta0 needs explicit E0")
+    return _recursion(r["kind"], E0=E0, step=config.step,
+                      momentum=config.momentum, m=consts.m, M=consts.M,
+                      sigma2=consts.sigma2, L=consts.L, N=config.horizon)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _table(header: str, rows) -> str:
+    """CSV text; integers and strings are written as they are, other numbers
+    as repr(float(x))."""
+    lines = [",".join(str(x) if isinstance(x, (int, str)) else repr(float(x))
+                      for x in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def summary_csv(summary, report=None) -> str:
-    lines = []
+    rows = zip(summary.checkpoints, summary.mse_mean, summary.mse_sem)
     if report is None:
-        lines.append("checkpoint,mse_mean,mse_sem")
-        for c, mean, sem in zip(summary.checkpoints, summary.mse_mean,
-                                summary.mse_sem):
-            lines.append(f"{c},{_format_float(mean)},{_format_float(sem)}")
-    else:
-        lines.append("checkpoint,mse_mean,mse_sem,bound_value,verdict")
-        checked = set(report.checked)
-        bad = {v[0] for v in report.violations}
-        for c, mean, sem, bv in zip(summary.checkpoints, summary.mse_mean,
-                                    summary.mse_sem, report.bound_values):
-            if c not in checked:
-                verdict = "calibration"
-            else:
-                verdict = "violation" if c in bad else "ok"
-            lines.append(f"{c},{_format_float(mean)},{_format_float(sem)},"
-                         f"{_format_float(bv)},{verdict}")
-    return "\n".join(lines) + "\n"
+        return _table("checkpoint,mse_mean,mse_sem", rows)
+    checked = set(report.checked)
+    bad = {v[0] for v in report.violations}
+    verdicts = ["calibration" if c not in checked
+                else "violation" if c in bad else "ok"
+                for c in summary.checkpoints]
+    return _table("checkpoint,mse_mean,mse_sem,bound_value,verdict",
+                  ((*row, bv, verdict) for row, bv, verdict
+                   in zip(rows, report.bound_values, verdicts)))
 
 
 def _check_output(path: Path, overwrite: bool):
     if path.exists() and not overwrite:
-        raise ConfigError(f"{path} exists; pass --overwrite to replace it")
+        raise ValueError(f"{path} exists; pass --overwrite to replace it")
 
 
 @contextlib.contextmanager
@@ -307,8 +313,8 @@ def _outputs(args, *names):
                                         (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: "
-                          f"{exc.strerror}") from None
+        raise ValueError(f"cannot create output directory {out_dir}: "
+                         f"{exc.strerror}") from None
     try:
         targets = [out_dir / name for name in names]
         for t in targets:
@@ -332,8 +338,8 @@ def _write_outputs(targets: list, texts: list):
             tmp.write_text(text)
             os.replace(tmp, target)
         except OSError as exc:
-            raise ConfigError(f"cannot write {target}: "
-                              f"{exc.strerror}") from None
+            raise ValueError(f"cannot write {target}: "
+                             f"{exc.strerror}") from None
         finally:
             tmp.unlink(missing_ok=True)
 
@@ -349,10 +355,19 @@ def _checked_run(resolved: dict, force_schedule: bool) -> tuple:
     window = resolved.get("fit_window")
     if window is not None:
         if not isinstance(window, list) or len(window) != 2:
-            raise ConfigError(f"fit_window: expected [lo, hi], got {window!r}")
+            raise ValueError(f"fit_window: expected [lo, hi], got {window!r}")
         window = tuple(_coerce(x, "float", "fit_window") for x in window)
         window_mask(config.checkpoints, window)
     return config, bound, window
+
+
+def _warn_forced(configs, prefixes):
+    """The schedule warnings of the forced configs, one prefix each, on
+    stderr."""
+    for prefix, config in zip(prefixes, configs, strict=True):
+        if not config.schedule_report.ok:
+            print(f"{prefix}schedule warnings (forced):\n"
+                  f"{config.schedule_report}", file=sys.stderr)
 
 
 def cmd_run(args) -> int:
@@ -362,17 +377,12 @@ def cmd_run(args) -> int:
     with _outputs(args, "summary.csv", "summary.json",
                   "config.resolved.json") as targets:
         summary = run_replicates(config)
-        if not config.schedule_report.ok:
-            print(f"schedule warnings (forced):\n{config.schedule_report}",
-                  file=sys.stderr)
+        _warn_forced([config], [""])
         dom = dominance_check(summary, bound) if bound is not None else None
         fit = None if window is None else fit_rate(summary, window)
 
         payload = {
-            "fit": None if fit is None else {
-                "exponent": fit.exponent, "log_constant": fit.log_constant,
-                "r2": fit.r2,
-            },
+            "fit": None if fit is None else dataclasses.asdict(fit),
             "dominance": None if dom is None else {
                 "passed": dom.passed,
                 "violations": [list(v) for v in dom.violations],
@@ -413,20 +423,12 @@ def cmd_multistage(args) -> int:
     configs = _checked_stages(resolved, args.force_schedule)
     with _outputs(args, "stages.csv", "config.resolved.json") as targets:
         reports = run_multistage(configs)
-        for k, config in enumerate(configs):
-            if not config.schedule_report.ok:
-                print(f"stage {k} schedule warnings (forced):\n"
-                      f"{config.schedule_report}", file=sys.stderr)
-
-        lines = ["stage,step,length,burn_in,suffix_mse_mean,suffix_mse_sem,"
-                 "plateau"]
-        for k, r in enumerate(reports):
-            lines.append(f"{k},{_format_float(r.step)},{r.length},{r.burn_in},"
-                         f"{_format_float(r.suffix_mse_mean)},"
-                         f"{_format_float(r.suffix_mse_sem)},"
-                         f"{_format_float(r.plateau)}")
+        _warn_forced(configs, [f"stage {k} " for k in range(len(configs))])
         _write_outputs(targets, [
-            "\n".join(lines) + "\n",
+            _table("stage,step,length,burn_in,suffix_mse_mean,"
+                   "suffix_mse_sem,plateau",
+                   ((k, *dataclasses.astuple(r))
+                    for k, r in enumerate(reports))),
             json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK
 
@@ -434,24 +436,17 @@ def cmd_multistage(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = _load_json(args.config)
     _fail_closed(cfg, {"bound"}, {"bound"}, "config")
-    kind, p = _kind(cfg["bound"], "bound", ("sg_recursion", "sgm_recursion"))
-    keys = {"E0", "step", "m", "M", "sigma2", "N"}
-    if kind == "sgm_recursion":
-        keys |= {"momentum", "L"}
-    _fail_closed(p, keys, keys, f"bound.{kind}")
-    num = {k: _coerce(p[k], "int" if k == "N" else "float", f"bound.{kind}.{k}")
-           for k in keys - {"step", "momentum"}}
-    step = from_config("step", p["step"])
-    if kind == "sg_recursion":
-        seq = bounds_mod.sg_recursion_bound(
-            num["E0"], step, num["m"], num["M"], num["sigma2"], num["N"])
-    else:
-        seq = bounds_mod.sgm_recursion_bound(
-            num["E0"], step, from_config("momentum", p["momentum"]),
-            num["m"], num["M"], num["sigma2"], num["L"], num["N"])
-    print("j,bound")
-    for j, v in enumerate(seq.values):
-        print(f"{j},{_format_float(v)}")
+    name, p = _kind(cfg["bound"], "bound",
+                    [f"{kind}_recursion" for kind in RECURSIONS])
+    kind = name.removesuffix("_recursion")
+    keys = (*RECURSION_KEYS, *RECURSIONS[kind][1])
+    _fail_closed(p, set(keys), set(keys), f"bound.{name}")
+    values = {k: _coerce(p[k], "int" if k == "N" else "float",
+                         f"bound.{name}.{k}")
+              for k in keys if k not in CONFIG_KINDS}
+    values.update((k, from_config(k, p[k])) for k in keys if k in CONFIG_KINDS)
+    seq = _recursion(kind, **values)
+    sys.stdout.write(_table("j,bound", enumerate(seq.values)))
     return EXIT_OK
 
 
@@ -459,20 +454,19 @@ def cmd_fit(args) -> int:
     try:
         text = Path(args.summary).read_text().strip().splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read summary {args.summary}: {exc}") from exc
+        raise ValueError(f"cannot read summary {args.summary}: {exc}") from exc
     header = text[0].split(",") if text else []
     if header[:3] != ["checkpoint", "mse_mean", "mse_sem"]:
-        raise ConfigError(f"{args.summary}: unexpected header {header[:3]}")
+        raise ValueError(f"{args.summary}: unexpected header {header[:3]}")
     try:
         rows = [line.split(",") for line in text[1:]]
         cps = tuple(int(r[0]) for r in rows)
         mse = np.asarray([float(r[1]) for r in rows])
         sem = np.asarray([float(r[2]) for r in rows])
     except (IndexError, ValueError) as exc:
-        raise ConfigError(f"{args.summary}: malformed row ({exc})") from None
+        raise ValueError(f"{args.summary}: malformed row ({exc})") from None
     fit = fit_rate(RunSummary(cps, mse, sem), tuple(args.window))
-    print(json.dumps({"exponent": fit.exponent,
-                      "log_constant": fit.log_constant, "r2": fit.r2}))
+    print(json.dumps(dataclasses.asdict(fit)))
     return EXIT_OK
 
 
@@ -533,8 +527,8 @@ TEMPLATES = {
 def gen_config(template: str) -> dict:
     """A fresh copy of the named template config."""
     if template not in TEMPLATES:
-        raise ConfigError(f"unknown template {template!r}; "
-                          f"available: {', '.join(TEMPLATES)}")
+        raise ValueError(f"unknown template {template!r}; "
+                         f"available: {', '.join(TEMPLATES)}")
     return copy.deepcopy(TEMPLATES[template])
 
 
@@ -551,13 +545,13 @@ def _load_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
 def _apply_overrides(resolved: dict, overrides):
     for item in overrides or []:
         if "=" not in item:
-            raise ConfigError(f"override {item!r} must be key=value")
+            raise ValueError(f"override {item!r} must be key=value")
         key, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
@@ -567,10 +561,10 @@ def _apply_overrides(resolved: dict, overrides):
         parts = key.split(".")
         for part in parts[:-1]:
             if part not in target or not isinstance(target[part], dict):
-                raise ConfigError(f"override path {key!r} not found")
+                raise ValueError(f"override path {key!r} not found")
             target = target[part]
         if parts[-1] not in target:
-            raise ConfigError(f"override key {key!r} not in config")
+            raise ValueError(f"override key {key!r} not in config")
         target[parts[-1]] = value
 
 
@@ -633,7 +627,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericFailureError as exc:

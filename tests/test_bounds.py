@@ -1,3 +1,6 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,34 @@ class TestRecursionsMatchNumpyScalarLoop:
         with pytest.raises(ValueError, match="M = -1.0 must be nonnegative"):
             sgm_recursion_bound(1.0, ConstantStep(0.1), ConstantMomentum(0.5),
                                 1.0, -1.0, 1.0, L=2.0, N=3)
+
+
+@pytest.mark.parametrize("recursion", [
+    sg_recursion_bound,
+    functools.partial(sgm_recursion_bound, momentum=ConstantMomentum(0.5),
+                      L=2.0)], ids=["sg", "sgm"])
+@pytest.mark.parametrize("key, value, message", [
+    ("E0", -1.0, "E0 must be nonnegative"),
+    ("M", -4.0, "M = -4.0 must be nonnegative"),
+    ("sigma2", -1.0, "sigma2 = -1.0 must be nonnegative"),
+    ("N", -1, "N must be >= 0, got -1"),
+    ("m", 20.0, "t_j*m = 2 not in (0, 1] at j=0"),
+], ids=["E0", "M", "sigma2", "N", "tm"])
+def test_one_argument_check(recursion, key, value, message):
+    # Both recursions refuse the same arguments with the same line; the SG
+    # one used to take a negative M or sigma2, the SGM one a negative sigma2.
+    args = dict(E0=1.0, step=ConstantStep(0.1), m=1.0, M=1.0, sigma2=1.0,
+                N=3)
+    args[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        recursion(**args)
+
+
+@pytest.mark.parametrize("L", [-2.0, 0.0])
+def test_sgm_nonpositive_L_named(L):
+    with pytest.raises(ValueError, match=f"^L = {L} must be positive$"):
+        sgm_recursion_bound(1.0, ConstantStep(0.1), ConstantMomentum(0.5),
+                            1.0, 1.0, 1.0, L=L, N=3)
 
 
 class TestPlateau:

@@ -271,12 +271,20 @@ class TestBoundsAndFit:
         assert out[3] == "2,0.75"
 
     def test_bounds_negative_M_exit_2(self, tmp_path, capsys):
-        cfg = _write(tmp_path, {"bound": {"sgm_recursion": {
-            "E0": 1.0, "step": {"constant": {"a": 0.1}},
-            "momentum": {"constant": {"eta": 0.5}}, "m": 1.0, "M": -1.0,
-            "sigma2": 1.0, "L": 2.0, "N": 3}}})
-        assert main(["bounds", "--config", cfg]) == 2
-        assert _stderr_line(capsys) == "error: M = -1.0 must be nonnegative"
+        # The last three used to print a bound and exit 0.
+        for kind, key, value, line in [
+                ("sgm", "M", -1.0, "M = -1.0 must be nonnegative"),
+                ("sg", "M", -4, "M = -4.0 must be nonnegative"),
+                ("sgm", "sigma2", -1, "sigma2 = -1.0 must be nonnegative"),
+                ("sgm", "L", -2, "L = -2.0 must be positive")]:
+            params = {"E0": 1.0, "step": {"constant": {"a": 0.1}}, "m": 1.0,
+                      "M": 1.0, "sigma2": 1.0, "N": 3}
+            if kind == "sgm":
+                params.update(momentum={"constant": {"eta": 0.5}}, L=2.0)
+            params[key] = value
+            cfg = _write(tmp_path, {"bound": {f"{kind}_recursion": params}})
+            assert main(["bounds", "--config", cfg]) == 2
+            assert _stderr_line(capsys) == f"error: {line}"
 
     def test_fit_reads_summary(self, tmp_path, capsys):
         rows = ["checkpoint,mse_mean,mse_sem"]
@@ -708,14 +716,19 @@ class TestRefusedConfigLeavesNoOutput:
                                     "theta_star": [[0.0, 0.0]]}}},
          "error: problem.quadratic.hessian_diag[0][1]: expected a number, "
          "got '1'"),
+        # theta0's elements go through the same check; a mixed one used
+        # to run as the integer vector numpy made of it.
         ({"theta0": [True, False]},
-         "error: theta0 must be a 2-vector in the domain, got [True, False]"),
+         "error: theta0[0]: expected a number, got True"),
+        ({"theta0": [1, True]},
+         "error: theta0[1]: expected a number, got True"),
     ], ids=["negative_seed", "zero_workers", "schedule", "variant_list",
             "qhm_v_string", "qhm_v_bool", "qhm_v_range", "qhm_v_missing",
             "eta_above_one", "negative_sigma2", "mismatched_problem",
             "too_many_replicates", *_NOT_1D_PROBLEMS, "center_strings",
             "center_bool", "center_huge_int", "hessian_bools",
-            "hessian_huge_int", "nested_hessian_string", "theta0_bools"])
+            "hessian_huge_int", "nested_hessian_string", "theta0_bools",
+            "theta0_mixed"])
     def test_refused_config(self, tmp_path, capsys, no_engine, command,
                             changes, line):
         # validate reads the multistage config here; the run config's
@@ -738,6 +751,9 @@ class TestRefusedConfigLeavesNoOutput:
         ({"recursion_bound": {"kind": "sgm2"}},
          "error: unknown recursion_bound kind 'sgm2' (expected one of sg, "
          "sgm)"),
+        ({"recursion_bound": {"kind": ["sg"]}},
+         "error: unknown recursion_bound kind ['sg'] (expected one of sg, "
+         "sgm)"),
         ({"recursion_bound": {"kind": "sg"}, "theta0": "random-interior"},
          "error: recursion_bound with random theta0 needs explicit E0"),
         ({"estimator": "median"}, "error: unknown estimator 'median'"),
@@ -747,9 +763,13 @@ class TestRefusedConfigLeavesNoOutput:
         ({"checkpoints": []}, "error: checkpoints must not be empty"),
         ({"estimator": "suffix", "suffix_start": -1},
          "error: suffix_start must be >= 0, got -1"),
-    ], ids=["recursion_bound_kind", "recursion_bound_without_E0",
-            "estimator", "zero_horizon", "negative_gamma", "no_checkpoints",
-            "negative_suffix_start"])
+        # the recursion bound used to go unread, its kind unchecked
+        ({"envelope": {"case": "inv_n"}, "recursion_bound": {"kind": "bogus"}},
+         "error: envelope and recursion_bound: give at most one"),
+    ], ids=["recursion_bound_kind", "recursion_bound_kind_list",
+            "recursion_bound_without_E0", "estimator", "zero_horizon",
+            "negative_gamma", "no_checkpoints", "negative_suffix_start",
+            "envelope_and_recursion_bound"])
     def test_refused_run_config(self, tmp_path, capsys, no_engine, changes,
                                 line):
         # Keys only `run` takes.
@@ -769,9 +789,12 @@ class TestRefusedConfigLeavesNoOutput:
          "error: E0 must be nonnegative"),
         ({"envelope": {"case": "bogus"}},
          "error: unknown envelope case 'bogus'"),
+        ({"envelope": {"case": "inv_n"}, "recursion_bound": {"kind": "sg"}},
+         "error: envelope and recursion_bound: give at most one"),
         *((changes, _NOT_1D_LINE) for changes in _NOT_1D_PROBLEMS.values()),
     ], ids=["short_window", "one_checkpoint_envelope", "negative_E0",
-            "unknown_envelope", *_NOT_1D_PROBLEMS])
+            "unknown_envelope", "envelope_and_recursion_bound",
+            *_NOT_1D_PROBLEMS])
     def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
                                                no_engine, changes, line):
         path = _write(tmp_path, _base_run_config(**changes))

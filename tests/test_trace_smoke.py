@@ -6,7 +6,8 @@ bypasses one of them would silently empty the per-layer figures; this runs
 one tiny two-worker `sgmlab run` the way the benchmark does and checks that
 the main process recorded the pool's span, that the pool workers recorded
 engine, update-kernel, noise, gradient and projection spans, and one update
-and one projection per step.
+and one projection per step. A one-worker run with a recursion bound checks
+that the CLI calls the bound function the tracer put in `bounds`.
 """
 
 import json
@@ -18,7 +19,8 @@ CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 HORIZON = 20
 
 
-def test_traced_pool_run_records_engine_spans(tmp_path):
+def _traced_run(tmp_path, workers, **changes) -> dict:
+    """The main process's stats of one traced `sgmlab run`."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "problem": {"quadratic": {"hessian_diag": [1.0, 1.0],
@@ -31,17 +33,24 @@ def test_traced_pool_run_records_engine_spans(tmp_path):
         "theta0": [1.0, 0.0],
         "horizon": HORIZON,
         "replicates": 4,
+        **changes,
     }))
     stats, trace_dir = tmp_path / "stats.json", tmp_path / "trace"
     trace_dir.mkdir()
     proc = subprocess.run(
         [sys.executable, str(CHILD), str(stats), str(trace_dir), "run",
          "--config", str(config), "--out", str(tmp_path / "out"),
-         "--workers", "2"],
+         "--workers", str(workers)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     main = json.loads(stats.read_text())
     assert main["exit_code"] == 0
+    return main
+
+
+def test_traced_pool_run_records_engine_spans(tmp_path):
+    main = _traced_run(tmp_path, workers=2)
+    trace_dir = tmp_path / "trace"
     # the pool the engine entered is the tracer's: without its span the
     # benchmark's pool start-up figure reads 0
     assert "harness.pool" in {span[0] for span in main["trace"]["spans"]}
@@ -59,3 +68,11 @@ def test_traced_pool_run_records_engine_spans(tmp_path):
         counts = record["counts"]
         assert counts["optimizers.step.calls"] == HORIZON
         assert counts["geometry.project.calls"] == HORIZON
+
+
+def test_traced_run_records_the_recursion_span(tmp_path):
+    # A table of the bound functions bound at import would bypass the
+    # tracer's replacements and leave the benchmark's bounds.recursion_s at 0.
+    main = _traced_run(tmp_path, workers=1, variant="sgm",
+                       recursion_bound={"kind": "sgm"})
+    assert "bounds.recursion" in {span[0] for span in main["trace"]["spans"]}
