@@ -11,7 +11,9 @@ any value, and aggregation is always done in replicate-index order.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -281,7 +283,41 @@ def _replicate_rngs(master_seed: int, lo: int, hi: int) -> list:
             for r, state in zip(range(lo, hi), states)]
 
 
-def _noise_chunks(problem: Problem, rngs, n_steps: int):
+def _process_lanes(workers: int) -> int:
+    """How many threads one of a run's `workers` processes may draw noise
+    on: the CPUs this process may run on, shared out among the workers, at
+    least one."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    return max(1, cpus // workers)
+
+
+def _on_threads(calls, *args):
+    """Run calls[0](*args) on this thread and each other call on a thread of
+    its own. Return once every call has ended, raising this thread's error
+    or else the first helper's, so no helper outlives the return."""
+    errors = []
+
+    def helper(call):
+        try:
+            call(*args)
+        except BaseException as err:
+            errors.append(err)
+
+    threads = []
+    try:
+        for call in calls[1:]:
+            threads.append(threading.Thread(target=helper, args=(call,)))
+            threads[-1].start()
+        calls[0](*args)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _noise_chunks(problem: Problem, rngs, n_steps: int, lanes: int = 1):
     """The noise of n_steps steps, one chunk of at most NOISE_CHUNK steps at
     a time, step-major: chunk[i] is step i's (block, d) noise, or its
     (block, batch) sample indices in mini-batch mode, so the step loop reads
@@ -293,24 +329,46 @@ def _noise_chunks(problem: Problem, rngs, n_steps: int):
     as one opaque item per (width,) row, so the copy moves whole rows and
     writes each step's tile rows contiguously. The draws are standard
     variates, which the problem's noise finisher turns into noise over the
-    whole chunk at once."""
-    draw, width, dtype, finish, _ = prob_mod.noise_kind(problem)
+    whole chunk at once.
+
+    The tiles are split into at most `lanes` contiguous groups, each with a
+    tile buffer of its own: this thread fills the first group and one
+    helper thread each of the others, and all are joined before the chunk
+    is finished. Every replicate still draws from its own stream into its
+    own columns, so no value depends on the split. A noise kind that is not
+    threaded takes one lane."""
+    draw, width, dtype, finish, _, threaded = prob_mod.noise_kind(problem)
     size = min(NOISE_CHUNK, n_steps)
     by_step = np.empty((size, len(rngs), width), dtype)
-    tile = np.empty((min(NOISE_TILE, len(rngs)), size, width), dtype)
+    tile_len = min(NOISE_TILE, len(rngs))
+    tiles = -(-len(rngs) // tile_len)
+    lanes = min(lanes, tiles) if threaded else 1
     row = np.dtype((np.void, width * by_step.itemsize))
-    steps_v, tile_v = by_step.view(row)[..., 0], tile.view(row)[..., 0]
+    steps_v = by_step.view(row)[..., 0]
+
+    def lane(lo: int, hi: int):
+        tile = np.empty((tile_len, size, width), dtype)
+        tile_v = tile.view(row)[..., 0]
+
+        def fill(chunk: int):
+            rows = [r[:chunk] for r in tile]
+            for r0 in range(lo, hi, tile_len):
+                block = rngs[r0:r0 + tile_len]
+                for rng, out in zip(block, rows):
+                    # `out` by keyword: a wrapper around the draw may read
+                    # only the positional arguments.
+                    draw(problem, rng, chunk, out=out)
+                n = len(block)
+                steps_v[:chunk, r0:r0 + n] = tile_v[:n, :chunk].T
+
+        return fill
+
+    edges = [min(tiles * k // lanes * tile_len, len(rngs))
+             for k in range(lanes + 1)]
+    fills = [lane(lo, hi) for lo, hi in zip(edges, edges[1:])]
     for pos in range(0, n_steps, size):
         chunk = min(size, n_steps - pos)
-        rows = [r[:chunk] for r in tile]
-        for r0 in range(0, len(rngs), len(tile)):
-            block = rngs[r0:r0 + len(tile)]
-            for rng, out in zip(block, rows):
-                # `out` by keyword: a wrapper around the draw may read only
-                # the positional arguments.
-                draw(problem, rng, chunk, out=out)
-            n = len(block)
-            steps_v[:chunk, r0:r0 + n] = tile_v[:n, :chunk].T
+        _on_threads(fills, chunk)
         if finish is not None:
             finish(by_step[:chunk])
         yield by_step[:chunk]
@@ -339,7 +397,8 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
     record_at = {c: k for k, c in enumerate(config.checkpoints)}
     out = np.empty((len(config.checkpoints), len(rngs)))
     j = 0
-    for noise in _noise_chunks(problem, rngs, n_steps):
+    lanes = _process_lanes(config.workers)
+    for noise in _noise_chunks(problem, rngs, n_steps, lanes):
         start, start_j = batch.copy(), j
         # Python floats, one chunk at a time: the whole horizon as lists
         # would cost more memory than the arrays.

@@ -429,23 +429,27 @@ def minibatch_indices(problem: ErmLeastSquares, rng: np.random.Generator,
 
 def noise_kind(problem: Problem) -> tuple:
     """How the engine draws and applies the problem's noise, decided once:
-    (draw, width, dtype, finish, gradient). draw(problem, rng, k, out=None)
-    returns one replicate's k steps of draws, shape (k, width), filling a
-    given `out` of that shape and dtype: the standard variates of additive
-    noise, which finish turns into noise in place over any stack of them,
-    or final mini-batch sample indices, whose finish is None.
+    (draw, width, dtype, finish, gradient, threaded). draw(problem, rng, k,
+    out=None) returns one replicate's k steps of draws, shape (k, width),
+    filling a given `out` of that shape and dtype: the standard variates of
+    additive noise, which finish turns into noise in place over any stack
+    of them, or final mini-batch sample indices, whose finish is None.
     gradient(theta, noise) is the stochastic gradient at a (block, d) batch
-    of iterates given one step's (block, width) noise."""
+    of iterates given one step's (block, width) noise. threaded says
+    whether disjoint replicates' draws gain from running on threads at
+    once: the additive fills release the GIL while they write `out`, but
+    the mini-batch draw allocates int64 indices and casts them, and two
+    threads of it run slower than one."""
     if isinstance(problem.noise, Minibatch):
         return (minibatch_indices, problem.noise.batch_size,
                 index_dtype(problem.design.shape[0]), None,
-                problem.per_sample_gradient)
+                problem.per_sample_gradient, False)
 
     def gradient(theta, noise):
         return subgradient_batch(problem, theta) + noise
 
     return (noise_sample, problem.dimension, float, problem.noise.finish,
-            gradient)
+            gradient, True)
 
 
 def load_erm_csv(path, domain: Domain, noise: NoiseModel | Minibatch) -> ErmLeastSquares:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -175,13 +176,22 @@ def _erm_with_rows(n_rows, batch=3):
                            noise=Minibatch(batch_size=batch))
 
 
-_each_noise_kind = pytest.mark.parametrize("problem", [
-    _quadratic(),
-    Quadratic(hessian_diag=[1.0, 2.0], theta_star=[0.1, 0.0],
-              domain=Ball(center=[0.0, 0.0], radius=2.0),
-              noise=BoundedRademacher(sigma2=1.0)),
-    _erm_minibatch(),
-], ids=["gaussian", "bounded_rademacher", "minibatch"])
+_NOISE_KINDS = {
+    "gaussian": _quadratic(),
+    "bounded_rademacher": Quadratic(
+        hessian_diag=[1.0, 2.0], theta_star=[0.1, 0.0],
+        domain=Ball(center=[0.0, 0.0], radius=2.0),
+        noise=BoundedRademacher(sigma2=1.0)),
+    "minibatch": _erm_minibatch(),
+}
+_each_noise_kind = pytest.mark.parametrize(
+    "problem", list(_NOISE_KINDS.values()), ids=list(_NOISE_KINDS))
+# Each noise kind on 1, 2 and 3 lanes; the one-lane cases keep the kind's
+# name as their id.
+_each_noise_kind_and_lanes = pytest.mark.parametrize("problem, lanes", [
+    pytest.param(problem, lanes,
+                 id=name if lanes == 1 else f"{name}-{lanes}-lanes")
+    for lanes in (1, 2, 3) for name, problem in _NOISE_KINDS.items()])
 
 
 class TestRunReplicates:
@@ -549,12 +559,12 @@ class TestStepMajorNoise:
     """The step loop reads each chunk of noise step-major: row i of a chunk
     holds step i of every replicate, drawn from that replicate's stream."""
 
-    @_each_noise_kind
+    @_each_noise_kind_and_lanes
     def test_chunks_are_the_replicate_draws_transposed(self, monkeypatch,
-                                                       problem):
+                                                       problem, lanes):
         monkeypatch.setattr(harness, "NOISE_CHUNK", 7)
         monkeypatch.setattr(harness, "NOISE_TILE", 3)
-        n_steps, reps = 18, 5            # chunks of 7, 7 and a short 4
+        n_steps, reps = 18, 11           # chunks of 7, 7 and a short 4
         # and tiles of 3 replicates and a short 2
         # Each replicate's finished draws: the chunk finishes its standard
         # variates at once, with the bits of finishing each draw alone.
@@ -566,7 +576,7 @@ class TestStepMajorNoise:
         rngs = harness._replicate_rngs(3, 0, reps)
         fresh = harness._replicate_rngs(3, 0, reps)
         sizes = []
-        for chunk in harness._noise_chunks(problem, rngs, n_steps):
+        for chunk in harness._noise_chunks(problem, rngs, n_steps, lanes):
             # Compared before the next chunk reuses the buffers. The short
             # last chunk must hold its 4 fresh steps and nothing left over
             # from the 7-step chunk before it.
@@ -715,20 +725,24 @@ class TestReplicateRngs:
 class TestNoiseCallPattern:
     """_noise_chunks calls the noise_kind draw once per replicate per chunk
     and the finisher once per chunk, over the whole chunk; the benchmark's
-    tracer counts and times these calls."""
+    tracer counts and times these calls. On more than one lane the draws of
+    a chunk run on that many threads, in no fixed order between lanes;
+    mini-batch draws stay on one."""
 
-    @_each_noise_kind
+    @_each_noise_kind_and_lanes
     def test_one_draw_per_replicate_and_one_finish_per_chunk(
-            self, monkeypatch, problem):
+            self, monkeypatch, problem, lanes):
         monkeypatch.setattr(harness, "NOISE_CHUNK", 7)
         monkeypatch.setattr(harness, "NOISE_TILE", 3)
-        n_steps, reps = 18, 5            # chunks of 7, 7 and a short 4
+        n_steps, reps = 18, 11           # chunks of 7, 7 and a short 4
         # and tiles of 3 replicates and a short 2
-        draw, width, dtype, finish, gradient = prob_mod.noise_kind(problem)
+        draw, width, dtype, finish, gradient, threaded = (
+            prob_mod.noise_kind(problem))
         draws, finishes = [], []
 
         def counted_draw(problem, rng, k, out=None):
-            draws.append((rng.bit_generator.seed_seq.spawn_key[0], k))
+            draws.append((rng.bit_generator.seed_seq.spawn_key[0], k,
+                          threading.current_thread()))
             return draw(problem, rng, k, out=out)
 
         def counted_finish(chunk):
@@ -737,11 +751,23 @@ class TestNoiseCallPattern:
 
         monkeypatch.setattr(prob_mod, "noise_kind", lambda problem: (
             counted_draw, width, dtype,
-            None if finish is None else counted_finish, gradient))
+            None if finish is None else counted_finish, gradient, threaded))
         rngs = harness._replicate_rngs(3, 0, reps)
-        for chunk in harness._noise_chunks(problem, rngs, n_steps):
+        chunks = []
+        for chunk in harness._noise_chunks(problem, rngs, n_steps, lanes):
             assert len(finishes) == (0 if finish is None else len(draws) // reps)
-        assert draws == [(r, k) for k in (7, 7, 4) for r in range(reps)]
+            chunks.append(draws[-reps:])
+        assert len(draws) == len(chunks) * reps
+        for k, calls in zip((7, 7, 4), chunks, strict=True):
+            threads = {thread for _, _, thread in calls}
+            assert threading.current_thread() in threads
+            assert len(threads) == (
+                1 if isinstance(problem.noise, Minibatch) else lanes)
+            if lanes == 1:
+                assert [c[:2] for c in calls] == [(r, k) for r in range(reps)]
+            else:
+                assert sorted(c[:2] for c in calls) == [
+                    (r, k) for r in range(reps)]
         if finish is None:
             assert finishes == []
         else:
@@ -840,7 +866,8 @@ def _inject_non_finite(monkeypatch, replicate, step):
     """Make replicate's noise, and so its gradient, infinite at step, by
     wrapping the noise draw. Pool workers are forked and inherit the
     patch."""
-    draw, width, dtype, finish, gradient = prob_mod.noise_kind(_quadratic())
+    draw, width, dtype, finish, gradient, threaded = prob_mod.noise_kind(
+        _quadratic())
     drawn = {}
 
     def bad_draw(problem, rng, k, out=None):
@@ -854,7 +881,7 @@ def _inject_non_finite(monkeypatch, replicate, step):
 
     monkeypatch.setattr(prob_mod, "noise_kind",
                         lambda problem: (bad_draw, width, dtype, finish,
-                                         gradient))
+                                         gradient, threaded))
 
 
 class TestChunkFailure:
@@ -891,3 +918,147 @@ class TestChunkFailure:
                                    rngs)
         assert str(engine.value) == str(reference.value) == (
             f"non-finite value in replicate 3 at step {step}")
+
+
+def _force_lanes(monkeypatch, lanes):
+    """Give every engine block `lanes` noise lanes, whatever the CPUs."""
+    monkeypatch.setattr(harness, "_process_lanes", lambda workers: lanes)
+
+
+class TestNoiseLanes:
+    """A one-worker run splits each noise chunk's replicate tiles over as
+    many threads as its CPUs allow. Every replicate draws from its own
+    stream into its own columns, so no output depends on the lane count;
+    no helper thread outlives its chunk, and a helper's error reaches the
+    caller."""
+
+    # Three 64-replicate tiles and a short one of 10, over a 512-step chunk
+    # and a short one of 88.
+    REPS, STEPS = 3 * 64 + 10, 600
+    ADDITIVE = pytest.mark.parametrize(
+        "problem", [_NOISE_KINDS["gaussian"],
+                    _NOISE_KINDS["bounded_rademacher"]],
+        ids=["gaussian", "bounded_rademacher"])
+
+    @ADDITIVE
+    def test_chunks_do_not_depend_on_lanes(self, problem):
+        drained = {}
+        for lanes in (1, 2, 3):
+            rngs = harness._replicate_rngs(9, 0, self.REPS)
+            drained[lanes] = [chunk.tobytes() for chunk in
+                              harness._noise_chunks(problem, rngs,
+                                                    self.STEPS, lanes)]
+        assert [len(c) for c in drained[1]] == [
+            512 * self.REPS * 2 * 8, 88 * self.REPS * 2 * 8]
+        assert drained[1] == drained[2] == drained[3]
+
+    @ADDITIVE
+    def test_summary_csv_does_not_depend_on_lanes(self, monkeypatch,
+                                                  problem):
+        from sgmlab.cli import summary_csv
+        config = _config(problem=problem, horizon=self.STEPS,
+                         replicates=self.REPS)
+        sample = prob_mod.noise_sample
+        tables = {}
+        for lanes in (1, 2, 3):
+            threads = set()
+
+            def recorded(*args, **kwargs):
+                threads.add(threading.current_thread())
+                return sample(*args, **kwargs)
+
+            monkeypatch.setattr(prob_mod, "noise_sample", recorded)
+            _force_lanes(monkeypatch, lanes)
+            tables[lanes] = summary_csv(run_replicates(config))
+            # the calling thread, and lanes - 1 fresh helpers per chunk
+            assert len(threads) == 1 + (lanes - 1) * 2
+        assert tables[1] == tables[2] == tables[3]
+
+    def test_lanes_share_out_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3, 4}, raising=False)
+        assert [harness._process_lanes(w) for w in (1, 2, 3, 5, 8)] == [
+            5, 2, 1, 1, 1]
+
+    def test_no_more_lanes_than_tiles(self, monkeypatch):
+        # 100 replicates are two 64-replicate tiles.
+        sample = prob_mod.noise_sample
+        threads = set()
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(prob_mod, "noise_sample", recorded)
+        rngs = harness._replicate_rngs(0, 0, 100)
+        for _chunk in harness._noise_chunks(_quadratic(), rngs, 10, lanes=8):
+            pass
+        assert len(threads) == 2
+
+    def test_helper_lane_error_reaches_the_caller(self, monkeypatch):
+        sample = prob_mod.noise_sample
+        drawn, raised = [], []
+
+        def failing(problem, rng, k, out=None):
+            drawn.append(k)
+            if threading.current_thread() is not runner:
+                raise RuntimeError("draw failed in a helper lane")
+            return sample(problem, rng, k, out=out)
+
+        def run():
+            try:
+                run_replicates(_config(horizon=self.STEPS,
+                                       replicates=self.REPS))
+            except RuntimeError as err:
+                raised.append(err)
+
+        monkeypatch.setattr(prob_mod, "noise_sample", failing)
+        _force_lanes(monkeypatch, 2)
+        before = threading.active_count()
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert [str(err) for err in raised] == ["draw failed in a helper lane"]
+        # the run stopped in its first chunk, with every thread joined
+        assert len(drawn) <= self.REPS and set(drawn) == {512}
+        assert threading.active_count() == before
+
+    def test_many_lanes_under_fast_thread_switches(self):
+        # More lanes than CPUs, switching threads every microsecond: the
+        # lanes write disjoint columns, so the bytes are still lane 1's.
+        problem = _NOISE_KINDS["gaussian"]
+        drained = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for lanes in (1, 4):
+                rngs = harness._replicate_rngs(5, 0, self.REPS)
+                drained[lanes] = [chunk.tobytes() for chunk in
+                                  harness._noise_chunks(problem, rngs,
+                                                        self.STEPS, lanes)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert drained[1] == drained[4]
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        split = []
+        on_threads = harness._on_threads
+
+        def counted(calls, *args):
+            split.append(len(calls))
+            return on_threads(calls, *args)
+
+        monkeypatch.setattr(harness, "_on_threads", counted)
+        monkeypatch.setattr(harness, "NOISE_TILE", 2)   # 4 replicates: 2 tiles
+        _force_lanes(monkeypatch, 2)
+        before = threading.active_count()
+        run_replicates(_config(horizon=self.STEPS, replicates=4))
+        assert split == [2, 2]
+        assert threading.active_count() == before
+        # stopped by a numeric failure in the middle of the second chunk
+        _inject_non_finite(monkeypatch, 3, 700)
+        with pytest.raises(NumericFailureError, match="replicate 3 at step 700"):
+            run_replicates(_config(horizon=1000, replicates=4))
+        assert split[2:] == [2, 2]
+        assert threading.active_count() == before

@@ -165,7 +165,7 @@ class TestConstantsExamples:
 def _noise(problem, rng, n_draws):
     """n_draws finished additive-noise vectors: the variates noise_kind's
     draw gives, turned into noise by its finish."""
-    draw, _, _, finish, _ = noise_kind(problem)
+    draw, _, _, finish, _, _ = noise_kind(problem)
     return finish(draw(problem, rng, n_draws))
 
 

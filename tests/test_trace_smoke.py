@@ -7,13 +7,18 @@ one tiny two-worker `sgmlab run` the way the benchmark does and checks that
 the main process recorded the pool's span, that the pool workers recorded
 engine, update-kernel, noise, gradient and projection spans, and one update
 and one projection per step. A one-worker run with a recursion bound checks
-that the CLI calls the bound function the tracer put in `bounds`.
+that the CLI calls the bound function the tracer put in `bounds`, and a
+one-worker run of three noise tiles draws on helper threads under the
+tracer.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 HORIZON = 20
@@ -76,3 +81,14 @@ def test_traced_run_records_the_recursion_span(tmp_path):
     main = _traced_run(tmp_path, workers=1, variant="sgm",
                        recursion_bound={"kind": "sgm"})
     assert "bounds.recursion" in {span[0] for span in main["trace"]["spans"]}
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+                    < 2, reason="one CPU: the noise is drawn on one lane")
+def test_traced_run_on_two_lanes_records_noise_spans(tmp_path):
+    # 130 replicates are three 64-replicate tiles, so a one-worker run on
+    # two CPUs draws each chunk on two threads, both through the tracer's
+    # wrapper of the noise draw.
+    main = _traced_run(tmp_path, workers=1, replicates=130)
+    names = [span[0] for span in main["trace"]["spans"]]
+    assert names.count("problems.noise") == 130
