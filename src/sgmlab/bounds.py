@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import StepSchedule, MomentumSchedule
+from .schedules import (MomentumSchedule, StepSchedule, momentum_violation,
+                        require_stage_step, step_violation)
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,9 @@ def _steps(E0: float, step: StepSchedule, m: float, M: float, sigma2: float,
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     t = np.asarray(step.step_size(np.arange(N)), dtype=float)
-    tm = t * m
-    bad = np.flatnonzero((tm <= 0) | (tm > 1))
-    if bad.size:
-        raise ValueError(f"t_j*m = {tm[bad[0]]:.6g} not in (0, 1] at j={bad[0]}")
+    violation = step_violation(t, m)
+    if violation is not None:
+        raise ValueError(violation)
     return t
 
 
@@ -125,8 +125,9 @@ def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedul
     """
     t = _steps(E0, step, m, M, sigma2, N, L)
     eta = np.asarray(momentum.weight(np.arange(N), t), dtype=float)
-    if np.any(eta >= 1):
-        raise ValueError("momentum weights must satisfy eta_j < 1")
+    violation = momentum_violation(eta)
+    if violation is not None:
+        raise ValueError(violation)
     m, L, sqrt_M = float(m), float(L), math.sqrt(M)
     noise = float(M + sigma2)
     L2 = L * L
@@ -147,22 +148,22 @@ def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedul
 def constant_step_plateau(a: float, m: float, M: float, sigma2: float) -> float:
     """The constant-step MSE ceiling 2 (M + sigma^2) a / m, valid for
     0 < a < 1/m once the burn-in index is passed."""
-    if not 0 < a < 1.0 / m:
-        raise ValueError(f"constant step a = {a} must lie in (0, 1/m) = (0, {1.0 / m})")
+    require_stage_step(a, m)
     return 2.0 * (M + sigma2) * a / m
 
 
 def stage_burn_in(a: float, m: float, E1: float, M: float, sigma2: float) -> int:
-    """Smallest N with (1 - a m)^(N-1) * E1 <= (M + sigma2) a^2 / (1 - a m)."""
-    alpha = 1.0 - a * m
-    if not 0 < alpha < 1:
-        raise ValueError(f"require 0 < 1 - a*m < 1, got {alpha}")
-    if not E1 > 0:
-        raise ValueError("E1 must be positive")
-    threshold = (M + sigma2) * a * a / (1.0 - alpha)
-    n = 1
-    decay = E1
-    while decay > threshold:
-        decay *= alpha
-        n += 1
-    return n
+    """Smallest N with (1 - a m)^(N-1) E1 <= (M + sigma2) a / m, half the
+    plateau, in closed form. At a tie within rounding it may be one off a
+    product taken step by step, which rounds as well."""
+    require_stage_step(a, m)
+    if not 0 < E1 < math.inf:
+        raise ValueError(f"E1 = {E1} must be positive and finite")
+    if not M + sigma2 > 0:
+        raise ValueError(f"M + sigma2 = {M + sigma2} must be positive")
+    threshold = (M + sigma2) * a / m
+    if E1 <= threshold:
+        return 1
+    # A difference of logs: a huge E1 would underflow threshold / E1 to 0.
+    return 1 + math.ceil((math.log(threshold) - math.log(E1))
+                         / math.log1p(-a * m))

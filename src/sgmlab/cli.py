@@ -3,7 +3,8 @@ validate configs, and generate ready-to-run template configs.
 
 The JSON config file is the primary interface (experiments have too many
 parameters for flags); flags only override. Unknown config keys are errors.
-Exit codes: 0 success, 2 validation/config failure, 3 numeric failure.
+Exit codes: 0 success, 2 validation/config failure or a run that could not
+finish (out of memory, a dead worker process), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, problems, schedules
-from .harness import (ExperimentConfig, RunSummary, calibration_half,
-                      dominance_check, fit_rate, run_multistage,
-                      run_replicates, stage_configs, window_mask)
+from .harness import (ExperimentConfig, RunSummary, WorkerLostError,
+                      calibration_half, dominance_check, fit_rate,
+                      run_multistage, run_replicates, stage_configs,
+                      window_mask)
 from .optimizers import NumericFailureError, variant_from_name
 
 EXIT_OK = 0
@@ -304,9 +306,9 @@ def _outputs(args, *names):
     ones. --out is made at once, so a place it cannot be made stops the
     command before the engine runs. Every check of the config alone runs
     before this, but a run can still stop inside the block: on a numeric
-    failure, a fit over non-finite or non-positive MSE, or a failed write.
-    The directories made here are then removed again, as far as they are
-    still empty."""
+    failure, a fit over non-finite or non-positive MSE, a failed write, a
+    lack of memory or a dead worker process. The directories made here are
+    then removed again, as far as they are still empty."""
     out_dir = Path(args.out)
     try:
         made = list(itertools.takewhile(lambda d: not d.exists(),
@@ -320,7 +322,7 @@ def _outputs(args, *names):
         for t in targets:
             _check_output(t, args.overwrite)
         yield targets
-    except (ValueError, NumericFailureError, MemoryError):
+    except (ValueError, NumericFailureError, MemoryError, WorkerLostError):
         for d in made:
             try:
                 d.rmdir()
@@ -627,7 +629,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, WorkerLostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericFailureError as exc:

@@ -27,8 +27,7 @@ from .geometry import contains
 from .optimizers import NumericFailureError, SGM, Variant
 from .problems import Problem
 from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
-                        ValidityReport, require_float, require_int,
-                        validate)
+                        ValidityReport, require_int, require_stages, validate)
 
 NOISE_CHUNK = 512
 NOISE_TILE = 64
@@ -66,6 +65,10 @@ def default_checkpoints(horizon: int, estimator: str = "last",
 
 class ScheduleValidationError(ValueError):
     """An unforced schedule whose validation report has a violation."""
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker died before returning its block, e.g. OOM-killed."""
 
 
 @dataclass(frozen=True)
@@ -294,8 +297,9 @@ def _process_lanes(workers: int) -> int:
 
 def _on_threads(calls, *args):
     """Run calls[0](*args) on this thread and each other call on a thread of
-    its own. Return once every call has ended, raising this thread's error
-    or else the first helper's, so no helper outlives the return."""
+    its own, or here where none can start. Return once every call has
+    ended, raising calls[0]'s error or else the first other one's, so no
+    helper outlives the return."""
     errors = []
 
     def helper(call):
@@ -307,8 +311,12 @@ def _on_threads(calls, *args):
     threads = []
     try:
         for call in calls[1:]:
-            threads.append(threading.Thread(target=helper, args=(call,)))
-            threads[-1].start()
+            thread = threading.Thread(target=helper, args=(call,))
+            try:
+                thread.start()
+                threads.append(thread)
+            except RuntimeError:    # can't start new thread: fill it here
+                helper(call)
         calls[0](*args)
     finally:
         for thread in threads:
@@ -470,10 +478,15 @@ def _mse(stages: tuple, replicates: int, workers: int) -> tuple:
     if len(ranges) == 1:
         blocks = [_run_block(stages, *ranges[0])]
     else:
-        with _pool_class()(max_workers=len(ranges)) as pool:
-            futures = [pool.submit(_run_block, stages, lo, hi)
-                       for lo, hi in ranges]
-            blocks = [f.result() for f in futures]
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with _pool_class()(max_workers=len(ranges)) as pool:
+                futures = [pool.submit(_run_block, stages, lo, hi)
+                           for lo, hi in ranges]
+                blocks = [f.result() for f in futures]
+        except BrokenProcessPool:
+            raise WorkerLostError("a worker process died, perhaps out of "
+                                  "memory") from None
     errors = np.concatenate(blocks, axis=1)
     return (errors.mean(axis=1),
             errors.std(axis=1, ddof=1) / np.sqrt(replicates))
@@ -604,22 +617,11 @@ def stage_configs(problem: Problem, stages, momentum: MomentumSchedule, *,
     """The checked configs of a constant-and-drop run: per stage (a_k, n_k),
     a_k for n_k steps ('auto': the burn-in index from the start error L^2)
     with a suffix average. A refused schedule names its stage."""
-    if not stages:
-        raise ValueError("need at least one stage")
     consts = problem.constants()
-    resolved = []
-    for a_k, n_k in stages:
-        a_k = require_float(a_k, "stage step")
-        if not 0 < a_k < 1.0 / consts.m:
-            raise ValueError(f"stage step {a_k} outside (0, 1/m)")
-        if resolved and a_k >= resolved[-1][0]:
-            raise ValueError("stage steps must be strictly decreasing")
-        burn = stage_burn_in(a_k, consts.m, consts.L ** 2, consts.M,
-                             consts.sigma2)
-        length = burn if n_k == "auto" else require_int(n_k, "stage length")
-        if length < 1:
-            raise ValueError("stage length must be >= 1")
-        resolved.append((a_k, length))
+    resolved = require_stages(
+        [(a, n if n != "auto" else stage_burn_in(a, consts.m, consts.L ** 2,
+                                                 consts.M, consts.sigma2))
+         for a, n in stages], consts.m)
     configs = []
     for k, (a_k, length) in enumerate(resolved):
         try:

@@ -58,6 +58,34 @@ class ConstantStep:
         return np.full_like(np.asarray(j, dtype=float), self.a)
 
 
+def require_stage_step(a, m: float | None = None) -> float:
+    """a as a stage's constant step: a positive number and, given the
+    problem's modulus m, one with 0 < 1 - a m < 1 in floats, so below 1/m."""
+    a = require_float(a, "stage step")
+    if m is not None and not 0 < 1 - a * m < 1:
+        raise ValueError(f"stage step a = {a} outside (0, 1/m): "
+                         f"1 - a*m = {1 - a * m} is not in (0, 1)")
+    if not a > 0:
+        raise ValueError(f"stage step a = {a} must be positive")
+    return a
+
+
+def require_stages(stages, m: float | None = None) -> tuple:
+    """The stage list as (a_k, n_k) pairs of float and int: at least one,
+    each a_k a stage step below the one before, each n_k an integer >= 1."""
+    if not stages:
+        raise ValueError("need at least one stage")
+    pairs = []
+    for a, n in stages:
+        a, n = require_stage_step(a, m), require_int(n, "stage length")
+        if pairs and not a < pairs[-1][0]:
+            raise ValueError("stage steps must be strictly decreasing")
+        if n < 1:
+            raise ValueError("stage length must be >= 1")
+        pairs.append((a, n))
+    return tuple(pairs)
+
+
 @dataclass(frozen=True)
 class StagedStep:
     """Piecewise-constant step: a_k for n_k iterations, strictly decreasing."""
@@ -66,16 +94,7 @@ class StagedStep:
     _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stages = tuple((require_float(a, "stage step"),
-                        require_int(n, "stage length"))
-                       for a, n in self.stages)
-        if not stages:
-            raise ValueError("staged schedule needs at least one stage")
-        steps = [a for a, _ in stages]
-        if any(a <= 0 for a in steps) or any(n < 1 for _, n in stages):
-            raise ValueError("stage steps must be positive, lengths >= 1")
-        if any(b >= a for a, b in zip(steps, steps[1:])):
-            raise ValueError("stage step sizes must be strictly decreasing")
+        stages = require_stages(self.stages)
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "_ends",
                            np.cumsum([n for _, n in stages]))
@@ -146,6 +165,21 @@ class ProportionalToStep:
 MomentumSchedule = ZeroMomentum | ConstantMomentum | PolynomialMomentum | ProportionalToStep
 
 
+def step_violation(t: np.ndarray, m: float) -> str | None:
+    """The step rule, every t_j*m in (0, 1]: None, or where t breaks it."""
+    tm = t * m
+    bad = np.flatnonzero((tm <= 0) | (tm > 1))
+    return (f"t_j*m = {tm[bad[0]]:.6g} not in (0, 1] at j={bad[0]} "
+            f"({bad.size} indices over horizon)") if bad.size else None
+
+
+def momentum_violation(eta: np.ndarray) -> str | None:
+    """The momentum rule, every eta_j < 1: None, or where eta breaks it."""
+    bad = np.flatnonzero(eta >= 1)
+    return (f"eta_j >= 1 at j={bad[0]} ({bad.size} indices)" if bad.size
+            else None)
+
+
 @dataclass
 class ValidityReport:
     violations: list = field(default_factory=list)
@@ -174,21 +208,10 @@ def validate(step: StepSchedule, momentum: MomentumSchedule, m: float,
     report = ValidityReport()
     j = np.arange(horizon)
     t = np.asarray(step.step_size(j), dtype=float)
-
-    tm = t * m
-    bad = np.flatnonzero((tm <= 0) | (tm > 1))
-    if bad.size:
-        j0 = int(bad[0])
-        report.violations.append(
-            f"t_j*m = {tm[j0]:.6g} not in (0, 1] at j={j0} "
-            f"({bad.size} indices over horizon)"
-        )
-
     eta = np.asarray(momentum.weight(j, t), dtype=float)
-    too_big = np.flatnonzero(eta >= 1)
-    if too_big.size:
-        report.violations.append(
-            f"eta_j >= 1 at j={int(too_big[0])} ({too_big.size} indices)")
+    for violation in (step_violation(t, m), momentum_violation(eta)):
+        if violation is not None:
+            report.violations.append(violation)
 
     if isinstance(momentum, ProportionalToStep):
         raw = momentum.k * t

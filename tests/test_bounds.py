@@ -1,12 +1,17 @@
 import functools
 import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgmlab.bounds import (BoundSequence, RateEnvelope, constant_step_plateau,
                            sg_recursion_bound, sgm_recursion_bound,
                            stage_burn_in)
+from sgmlab.geometry import Ball
+from sgmlab.harness import stage_configs
+from sgmlab.problems import Gaussian, Quadratic
 from sgmlab.schedules import (ConstantMomentum, ConstantStep,
                               PolynomialMomentum, PolynomialStep, ZeroMomentum)
 
@@ -197,7 +202,7 @@ class TestRecursionsMatchNumpyScalarLoop:
     ("M", -4.0, "M = -4.0 must be nonnegative"),
     ("sigma2", -1.0, "sigma2 = -1.0 must be nonnegative"),
     ("N", -1, "N must be >= 0, got -1"),
-    ("m", 20.0, "t_j*m = 2 not in (0, 1] at j=0"),
+    ("m", 20.0, "t_j*m = 2 not in (0, 1] at j=0 (3 indices over horizon)"),
 ], ids=["E0", "M", "sigma2", "N", "tm"])
 def test_one_argument_check(recursion, key, value, message):
     # Both recursions refuse the same arguments with the same line; the SG
@@ -249,3 +254,59 @@ class TestStageBurnIn:
     def test_invalid_step_rejected(self):
         with pytest.raises(ValueError):
             stage_burn_in(2.0, 1.0, 4.0, 1.0, 1.0)
+
+    def test_corollary1_stages(self):
+        # m=1, E1 = L^2 = 16, M=4, sigma2=1: the corollary1 golden's column.
+        assert [stage_burn_in(a, 1.0, 16.0, 4.0, 1.0)
+                for a in (0.1, 0.05, 0.025, 0.0125)] == [34, 83, 193, 442]
+
+    def test_tiny_step_in_closed_form(self):
+        # One multiplication per step would take about 20 minutes here.
+        start = time.perf_counter()
+        n = stage_burn_in(1e-9, 1.0, 16.0, 4.0, 1.0)
+        assert time.perf_counter() - start < 0.1
+        assert n > 10**10
+
+    def test_zero_noise_refused(self):
+        # No step count brings E1 down to a threshold of 0.
+        with pytest.raises(ValueError,
+                           match=r"^M \+ sigma2 = 0\.0 must be positive$"):
+            stage_burn_in(0.1, 1.0, 4.0, 0.0, 0.0)
+
+
+def _burn_in_by_steps(a, m, E1, M, sigma2):
+    """The burn-in index found one multiplication per step: the oracle for
+    the closed form."""
+    alpha = 1.0 - a * m
+    threshold = (M + sigma2) * a * a / (1.0 - alpha)
+    n, decay = 1, E1
+    while decay > threshold:
+        decay *= alpha
+        n += 1
+    return n
+
+
+@given(am=st.floats(1e-3, 0.999), m=st.floats(0.1, 10.0),
+       E1=st.floats(1e-3, 1e3), M=st.floats(1e-3, 1e2),
+       sigma2=st.floats(0.0, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_burn_in_matches_stepwise_product(am, m, E1, M, sigma2):
+    a = am / m
+    assert stage_burn_in(a, m, E1, M, sigma2) == _burn_in_by_steps(
+        a, m, E1, M, sigma2)
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-20, 1.0, 1.5])
+def test_one_stage_step_refusal(a):
+    # m = 1: the stage step must leave 1 - a in (0, 1), which 1e-20 does not
+    # in floats.
+    problem = Quadratic(hessian_diag=[1.0, 1.0], theta_star=[0.0, 0.0],
+                        domain=Ball(center=[0.0, 0.0], radius=2.0),
+                        noise=Gaussian(sigma2=1.0))
+    message = (f"stage step a = {a} outside (0, 1/m): "
+               f"1 - a*m = {1 - a} is not in (0, 1)")
+    for refuse in (lambda: stage_configs(problem, [(a, 10)], ZeroMomentum()),
+                   lambda: constant_step_plateau(a, 1.0, 4.0, 1.0),
+                   lambda: stage_burn_in(a, 1.0, 16.0, 4.0, 1.0)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            refuse()

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -827,6 +828,29 @@ class TestRefusedConfigLeavesNoOutput:
                      "--out", str(out)]) == 2
         assert _stderr_line(capsys) == "error: Unable to allocate 8.00 PiB"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "multistage"])
+    def test_dead_worker_removes_the_directories_made(
+            self, tmp_path, capsys, monkeypatch, command):
+        # The worker of replicates 2..3 dies as one killed by the OOM killer
+        # would. Forked workers inherit the patch; functools.wraps lets the
+        # pool pickle it by the name it replaces.
+        run_block = harness._run_block
+
+        @functools.wraps(run_block)
+        def dying(stages, rep_lo, rep_hi):
+            if rep_lo > 0:
+                os._exit(1)
+            return run_block(stages, rep_lo, rep_hi)
+
+        monkeypatch.setattr(harness, "_run_block", dying)
+        cfg = _base_run_config() if command == "run" else _multistage_config()
+        out = tmp_path / "made" / "o"
+        assert main([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(out), "--workers", "2"]) == 2
+        assert _stderr_line(capsys) == (
+            "error: a worker process died, perhaps out of memory")
+        assert not (tmp_path / "made").exists()
 
     @pytest.mark.parametrize("command", ["run", "multistage"])
     def test_seed_flag_refused(self, tmp_path, capsys, no_engine, command):

@@ -1024,6 +1024,32 @@ class TestNoiseLanes:
         assert len(drawn) <= self.REPS and set(drawn) == {512}
         assert threading.active_count() == before
 
+    def test_lane_without_a_thread_runs_on_the_caller(self, monkeypatch,
+                                                      tmp_path):
+        # Where no helper thread can start, the caller fills its lane too,
+        # and the run writes the one-lane bytes.
+        from sgmlab.cli import main
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**_RUN_CONFIG, "horizon": self.STEPS}))
+        monkeypatch.setattr(harness, "NOISE_TILE", 2)   # 4 replicates: 2 tiles
+        refused = []
+
+        def start(thread):
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        tables = {}
+        for lanes in (1, 2):
+            _force_lanes(monkeypatch, lanes)
+            if lanes == 2:
+                monkeypatch.setattr(threading.Thread, "start", start)
+            out = tmp_path / f"lanes{lanes}"
+            assert main(["run", "--config", str(path), "--out",
+                         str(out)]) == 0
+            tables[lanes] = (out / "summary.csv").read_bytes()
+        assert len(refused) == 2    # one helper per chunk
+        assert tables[1] == tables[2]
+
     def test_many_lanes_under_fast_thread_switches(self):
         # More lanes than CPUs, switching threads every microsecond: the
         # lanes write disjoint columns, so the bytes are still lane 1's.
