@@ -116,10 +116,8 @@ def _coerce(value, type_name: str, where: str):
     if type_name != "float":
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
+        with contextlib.suppress(OverflowError):    # an int past floats
             return float(value)
-        except OverflowError:       # an int past the float range
-            pass
     raise ValueError(f"{where}: expected a number, got {value!r}")
 
 
@@ -295,21 +293,16 @@ def summary_csv(summary, report=None) -> str:
                    in zip(rows, report.bound_values, verdicts)))
 
 
-def _check_output(path: Path, overwrite: bool):
-    if path.exists() and not overwrite:
-        raise ValueError(f"{path} exists; pass --overwrite to replace it")
-
-
 @contextlib.contextmanager
-def _outputs(args, *names):
-    """The paths of the named files in --out, refusing to replace existing
-    ones. --out is made at once, so a place it cannot be made stops the
-    command before the engine runs. Every check of the config alone runs
-    before this, but a run can still stop inside the block: on a numeric
-    failure, a fit over non-finite or non-positive MSE, a failed write, a
-    lack of memory or a dead worker process. The directories made here are
-    then removed again, as far as they are still empty."""
-    out_dir = Path(args.out)
+def _outputs(out_dir: Path, overwrite: bool, *names):
+    """One transaction over a command's files, the `names` in out_dir.
+    out_dir is made at once, so a place it cannot be made stops the command
+    before the engine runs, and a target that exists without --overwrite, or
+    is a directory, is refused before the block runs. The block calls the
+    yielded land(texts) with every file's text: each text is written to a
+    temp file beside its target, and only once all are written is each
+    renamed onto its target. On any exception in the block the temp files,
+    and the directories made here as far as they are empty, are removed."""
     try:
         made = list(itertools.takewhile(lambda d: not d.exists(),
                                         (out_dir, *out_dir.parents)))
@@ -317,33 +310,34 @@ def _outputs(args, *names):
     except OSError as exc:
         raise ValueError(f"cannot create output directory {out_dir}: "
                          f"{exc.strerror}") from None
+    targets = [out_dir / name for name in names]
+    temps = [t.with_name(f".{t.name}.tmp") for t in targets]
+
+    def land(texts):
+        try:
+            for target, temp, text in zip(targets, temps, texts, strict=True):
+                temp.write_text(text)
+            for target, temp in zip(targets, temps):
+                os.replace(temp, target)
+        except OSError as exc:
+            raise ValueError(f"cannot write {target}: {exc.strerror}") from None
+
     try:
-        targets = [out_dir / name for name in names]
         for t in targets:
-            _check_output(t, args.overwrite)
-        yield targets
-    except (ValueError, NumericFailureError, MemoryError, WorkerLostError):
+            if t.is_dir():
+                raise ValueError(f"{t} is a directory, not a file")
+            if t.exists() and not overwrite:
+                raise ValueError(f"{t} exists; pass --overwrite to replace it")
+        yield land
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
         for d in made:
             try:
                 d.rmdir()
             except OSError:
                 break
         raise
-
-
-def _write_outputs(targets: list, texts: list):
-    """Land each text, all built beforehand, whole on its target: write a
-    temp file beside it, then os.replace it onto the target name."""
-    for target, text in zip(targets, texts, strict=True):
-        tmp = target.with_name(f".{target.name}.tmp")
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, target)
-        except OSError as exc:
-            raise ValueError(f"cannot write {target}: "
-                             f"{exc.strerror}") from None
-        finally:
-            tmp.unlink(missing_ok=True)
 
 
 def _checked_run(resolved: dict, force_schedule: bool) -> tuple:
@@ -376,8 +370,8 @@ def cmd_run(args) -> int:
     resolved = resolve_config(_load_json(args.config), args, RUN_REQUIRED,
                               RUN_DEFAULTS)
     config, bound, window = _checked_run(resolved, args.force_schedule)
-    with _outputs(args, "summary.csv", "summary.json",
-                  "config.resolved.json") as targets:
+    with _outputs(Path(args.out), args.overwrite, "summary.csv",
+                  "summary.json", "config.resolved.json") as land:
         summary = run_replicates(config)
         _warn_forced([config], [""])
         dom = dominance_check(summary, bound) if bound is not None else None
@@ -401,7 +395,7 @@ def cmd_run(args) -> int:
             },
         }
         resolved["checkpoints"] = list(config.checkpoints)
-        _write_outputs(targets, [
+        land([
             summary_csv(summary, dom),
             json.dumps(payload, indent=2) + "\n",
             json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
@@ -423,10 +417,11 @@ def cmd_multistage(args) -> int:
     resolved = resolve_config(_load_json(args.config), args,
                               MULTISTAGE_REQUIRED, MULTISTAGE_DEFAULTS)
     configs = _checked_stages(resolved, args.force_schedule)
-    with _outputs(args, "stages.csv", "config.resolved.json") as targets:
+    with _outputs(Path(args.out), args.overwrite, "stages.csv",
+                  "config.resolved.json") as land:
         reports = run_multistage(configs)
         _warn_forced(configs, [f"stage {k} " for k in range(len(configs))])
-        _write_outputs(targets, [
+        land([
             _table("stage,step,length,burn_in,suffix_mse_mean,"
                    "suffix_mse_sem,plateau",
                    ((k, *dataclasses.astuple(r))
@@ -537,8 +532,8 @@ def gen_config(template: str) -> dict:
 def cmd_gen_config(args) -> int:
     cfg = gen_config(args.template)
     out = Path(args.out)
-    _check_output(out, args.overwrite)
-    _write_outputs([out], [json.dumps(cfg, indent=2, sort_keys=True) + "\n"])
+    with _outputs(out.parent, args.overwrite, out.name) as land:
+        land([json.dumps(cfg, indent=2, sort_keys=True) + "\n"])
     print(f"wrote {out}")
     return EXIT_OK
 

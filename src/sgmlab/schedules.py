@@ -7,6 +7,7 @@ polynomial step equals gamma.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +23,12 @@ def require_int(value, name: str) -> int:
 
 
 def require_float(value, name: str) -> float:
-    """value as a float; a bool or string is refused, not cast."""
-    if (isinstance(value, bool)
-            or not isinstance(value, (int, float, np.integer, np.floating))):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    """value as a float; a bool, a string or a too large int is refused."""
+    if (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating))):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 import functools
 import re
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgmlab.bounds import (BoundSequence, RateEnvelope, constant_step_plateau,
                            sg_recursion_bound, sgm_recursion_bound,
@@ -267,6 +268,12 @@ class TestStageBurnIn:
         assert time.perf_counter() - start < 0.1
         assert n > 10**10
 
+    @pytest.mark.parametrize("E1", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_start_refused(self, E1):
+        with pytest.raises(ValueError, match=(
+                rf"^E1 = {E1} must be positive and finite$")):
+            stage_burn_in(0.1, 1.0, E1, 4.0, 1.0)
+
     def test_zero_noise_refused(self):
         # No step count brings E1 down to a threshold of 0.
         with pytest.raises(ValueError,
@@ -275,25 +282,41 @@ class TestStageBurnIn:
 
 
 def _burn_in_by_steps(a, m, E1, M, sigma2):
-    """The burn-in index found one multiplication per step: the oracle for
-    the closed form."""
-    alpha = 1.0 - a * m
-    threshold = (M + sigma2) * a * a / (1.0 - alpha)
-    n, decay = 1, E1
-    while decay > threshold:
-        decay *= alpha
-        n += 1
-    return n
+    """The oracle for the closed form: the burn-in index found one
+    multiplication per step, in 60-digit decimals on the floats' exact
+    values, with the last value above the threshold, the first at or below
+    it, and the threshold."""
+    with localcontext(prec=60):
+        a, m, E1, M, sigma2 = map(Decimal, (a, m, E1, M, sigma2))
+        decay, threshold = 1 - a * m, (M + sigma2) * a / m
+        n, above, value = 1, None, E1
+        while value > threshold:
+            n, above, value = n + 1, value, value * decay
+        return n, above, value, threshold
+
+
+# How near the threshold, relative to it, a value the closed form rounds to
+# the other side may lie: its logs and quotient err by about 1e-14.
+BURN_IN_BAND = 1e-12
 
 
 @given(am=st.floats(1e-3, 0.999), m=st.floats(0.1, 10.0),
        E1=st.floats(1e-3, 1e3), M=st.floats(1e-3, 1e2),
        sigma2=st.floats(0.0, 5.0))
+# E1 on the threshold, where a float threshold taken another way rounds
+# below it; and a value 5.6e-17 above it, which a float product rounds onto
+# it.
+@example(am=0.30535340150820395, m=2.0, E1=0.30535340150820395, M=1.0,
+         sigma2=3.0)
+@example(am=1 / 3, m=1 / 3, E1=3.0, M=1 / 3, sigma2=1 / 3)
 @settings(max_examples=300, deadline=None)
 def test_burn_in_matches_stepwise_product(am, m, E1, M, sigma2):
     a = am / m
-    assert stage_burn_in(a, m, E1, M, sigma2) == _burn_in_by_steps(
-        a, m, E1, M, sigma2)
+    n, above, below, threshold = _burn_in_by_steps(a, m, E1, M, sigma2)
+    near = {n - 1: above, n + 1: below}
+    got = stage_burn_in(a, m, E1, M, sigma2)
+    assert got == n or (
+        got in near and abs(near[got] / threshold - 1) <= BURN_IN_BAND)
 
 
 @pytest.mark.parametrize("a", [0.0, 1e-20, 1.0, 1.5])

@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sgmlab import harness
+from sgmlab import cli, harness
 from sgmlab.bounds import sg_recursion_bound
 from sgmlab.cli import TEMPLATES, gen_config, main
 from sgmlab.schedules import PolynomialStep
@@ -146,6 +147,12 @@ class TestRun:
         verdicts = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert "calibration" in verdicts
         assert verdicts <= {"calibration", "ok", "violation"}
+        # An envelope with its constant given is tested on every checkpoint.
+        assert main(["run", "--config", cfg, "--out", str(out), "--overwrite",
+                     "-O", 'envelope={"case": "inv_n", "constant": 100}']) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [
+            "ok"] * (len(lines) - 1)
 
     def test_recursion_bound_from_explicit_E0_with_random_theta0(self,
                                                                  tmp_path):
@@ -244,9 +251,59 @@ class TestOutputs:
         out = tmp_path / "o"
         with pytest.raises(TypeError):
             main(["run", "--config", cfg, "--out", str(out)])
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         monkeypatch.setattr(json, "dumps", dumps)
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command, names", [
+        ("run", ["summary.csv", "summary.json", "config.resolved.json"]),
+        ("multistage", ["stages.csv", "config.resolved.json"])])
+    def test_failed_write_leaves_the_previous_run(self, tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  names):
+        # The second file's write fails on a rerun with another seed: no
+        # target may then hold the new run's text beside the old run's.
+        cfg = _base_run_config() if command == "run" else _multistage_config()
+        argv = [command, "--config", _write(tmp_path, cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        before = {n: (tmp_path / "o" / n).read_bytes() for n in names}
+        write_text = Path.write_text
+
+        def full_disk(self, *args, **kwargs):
+            if self.name == f".{names[1]}.tmp":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        assert main([*argv, "--overwrite", "--seed", "5"]) == 2
+        assert _stderr_line(capsys) == (
+            f"error: cannot write {tmp_path / 'o' / names[1]}: "
+            f"{os.strerror(errno.ENOSPC)}")
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == sorted(
+            names)
+        assert {n: (tmp_path / "o" / n).read_bytes() for n in names} == before
+
+    def test_failed_rename_keeps_the_targets_renamed_before_it(
+            self, tmp_path, capsys, monkeypatch):
+        # The one case the transaction cannot undo: the first target has
+        # landed when the second rename fails.
+        replace, calls = os.replace, []
+
+        def failing_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return replace(src, dst)
+
+        cfg = _write(tmp_path, _base_run_config())
+        out = tmp_path / "o"
+        monkeypatch.setattr(os, "replace", failing_second)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert _stderr_line(capsys) == (f"error: cannot write "
+                                        f"{out / 'summary.json'}: "
+                                        f"{os.strerror(errno.EIO)}")
+        assert [p.name for p in out.iterdir()] == ["summary.csv"]
 
     def test_config_hash_ignores_workers_and_forcing(self, tmp_path):
         cfg = _write(tmp_path, _base_run_config(replicates=6))
@@ -623,6 +680,31 @@ class TestBadCliInput:
         assert main(["fit", "--summary", str(p), "--window", "1", "10"]) == 2
         assert "unexpected header" in _stderr_line(capsys)
 
+    @pytest.mark.parametrize("argv, line", [
+        (["fit", "--summary", "{summary}", "--window", "1", "10"],
+         "error: {summary}: malformed row (could not convert string to "
+         "float: 'x')"),
+        (["run", "--config", "{missing}", "--out", "{out}"],
+         "error: cannot read config {missing}: [Errno 2] No such file or "
+         "directory: '{missing}'"),
+        (["run", "--config", "{config}", "--out", "{out}", "-O", "horizon"],
+         "error: override 'horizon' must be key=value"),
+        (["run", "--config", "{config}", "--out", "{out}",
+          "-O", "step.constant.a=0.1"],
+         "error: override path 'step.constant.a' not found"),
+    ], ids=["malformed_row", "missing_config", "override_without_value",
+            "override_path_not_found"])
+    def test_bad_argument_exits_2_with_one_line(self, tmp_path, capsys, argv,
+                                                line):
+        summary = tmp_path / "summary.csv"
+        summary.write_text("checkpoint,mse_mean,mse_sem\n1,x,0.1\n")
+        paths = {"summary": summary, "missing": tmp_path / "none.json",
+                 "config": _write(tmp_path, _base_run_config()),
+                 "out": tmp_path / "o"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert _stderr_line(capsys) == line.format(**paths)
+        assert not paths["out"].exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_flag(self, tmp_path, capsys, workers):
         cfg = _write(tmp_path, _base_run_config())
@@ -654,17 +736,19 @@ class TestOutputPathErrors:
             f"error: cannot create output directory {out}")
 
     def test_gen_config_into_a_missing_directory(self, tmp_path, capsys):
+        # gen-config makes its file's directory, as run makes --out.
         out = tmp_path / "missing" / "x.json"
-        assert main(["gen-config", "lemma1", "--out", str(out)]) == 2
-        assert _stderr_line(capsys).startswith(f"error: cannot write {out}")
-        assert not out.parent.exists()
+        assert main(["gen-config", "lemma1", "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote {out}\n", "")
+        assert json.loads(out.read_text()) == gen_config("lemma1")
 
 
 class TestRefusedConfigLeavesNoOutput:
     """A refused config leaves no --out behind: every check of the config
     alone runs before --out is made. A directory made before a run fails
-    is removed again. An existing output or an uncreatable --out still
-    stops the command before the engine runs."""
+    is removed again. An existing output, a directory in an output's place
+    or an uncreatable --out still stops the command before the engine
+    runs."""
 
     @pytest.fixture
     def no_engine(self, monkeypatch):
@@ -723,13 +807,36 @@ class TestRefusedConfigLeavesNoOutput:
          "error: theta0[0]: expected a number, got True"),
         ({"theta0": [1, True]},
          "error: theta0[1]: expected a number, got True"),
+        ({"variant": "adam"},
+         "error: unknown variant 'adam' (expected one of ['nsgm', 'qhm', "
+         "'sg', 'sgm'])"),
+        ({"problem": {"erm_csv": {"path": "no/such/file.csv"}}},
+         "error: problem.erm_csv: cannot read 'no/such/file.csv': No such "
+         "file or directory"),
+        ({"noise": {"minibatch": {"batch_size": 0}}},
+         "error: batch_size must be >= 1"),
+        ({"problem": {"quadratic": {"hessian_diag": [1e-13, 1.0],
+                                    "theta_star": [0.0, 0.0]}}},
+         "error: strong-convexity constant 1.000e-13 <= 1e-12"),
+        ({"problem": {"quad_plus_l1": {"hessian_diag": [1.0, 1.0],
+                                       "theta_star": [0.0, 0.0],
+                                       "l1_weight": -1}}},
+         "error: l1_weight must be nonnegative"),
+        ({"momentum": {"polynomial": {"c": 0, "beta": 1}}},
+         "error: c must be positive"),
+        ({"momentum": {"polynomial": {"c": 0.5, "beta": 0}}},
+         "error: beta must be positive"),
+        ({"momentum": {"proportional": {"k": 0}}},
+         "error: k must be positive"),
     ], ids=["negative_seed", "zero_workers", "schedule", "variant_list",
             "qhm_v_string", "qhm_v_bool", "qhm_v_range", "qhm_v_missing",
             "eta_above_one", "negative_sigma2", "mismatched_problem",
             "too_many_replicates", *_NOT_1D_PROBLEMS, "center_strings",
             "center_bool", "center_huge_int", "hessian_bools",
             "hessian_huge_int", "nested_hessian_string", "theta0_bools",
-            "theta0_mixed"])
+            "theta0_mixed", "unknown_variant", "missing_csv", "zero_batch",
+            "flat_curvature", "negative_l1_weight", "zero_c", "zero_beta",
+            "zero_k"])
     def test_refused_config(self, tmp_path, capsys, no_engine, command,
                             changes, line):
         # validate reads the multistage config here; the run config's
@@ -767,10 +874,20 @@ class TestRefusedConfigLeavesNoOutput:
         # the recursion bound used to go unread, its kind unchecked
         ({"envelope": {"case": "inv_n"}, "recursion_bound": {"kind": "bogus"}},
          "error: envelope and recursion_bound: give at most one"),
+        ({"step": {"constant": 0.1}}, "error: step.constant: expected an object"),
+        ({"step": "constant"}, "error: step: expected a single-key object"),
+        ({"step": {"constant": {"a": 0}}},
+         "error: constant step must be positive"),
+        ({"step": {"staged": {"stages": [{"a": -0.1, "n": 50}]}}},
+         "error: stage step a = -0.1 must be positive"),
+        ({"envelope": {"case": "inv_n", "constant": -1}},
+         "error: envelope constant must be positive"),
     ], ids=["recursion_bound_kind", "recursion_bound_kind_list",
             "recursion_bound_without_E0", "estimator", "zero_horizon",
             "negative_gamma", "no_checkpoints", "negative_suffix_start",
-            "envelope_and_recursion_bound"])
+            "envelope_and_recursion_bound", "params_not_an_object",
+            "section_not_an_object", "zero_constant_step",
+            "negative_stage_step", "negative_envelope_constant"])
     def test_refused_run_config(self, tmp_path, capsys, no_engine, changes,
                                 line):
         # Keys only `run` takes.
@@ -891,6 +1008,41 @@ class TestRefusedConfigLeavesNoOutput:
         assert _stderr_line(capsys) == (f"error: {out / name} exists; pass "
                                         "--overwrite to replace it")
         assert (out / name).read_text() == "kept\n"
+
+    @pytest.mark.parametrize("overwrite", [[], ["--overwrite"]])
+    @pytest.mark.parametrize("command, name", [
+        ("run", "summary.json"), ("multistage", "stages.csv"),
+        ("gen-config", "x.json")])
+    def test_directory_in_place_of_an_output(self, tmp_path, capsys,
+                                             no_engine, command, name,
+                                             overwrite):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        if command == "gen-config":
+            argv = [command, "lemma1", "--out", str(out / name)]
+        else:
+            cfg = (_base_run_config() if command == "run"
+                   else _multistage_config())
+            argv = [command, "--config", _write(tmp_path, cfg),
+                    "--out", str(out)]
+        assert main([*argv, *overwrite]) == 2
+        assert _stderr_line(capsys) == (
+            f"error: {out / name} is a directory, not a file")
+        assert [p.name for p in out.iterdir()] == [name]
+
+    @pytest.mark.parametrize("command, engine", [
+        ("run", "run_replicates"), ("multistage", "run_multistage")])
+    def test_interrupt_removes_the_directories_made(
+            self, tmp_path, monkeypatch, command, engine):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, engine, interrupted)
+        cfg = _base_run_config() if command == "run" else _multistage_config()
+        path = _write(tmp_path, cfg)
+        with pytest.raises(KeyboardInterrupt):
+            main([command, "--config", path,
+                  "--out", str(tmp_path / "made" / "o")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("command", ["run", "multistage"])
     def test_uncreatable_out_stops_before_the_engine(
@@ -1117,11 +1269,15 @@ def test_module_entry_point_has_no_runpy_warning():
     {"envelope": {"case": "inv_n", "constant": "x"}},
     {"fit_window": 5},
     {"fit_window": ["a", 10]},
+    # Every squared error is 0: the fit fails after the engine has run.
+    {"fit_window": [1, 50], "theta0": [0.0, 0.0],
+     "noise": {"gaussian": {"sigma2": 0.0}}},
 ])
 def test_bad_envelope_or_fit_window_exits_2(tmp_path, capsys, changes):
     cfg = _write(tmp_path, _base_run_config(**changes))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert _stderr_line(capsys).startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, value", [

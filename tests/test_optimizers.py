@@ -228,6 +228,10 @@ class TestQhmNsgmMapping:
         with pytest.raises(ValueError, match="degenerate"):
             map_qhm_to_nsgm(alpha=0.2, beta=1.0)
 
+    def test_nonpositive_alpha_rejected(self):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            map_qhm_to_nsgm(alpha=0.0, beta=0.5)
+
     def test_v0_reduces_to_sg(self):
         gs = _shared_gradient_stream(10)
         a = _run(QHM(v=0.0), [(0.2, 0.5)] * 10, gs, BIG, [7.0])

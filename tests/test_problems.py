@@ -155,6 +155,12 @@ class TestConstantsExamples:
                 ErmLeastSquares(design=design, targets=targets, domain=BALL2,
                                 noise=Minibatch(batch_size=2))
 
+    def test_design_rows_must_match_targets(self):
+        with pytest.raises(ValueError, match=(
+                "^design must be N x d with N matching targets$")):
+            ErmLeastSquares(design=np.eye(3), targets=[0.0, 0.0],
+                            domain=BALL2, noise=NO_NOISE)
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(DegenerateProblemError):
             ErmLeastSquares(design=[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]],

@@ -39,9 +39,10 @@ class TestStepSize:
                 rf"^stage length must be an integer, got {length!r}$")):
             StagedStep(stages=((0.1, 2), (0.05, length)))
 
-    @pytest.mark.parametrize("step", [True, "0.5", None])
+    @pytest.mark.parametrize("step", [True, "0.5", None, 10**400])
     def test_staged_step_must_be_a_number(self, step):
-        # A casting float() would run True as a step of 1.0 and "0.5" as 0.5.
+        # A casting float() would run True as a step of 1.0 and "0.5" as 0.5,
+        # and raise an OverflowError on an int past the float range.
         with pytest.raises(ValueError, match=(
                 rf"^stage step must be a number, got {step!r}$")):
             StagedStep(stages=((step, 2), (0.05, 3)))
@@ -98,6 +99,7 @@ class TestValidate:
         report = validate(ConstantStep(a=0.5), ProportionalToStep(k=10.0),
                           m=1.0, horizon=5)
         assert report.clamped_indices == [0, 1, 2, 3, 4]
+        assert str(report) == "warning: momentum clamped at indices [0, 1, 2, 3, 4]"
 
     def test_short_staged_step_raises(self):
         # No run, forced or not, can use a step that ends before the horizon.
