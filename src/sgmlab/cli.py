@@ -97,14 +97,17 @@ CONFIG_KINDS = {
 }
 
 
-def _coerce(value, type_name: str, where: str):
+def _coerce(value, type_name: str, where: str, depth: int = 0):
     """A config value as its field's type. An int field takes an int or a
     whole-valued float such as 1e5, a float field an int or a float, a
-    vector field a list of such numbers, nested at any depth; any other
+    vector field a list of such numbers, nested at most 64 deep; any other
     value is refused rather than truncated or parsed into a run."""
     if type_name == "np.ndarray":   # the class checks the vector's shape
         if isinstance(value, list):
-            return [_coerce(v, type_name, f"{where}[{i}]")
+            if depth == 64:     # numpy's limit on an array's dimensions
+                raise ValueError(f"{where.partition('[')[0]}: lists nested "
+                                 "more than 64 deep")
+            return [_coerce(v, type_name, f"{where}[{i}]", depth + 1)
                     for i, v in enumerate(value)]
         type_name = "float"
     if type_name == "int":
@@ -266,9 +269,8 @@ def _build_bound(resolved: dict, config: ExperimentConfig):
         E0 = float(delta @ delta)
     else:
         raise ValueError("recursion_bound with random theta0 needs explicit E0")
-    return _recursion(r["kind"], E0=E0, step=config.step,
-                      momentum=config.momentum, m=consts.m, M=consts.M,
-                      sigma2=consts.sigma2, L=consts.L, N=config.horizon)
+    return _recursion(r["kind"], E0=E0, step=config.step, N=config.horizon,
+                      momentum=config.momentum, **vars(consts))
 
 
 def _table(header: str, rows) -> str:
@@ -541,7 +543,7 @@ def cmd_gen_config(args) -> int:
 def _load_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -554,6 +556,8 @@ def _apply_overrides(resolved: dict, overrides):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as exc:
+            raise ValueError(f"override {key!r}: {exc}") from None
         target = resolved
         parts = key.split(".")
         for part in parts[:-1]:

@@ -586,6 +586,9 @@ def dominance_check(summary: RunSummary,
         env = bound
         if env.constant is None:
             half = calibration_half(cps)
+            if not np.any(summary.mse_mean[:half]):
+                raise ValueError("cannot calibrate the envelope: mse_mean is "
+                                 f"0 at all {half} calibration checkpoints")
             shape = env.shape(cps[:half])
             calibrated_constant = float(np.max(summary.mse_mean[:half] / shape))
             env = env.calibrated(calibrated_constant)

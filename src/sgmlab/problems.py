@@ -1,8 +1,9 @@
 """Strongly convex objectives with exactly known constants and stochastic
 first-order oracles.
 
-Every problem carries a domain and knows its own constants (m, M, sigma^2, L,
-theta_star) in closed form, so bound evaluation never has to estimate them.
+Every problem carries a domain and settles its constants (m, M, sigma^2, L,
+theta_star) in closed form once, at construction, so bound evaluation never
+has to estimate them.
 Gradient oracles return ``s + n`` where ``s`` is a deterministic subgradient
 and ``n`` is zero-mean noise with exactly known second moment.
 """
@@ -128,20 +129,51 @@ def _check_in_domain(domain: Domain, theta) -> np.ndarray:
     return theta
 
 
-def _check_interior(domain: Domain, theta_star: np.ndarray):
-    boundary_margin = domain.margin(theta_star)
-    if boundary_margin < INTERIOR_MARGIN:
-        raise ValueError(
-            "theta_star must lie strictly inside the domain "
-            f"(margin {boundary_margin:.3e} < {INTERIOR_MARGIN:.0e})"
-        )
+@dataclass(frozen=True)
+class _Problem:
+    """The contract every problem keeps: theta_star lies strictly inside
+    the domain, and the constants are settled once, at construction. Each
+    subclass declares its own init fields, which set its repr, its config
+    keys and its config_hash, and calls _settle from __post_init__."""
+
+    # Derived by _settle, so compare=False keeps it out of config_hash.
+    _constants: ProblemConstants = field(init=False, repr=False,
+                                         compare=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.theta_star.shape[0]
+
+    def subgradient(self, theta) -> np.ndarray:
+        return self._subgradient(_check_in_domain(self.domain, theta))
+
+    def constants(self) -> ProblemConstants:
+        return self._constants
+
+    def _settle(self, m: float, curvature: float):
+        """Check theta_star (its dimension, in the domain, its interior
+        margin), then build the constants from m and the largest curvature.
+        Additive noise has its own sigma2; a mini-batch's is bounded."""
+        margin = self.domain.margin(_check_in_domain(self.domain,
+                                                     self.theta_star))
+        if margin < INTERIOR_MARGIN:
+            raise ValueError("theta_star must lie strictly inside the domain "
+                             f"(margin {margin:.3e} < {INTERIOR_MARGIN:.0e})")
+        sqrt_M = self._sqrt_M(curvature)
+        sigma2 = (self._noise_sigma2(sqrt_M)
+                  if isinstance(self.noise, Minibatch) else self.noise.sigma2)
+        object.__setattr__(self, "_constants", ProblemConstants(
+            m=m, M=_square(sqrt_M), sigma2=sigma2, L=self.domain.diameter(),
+            theta_star=self.theta_star))
+
+    def _sqrt_M(self, curvature: float) -> float:
+        """A bound over the domain on the deterministic subgradient's norm."""
+        return curvature * self.domain.farthest_distance(self.theta_star)
 
 
 @dataclass(frozen=True)
-class _Diagonal:
-    """The checks and members the diagonal-Hessian problems share. Each
-    subclass declares its own init fields, which set its repr, its config
-    keys and its config_hash."""
+class _Diagonal(_Problem):
+    """The checks and members the diagonal-Hessian problems share."""
 
     # full_operands' cache of hessian_diag and theta_star (derived, so
     # compare=False keeps it out of config_hash).
@@ -161,31 +193,11 @@ class _Diagonal:
             raise ValueError("hessian_diag and theta_star must be 1-D vectors")
         if not np.all(self.hessian_diag > 0):
             raise DegenerateProblemError("hessian_diag must be strictly positive")
-        _check_in_domain(self.domain, self.theta_star)
-        _check_interior(self.domain, self.theta_star)
-
-    @property
-    def dimension(self) -> int:
-        return self.theta_star.shape[0]
-
-    def subgradient(self, theta) -> np.ndarray:
-        return self._subgradient(_check_in_domain(self.domain, theta))
-
-    def constants(self) -> ProblemConstants:
-        sqrt_M = self._sqrt_M()
         m = float(np.min(self.hessian_diag))
         if m <= 1e-12:
             raise DegenerateProblemError(f"strong-convexity constant {m:.3e} "
                                          "<= 1e-12")
-        return ProblemConstants(m=m, M=_square(sqrt_M),
-                                sigma2=self.noise.sigma2,
-                                L=self.domain.diameter(),
-                                theta_star=self.theta_star)
-
-    def _sqrt_M(self) -> float:
-        """A bound over the domain on the deterministic subgradient's norm."""
-        far = self.domain.farthest_distance(self.theta_star)
-        return float(np.max(self.hessian_diag)) * far
+        self._settle(m, float(np.max(self.hessian_diag)))
 
 
 @dataclass(frozen=True)
@@ -237,12 +249,13 @@ class QuadPlusL1(_Diagonal):
         delta = theta - theta_star
         return hessian_diag * delta + self.l1_weight * np.sign(delta)
 
-    def _sqrt_M(self) -> float:
-        return super()._sqrt_M() + self.l1_weight * np.sqrt(self.dimension)
+    def _sqrt_M(self, curvature: float) -> float:
+        return (super()._sqrt_M(curvature)
+                + self.l1_weight * np.sqrt(self.dimension))
 
 
 @dataclass(frozen=True)
-class ErmLeastSquares:
+class ErmLeastSquares(_Problem):
     """f(theta) = 1/(2N) sum_i (x_i^T theta - y_i)^2 over a fixed dataset.
 
     Noise is either additive (a NoiseModel on top of the exact gradient) or a
@@ -255,7 +268,6 @@ class ErmLeastSquares:
     noise: NoiseModel | Minibatch
     theta_star: np.ndarray = field(init=False)
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _constants: ProblemConstants = field(init=False, repr=False, compare=False)
 
     # Overflow shows up below as a non-finite Gram matrix or constant, each
     # rejected by name, so numpy's warnings would only repeat it.
@@ -299,16 +311,9 @@ class ErmLeastSquares:
         if residual / rhs_norm > 1e-10:
             raise DegenerateProblemError("normal equations solve did not converge")
         object.__setattr__(self, "theta_star", theta_star)
-        if not np.all(contains(self.domain, theta_star, DOMAIN_TOL)):
-            raise ValueError("least-squares solution lies outside the domain")
-        _check_interior(self.domain, theta_star)
-        # grad f(theta) = A(theta - theta*) with A = gram; bound over D via
-        # the operator norm and the farthest point from theta*.
-        sqrt_M = (float(np.max(eigenvalues))
-                  * self.domain.farthest_distance(theta_star))
-        object.__setattr__(self, "_constants", ProblemConstants(
-            m=m, M=_square(sqrt_M), sigma2=self._noise_sigma2(sqrt_M),
-            L=self.domain.diameter(), theta_star=theta_star))
+        # grad f(theta) = A(theta - theta*) with A = gram, whose operator
+        # norm is the largest curvature.
+        self._settle(m, float(np.max(eigenvalues)))
 
     def __getstate__(self):
         # design and targets are views of _rows; pickled as they are, each
@@ -321,17 +326,10 @@ class ErmLeastSquares:
         self.__dict__.update(state, design=state["_rows"][:, :-1],
                              targets=state["_rows"][:, -1])
 
-    @property
-    def dimension(self) -> int:
-        return self.design.shape[1]
-
     def value(self, theta) -> float:
         theta = _check_in_domain(self.domain, theta)
         r = self.design @ theta - self.targets
         return float(0.5 * np.mean(r * r))
-
-    def subgradient(self, theta) -> np.ndarray:
-        return self._subgradient(_check_in_domain(self.domain, theta))
 
     def _subgradient(self, theta) -> np.ndarray:
         resid = theta @ self.design.T - self.targets
@@ -345,13 +343,8 @@ class ErmLeastSquares:
         resid = np.einsum("...bd,...d->...b", X_b, theta) - y_b
         return np.einsum("...b,...bd->...d", resid, X_b) / resid.shape[-1]
 
-    def constants(self) -> ProblemConstants:
-        return self._constants
-
     def _noise_sigma2(self, sqrt_M: float) -> float:
-        if not isinstance(self.noise, Minibatch):
-            return self.noise.sigma2
-        # Upper bound on the mini-batch gradient variance over D.
+        """An upper bound on the mini-batch gradient variance over D."""
         sup_per_sample = _sup_per_sample(self.design, self.targets, self.domain)
         return _square(sup_per_sample + sqrt_M) / self.noise.batch_size
 

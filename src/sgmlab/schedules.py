@@ -182,11 +182,11 @@ def momentum_violation(eta: np.ndarray) -> str | None:
             else None)
 
 
-@dataclass
+@dataclass(eq=False)     # an index array has no truth value to compare by
 class ValidityReport:
     violations: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    clamped_indices: list = field(default_factory=list)
+    clamped_indices: np.ndarray = field(default_factory=lambda: np.empty(0, int))
 
     @property
     def ok(self) -> bool:
@@ -195,10 +195,10 @@ class ValidityReport:
     def __str__(self) -> str:
         lines = [f"violation: {v}" for v in self.violations]
         lines += [f"warning: {w}" for w in self.warnings]
-        if self.clamped_indices:
+        if self.clamped_indices.size:
             lines.append(f"warning: momentum clamped at indices "
-                         f"{self.clamped_indices[:10]}"
-                         + ("..." if len(self.clamped_indices) > 10 else ""))
+                         f"{self.clamped_indices[:10].tolist()}"
+                         + ("..." if self.clamped_indices.size > 10 else ""))
         return "\n".join(lines) if lines else "ok"
 
 
@@ -216,8 +216,7 @@ def validate(step: StepSchedule, momentum: MomentumSchedule, m: float,
             report.violations.append(violation)
 
     if isinstance(momentum, ProportionalToStep):
-        raw = momentum.k * t
-        report.clamped_indices = [int(i) for i in np.flatnonzero(raw > MOMENTUM_CLAMP)]
+        report.clamped_indices = np.flatnonzero(momentum.k * t > MOMENTUM_CLAMP)
 
     if isinstance(step, PolynomialStep) and step.alpha <= 0.5:
         report.warnings.append(

@@ -13,6 +13,7 @@ from sgmlab.bounds import sg_recursion_bound
 from sgmlab.cli import TEMPLATES, gen_config, main
 from sgmlab.schedules import PolynomialStep
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def _base_run_config(**overrides):
     cfg = {
@@ -54,6 +55,11 @@ _NOT_1D_PROBLEMS = {
         "theta0": [0.5]},
 }
 _NOT_1D_LINE = "error: hessian_diag and theta_star must be 1-D vectors"
+
+
+def _nested(depth: int) -> str:
+    """JSON text of the number 1 inside `depth` lists."""
+    return "[" * depth + "1" + "]" * depth
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -692,15 +698,45 @@ class TestBadCliInput:
         (["run", "--config", "{config}", "--out", "{out}",
           "-O", "step.constant.a=0.1"],
          "error: override path 'step.constant.a' not found"),
+        # Vectors nested past numpy's 64 dimensions, and JSON past the
+        # parser's recursion limit, used to end in a RecursionError
+        # traceback.
+        (["run", "--config", "{deep_theta0}", "--out", "{out}"],
+         "error: theta0: lists nested more than 64 deep"),
+        (["validate", "--config", "{deep_theta0}"],
+         "error: theta0: lists nested more than 64 deep"),
+        (["run", "--config", "{deep_center}", "--out", "{out}"],
+         "error: domain.ball.center: lists nested more than 64 deep"),
+        (["validate", "--config", "{deep_center}"],
+         "error: domain.ball.center: lists nested more than 64 deep"),
+        (["run", "--config", "{config}", "--out", "{out}",
+          "-O", f"theta0={_nested(500)}"],
+         "error: theta0: lists nested more than 64 deep"),
+        (["run", "--config", "{deep_json}", "--out", "{out}"],
+         "error: cannot read config {deep_json}: maximum recursion depth "
+         "exceeded while decoding a JSON array from a unicode string"),
+        (["run", "--config", "{config}", "--out", "{out}",
+          "-O", "theta0=" + "[" * 100_000 + "]" * 100_000],
+         "error: override 'theta0': maximum recursion depth exceeded while "
+         "decoding a JSON array from a unicode string"),
     ], ids=["malformed_row", "missing_config", "override_without_value",
-            "override_path_not_found"])
+            "override_path_not_found", "deep_theta0_run",
+            "deep_theta0_validate", "deep_center_run", "deep_center_validate",
+            "deep_theta0_override", "deep_json", "deep_json_override"])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, capsys, argv,
                                                 line):
         summary = tmp_path / "summary.csv"
         summary.write_text("checkpoint,mse_mean,mse_sem\n1,x,0.1\n")
+        deep_json = tmp_path / "deep.json"
+        deep_json.write_text("[" * 100_000 + "]" * 100_000)
+        ball = {"center": json.loads(_nested(500)), "radius": 2.0}
         paths = {"summary": summary, "missing": tmp_path / "none.json",
                  "config": _write(tmp_path, _base_run_config()),
-                 "out": tmp_path / "o"}
+                 "deep_theta0": _write(tmp_path, _base_run_config(
+                     theta0=json.loads(_nested(500))), "deep_theta0.json"),
+                 "deep_center": _write(tmp_path, _base_run_config(
+                     domain={"ball": ball}), "deep_center.json"),
+                 "deep_json": deep_json, "out": tmp_path / "o"}
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert _stderr_line(capsys) == line.format(**paths)
         assert not paths["out"].exists()
@@ -815,6 +851,12 @@ class TestRefusedConfigLeavesNoOutput:
          "file or directory"),
         ({"noise": {"minibatch": {"batch_size": 0}}},
          "error: batch_size must be >= 1"),
+        # The least-squares solution lies outside the ball: refused with
+        # the line every problem's theta_star check gives.
+        ({"problem": {"erm_csv": {"path": str(GOLDEN / "erm_small.csv")}},
+          "domain": {"ball": {"center": [0.0, 0.0, 0.0], "radius": 0.5}},
+          "theta0": [0.0, 0.0, 0.0]},
+         "error: point lies outside the domain (tolerance 1e-9)"),
         ({"problem": {"quadratic": {"hessian_diag": [1e-13, 1.0],
                                     "theta_star": [0.0, 0.0]}}},
          "error: strong-convexity constant 1.000e-13 <= 1e-12"),
@@ -835,8 +877,8 @@ class TestRefusedConfigLeavesNoOutput:
             "center_bool", "center_huge_int", "hessian_bools",
             "hessian_huge_int", "nested_hessian_string", "theta0_bools",
             "theta0_mixed", "unknown_variant", "missing_csv", "zero_batch",
-            "flat_curvature", "negative_l1_weight", "zero_c", "zero_beta",
-            "zero_k"])
+            "erm_theta_star_outside", "flat_curvature", "negative_l1_weight",
+            "zero_c", "zero_beta", "zero_k"])
     def test_refused_config(self, tmp_path, capsys, no_engine, command,
                             changes, line):
         # validate reads the multistage config here; the run config's
@@ -1265,18 +1307,27 @@ def test_module_entry_point_has_no_runpy_warning():
     assert "RuntimeWarning" not in proc.stderr
 
 
-@pytest.mark.parametrize("changes", [
-    {"envelope": {"case": "inv_n", "constant": "x"}},
-    {"fit_window": 5},
-    {"fit_window": ["a", 10]},
+@pytest.mark.parametrize("changes, line", [
+    ({"envelope": {"case": "inv_n", "constant": "x"}},
+     "error: envelope.constant: expected a number, got 'x'"),
+    ({"fit_window": 5}, "error: fit_window: expected [lo, hi], got 5"),
+    ({"fit_window": ["a", 10]},
+     "error: fit_window: expected a number, got 'a'"),
     # Every squared error is 0: the fit fails after the engine has run.
-    {"fit_window": [1, 50], "theta0": [0.0, 0.0],
-     "noise": {"gaussian": {"sigma2": 0.0}}},
-])
-def test_bad_envelope_or_fit_window_exits_2(tmp_path, capsys, changes):
+    ({"fit_window": [1, 50], "theta0": [0.0, 0.0],
+      "noise": {"gaussian": {"sigma2": 0.0}}},
+     "error: all mse_mean values in the window must be positive"),
+    # So does the calibration of an envelope; it used to be refused as a
+    # constant the user had not given.
+    ({"envelope": {"case": "inv_n"}, "theta0": [0.0, 0.0],
+      "noise": {"gaussian": {"sigma2": 0.0}}},
+     "error: cannot calibrate the envelope: mse_mean is 0 at all 7 "
+     "calibration checkpoints"),
+], ids=[f"changes{i}" for i in range(5)])
+def test_bad_envelope_or_fit_window_exits_2(tmp_path, capsys, changes, line):
     cfg = _write(tmp_path, _base_run_config(**changes))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert _stderr_line(capsys).startswith("error: ")
+    assert _stderr_line(capsys) == line
     assert not (tmp_path / "o").exists()
 
 

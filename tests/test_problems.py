@@ -133,6 +133,35 @@ class TestConstantsExamples:
         assert p.constants() is p.constants()
         assert len(calls) == built
 
+    @pytest.mark.parametrize("problem", [
+        quad2(),
+        QuadPlusL1(hessian_diag=[1.0, 2.0], theta_star=[0.0, 0.0],
+                   l1_weight=0.5, domain=BALL2, noise=NO_NOISE),
+        ErmLeastSquares(design=np.vstack([np.eye(2), np.eye(2)]),
+                        targets=[0.0, 0.0, 0.0, 0.0], domain=BALL2,
+                        noise=NO_NOISE),
+    ], ids=["quadratic", "quad_plus_l1", "erm"])
+    def test_constants_settled_at_construction(self, problem):
+        assert problem.constants() is problem.constants()
+
+    def test_flat_curvature_refused_at_construction(self):
+        with pytest.raises(DegenerateProblemError, match=(
+                r"^strong-convexity constant 1\.000e-13 <= 1e-12$")):
+            quad2(diag=(1e-13, 1.0))
+
+    def test_erm_theta_star_checked_before_the_minibatch_bound(
+            self, monkeypatch):
+        # A refused theta_star does not pay for the sigma2 bound's pass
+        # over the rows.
+        def sup(*args):
+            raise AssertionError("the sigma2 bound ran")
+        monkeypatch.setattr(prob_mod, "_sup_per_sample", sup)
+        with pytest.raises(ValueError, match=(
+                r"^point lies outside the domain \(tolerance 1e-9\)$")):
+            ErmLeastSquares(design=np.vstack([np.eye(2), np.eye(2)]),
+                            targets=[6.0, 0.0, 6.0, 0.0], domain=BALL2,
+                            noise=Minibatch(batch_size=2))
+
     def test_erm_constants_overflow_rejected(self):
         # sqrt_M is about 1e160, so M and the mini-batch sigma2 pass the
         # float range

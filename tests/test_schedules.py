@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,8 +100,21 @@ class TestValidate:
     def test_clamping_surfaced(self):
         report = validate(ConstantStep(a=0.5), ProportionalToStep(k=10.0),
                           m=1.0, horizon=5)
-        assert report.clamped_indices == [0, 1, 2, 3, 4]
+        assert report.clamped_indices.tolist() == [0, 1, 2, 3, 4]
         assert str(report) == "warning: momentum clamped at indices [0, 1, 2, 3, 4]"
+
+    def test_clamp_report_costs_no_more_than_the_schedule(self):
+        # The clamped indices stay one numpy array: as Python ints, a
+        # 10**6 horizon cost 2.4 times the peak memory of validating
+        # constant momentum.
+        def peak(momentum):
+            tracemalloc.start()
+            validate(ConstantStep(a=0.1), momentum, m=1.0, horizon=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+        assert peak(ProportionalToStep(k=100.0)) < 1.5 * peak(
+            ConstantMomentum(eta=0.5))
 
     def test_short_staged_step_raises(self):
         # No run, forced or not, can use a step that ends before the horizon.
