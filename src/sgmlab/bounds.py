@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedules import (MomentumSchedule, StepSchedule, momentum_violation,
-                        require_stage_step, step_violation)
+                        require_stage_step, shorten, step_violation)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ class RateEnvelope:
 
     def __post_init__(self):
         if self.case not in ("inv_n", "log_n_over_n", "inv_n_beta"):
-            raise ValueError(f"unknown envelope case {self.case!r}")
+            raise ValueError("unknown envelope case "
+                             f"{shorten(repr(self.case))}")
         if self.case == "inv_n_beta":
             if self.beta is None or not 0 < self.beta < 1:
                 raise ValueError("inv_n_beta requires beta in (0, 1)")
@@ -88,8 +89,8 @@ def _steps(E0: float, step: StepSchedule, m: float, M: float, sigma2: float,
     if L is not None and not L > 0:
         raise ValueError(f"L = {L} must be positive")
     if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    t = np.asarray(step.step_size(np.arange(N)), dtype=float)
+        raise ValueError(f"N must be >= 0, got {shorten(str(N))}")
+    t = step.steps(N)
     violation = step_violation(t, m)
     if violation is not None:
         raise ValueError(violation)
@@ -124,7 +125,7 @@ def sgm_recursion_bound(E0: float, step: StepSchedule, momentum: MomentumSchedul
     always holds on a domain of diameter L.
     """
     t = _steps(E0, step, m, M, sigma2, N, L)
-    eta = np.asarray(momentum.weight(np.arange(N), t), dtype=float)
+    eta = momentum.weights(t)
     violation = momentum_violation(eta)
     if violation is not None:
         raise ValueError(violation)

@@ -28,6 +28,7 @@ from .harness import (ExperimentConfig, RunSummary, WorkerLostError,
                       run_multistage, run_replicates, stage_configs,
                       window_mask)
 from .optimizers import NumericFailureError, variant_from_name
+from .schedules import shorten
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,7 +60,8 @@ def _fail_closed(cfg: dict, allowed: set, required: set, where: str):
         raise ValueError(f"{where}: expected an object")
     unknown = set(cfg) - allowed
     if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {where}: "
+                         f"{shorten(repr(sorted(unknown)))}")
     missing = required - set(cfg)
     if missing:
         raise ValueError(f"missing keys in {where}: {sorted(missing)}")
@@ -71,7 +73,7 @@ def _kind(spec, section: str, kinds) -> tuple:
         raise ValueError(f"{section}: expected a single-key object")
     (kind, params), = spec.items()
     if kind not in kinds:
-        raise ValueError(f"unknown {section} kind {kind!r} "
+        raise ValueError(f"unknown {section} kind {shorten(repr(kind))} "
                          f"(expected one of {', '.join(kinds)})")
     return kind, params
 
@@ -115,13 +117,14 @@ def _coerce(value, type_name: str, where: str, depth: int = 0):
             return int(value)
         if isinstance(value, int) and not isinstance(value, bool):
             return value
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
+        raise ValueError(f"{where}: expected an integer, "
+                         f"got {shorten(repr(value))}")
     if type_name != "float":
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):    # an int past floats
             return float(value)
-    raise ValueError(f"{where}: expected a number, got {value!r}")
+    raise ValueError(f"{where}: expected a number, got {shorten(repr(value))}")
 
 
 def _stages(stages, where: str) -> list:
@@ -173,7 +176,8 @@ def _variant(resolved: dict):
     """The variant named by 'variant', QHM's v coming from 'qhm_v'."""
     name, v = resolved["variant"], resolved.get("qhm_v")
     if not isinstance(name, str):
-        raise ValueError(f"variant: expected a name, got {name!r}")
+        raise ValueError("variant: expected a name, "
+                         f"got {shorten(repr(name))}")
     v = None if v is None else _coerce(v, "float", "qhm_v")
     try:
         return variant_from_name(name, v)
@@ -210,7 +214,7 @@ def build_experiment(resolved: dict, force_schedule: bool = False) -> Experiment
     if checkpoints is not None:
         if not isinstance(checkpoints, list):
             raise ValueError(f"checkpoints: expected a list of integers, "
-                             f"got {checkpoints!r}")
+                             f"got {shorten(repr(checkpoints))}")
         checkpoints = [_coerce(c, "int", f"checkpoints[{i}]")
                        for i, c in enumerate(checkpoints)]
     try:
@@ -259,7 +263,8 @@ def _build_bound(resolved: dict, config: ExperimentConfig):
         return None
     _fail_closed(r, {"kind", "E0"}, {"kind"}, "recursion_bound")
     if r["kind"] not in tuple(RECURSIONS):      # a kind may be unhashable
-        raise ValueError(f"unknown recursion_bound kind {r['kind']!r} "
+        raise ValueError("unknown recursion_bound kind "
+                         f"{shorten(repr(r['kind']))} "
                          f"(expected one of {', '.join(RECURSIONS)})")
     consts = config.problem.constants()
     if r.get("E0") is not None:
@@ -353,7 +358,8 @@ def _checked_run(resolved: dict, force_schedule: bool) -> tuple:
     window = resolved.get("fit_window")
     if window is not None:
         if not isinstance(window, list) or len(window) != 2:
-            raise ValueError(f"fit_window: expected [lo, hi], got {window!r}")
+            raise ValueError("fit_window: expected [lo, hi], "
+                             f"got {shorten(repr(window))}")
         window = tuple(_coerce(x, "float", "fit_window") for x in window)
         window_mask(config.checkpoints, window)
     return config, bound, window
@@ -452,11 +458,12 @@ def cmd_bounds(args) -> int:
 def cmd_fit(args) -> int:
     try:
         text = Path(args.summary).read_text().strip().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read summary {args.summary}: {exc}") from exc
     header = text[0].split(",") if text else []
     if header[:3] != ["checkpoint", "mse_mean", "mse_sem"]:
-        raise ValueError(f"{args.summary}: unexpected header {header[:3]}")
+        raise ValueError(f"{args.summary}: unexpected header "
+                         f"{shorten(repr(header[:3]))}")
     try:
         rows = [line.split(",") for line in text[1:]]
         cps = tuple(int(r[0]) for r in rows)
@@ -526,7 +533,7 @@ TEMPLATES = {
 def gen_config(template: str) -> dict:
     """A fresh copy of the named template config."""
     if template not in TEMPLATES:
-        raise ValueError(f"unknown template {template!r}; "
+        raise ValueError(f"unknown template {shorten(repr(template))}; "
                          f"available: {', '.join(TEMPLATES)}")
     return copy.deepcopy(TEMPLATES[template])
 
@@ -543,29 +550,33 @@ def cmd_gen_config(args) -> int:
 def _load_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    # A ValueError: text that is not JSON, or a file that is not UTF-8.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
 def _apply_overrides(resolved: dict, overrides):
     for item in overrides or []:
         if "=" not in item:
-            raise ValueError(f"override {item!r} must be key=value")
+            raise ValueError(f"override {shorten(repr(item))} must be "
+                             "key=value")
         key, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
         except RecursionError as exc:
-            raise ValueError(f"override {key!r}: {exc}") from None
+            raise ValueError(f"override {shorten(repr(key))}: {exc}") from None
         target = resolved
         parts = key.split(".")
         for part in parts[:-1]:
             if part not in target or not isinstance(target[part], dict):
-                raise ValueError(f"override path {key!r} not found")
+                raise ValueError(f"override path {shorten(repr(key))} "
+                                 "not found")
             target = target[part]
         if parts[-1] not in target:
-            raise ValueError(f"override key {key!r} not in config")
+            raise ValueError(f"override key {shorten(repr(key))} "
+                             "not in config")
         target[parts[-1]] = value
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .schedules import shorten
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -32,7 +34,7 @@ class Ball:
             raise ValueError("ball center must be a non-empty 1-D vector")
         if not np.isfinite(self.center).all():
             raise ValueError(f"ball center must be finite, got "
-                             f"{self.center.tolist()}")
+                             f"{shorten(repr(self.center.tolist()))}")
         if not self.radius > 0:
             raise ValueError(f"ball radius must be positive, got {self.radius}")
         if not math.isfinite(self.radius):
@@ -132,8 +134,16 @@ class Box:
                 or not self.lower.size):
             raise ValueError("box bounds must be non-empty 1-D vectors of "
                              "equal length")
+        for name in ("lower", "upper"):
+            bound = getattr(self, name)
+            if not np.isfinite(bound).all():
+                raise ValueError(f"box {name} bound must be finite, got "
+                                 f"{shorten(repr(bound.tolist()))}")
         if not np.all(self.upper > self.lower):
             raise ValueError("box must have strictly positive edge lengths")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.diameter()):
+                raise ValueError("box diameter ||upper - lower|| overflows")
 
     @property
     def dimension(self) -> int:

@@ -27,7 +27,8 @@ from .geometry import contains
 from .optimizers import NumericFailureError, SGM, Variant
 from .problems import Problem
 from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
-                        ValidityReport, require_int, require_stages, validate)
+                        ValidityReport, require_int, require_stages,
+                        shorten, validate)
 
 NOISE_CHUNK = 512
 NOISE_TILE = 64
@@ -104,23 +105,25 @@ class ExperimentConfig:
         if self.replicates > 2 ** 32:
             # A replicate's spawn key is one uint32 word.
             raise ValueError(f"replicates must be <= 2**32, got "
-                             f"{self.replicates}")
+                             f"{shorten(str(self.replicates))}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got "
-                             f"{self.master_seed}")
+                             f"{shorten(str(self.master_seed))}")
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise ValueError("workers must be >= 1, "
+                             f"got {shorten(str(self.workers))}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.estimator not in est_mod.ESTIMATOR_NAMES:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+            raise ValueError("unknown estimator "
+                             f"{shorten(repr(self.estimator))}")
         suffix = self.estimator == "suffix"
         if suffix and self.suffix_start < 0:
             raise ValueError(f"suffix_start must be >= 0, got "
-                             f"{self.suffix_start}")
+                             f"{shorten(str(self.suffix_start))}")
         if suffix and self.suffix_start > self.horizon:
-            raise ValueError(f"suffix_start {self.suffix_start} exceeds "
-                             f"horizon {self.horizon}")
+            raise ValueError(f"suffix_start {shorten(str(self.suffix_start))}"
+                             f" exceeds horizon {shorten(str(self.horizon))}")
         cps = self.checkpoints
         if cps is None:
             cps = default_checkpoints(self.horizon, self.estimator,
@@ -145,7 +148,7 @@ class ExperimentConfig:
             if (theta0.shape != (d,) or theta0.dtype.kind not in "iuf"
                     or not contains(self.problem.domain, theta0)):
                 raise ValueError(f"theta0 must be a {d}-vector in the "
-                                 f"domain, got {self.theta0!r}")
+                                 f"domain, got {shorten(repr(self.theta0))}")
             object.__setattr__(self, "theta0", theta0.astype(float))
         report = validate(self.step, self.momentum,
                           self.problem.constants().m, self.horizon)
@@ -396,17 +399,15 @@ def _advance_block(config: ExperimentConfig, theta0: np.ndarray, rngs,
     gradient = prob_mod.noise_kind(problem)[4]
     theta_star = problem.theta_star
     batch = opt_mod.Batch(theta0, config.variant, problem.domain)
-    n_steps = config.horizon
-    t_arr = np.asarray(config.step.step_size(np.arange(n_steps)), float)
-    eta_arr = np.asarray(config.momentum.weight(np.arange(n_steps), t_arr),
-                         float)
+    t_arr = config.step.steps(config.horizon)
+    eta_arr = config.momentum.weights(t_arr)
     estimator = est_mod.make_estimator(config.estimator, config.suffix_start)
     estimator.observe(batch.theta_curr, 0)
     record_at = {c: k for k, c in enumerate(config.checkpoints)}
     out = np.empty((len(config.checkpoints), len(rngs)))
     j = 0
     lanes = _process_lanes(config.workers)
-    for noise in _noise_chunks(problem, rngs, n_steps, lanes):
+    for noise in _noise_chunks(problem, rngs, config.horizon, lanes):
         start, start_j = batch.copy(), j
         # Python floats, one chunk at a time: the whole horizon as lists
         # would cost more memory than the arrays.

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain, contains
+from .schedules import shorten
 
 
 class NumericFailureError(RuntimeError):
@@ -109,7 +110,7 @@ VARIANT_NAMES = {"sg": SG, "sgm": SGM, "nsgm": NormalizedSGM, "qhm": QHM}
 
 def variant_from_name(name: str, qhm_v: float | None = None) -> Variant:
     if name not in VARIANT_NAMES:
-        raise ValueError(f"unknown variant {name!r} "
+        raise ValueError(f"unknown variant {shorten(repr(name))} "
                          f"(expected one of {sorted(VARIANT_NAMES)})")
     if name == "qhm":
         if qhm_v is None:

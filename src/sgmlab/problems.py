@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Domain, contains, full_operands
+from .schedules import shorten
 
 DOMAIN_TOL = 1e-9
 INTERIOR_MARGIN = 1e-9
@@ -501,7 +502,7 @@ def _scan_csv(path) -> np.ndarray:
                     if value is None or not math.isfinite(value):
                         kind = "non-numeric" if value is None else "non-finite"
                         raise ValueError(f"{path}: {kind} cell at row {i}, "
-                                         f"column {j}: {cell!r}")
+                                         f"column {j}: {shorten(repr(cell))}")
                     parsed.append(value)
                 rows.append(parsed)
     except csv.Error as exc:    # a cell past csv.field_size_limit()
@@ -512,7 +513,8 @@ def _scan_csv(path) -> np.ndarray:
         raise ValueError(f"{path}: empty CSV")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
+        raise ValueError(f"{path}: inconsistent column counts "
+                         f"{shorten(repr(sorted(widths)))}")
     return np.asarray(rows, dtype=float)
 
 

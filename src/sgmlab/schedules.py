@@ -1,5 +1,5 @@
-"""Step-size and momentum-weight sequences as pure functions of the iteration
-index, plus validity checks.
+"""Step-size and momentum-weight sequences, each returned whole over a
+horizon as one float64 array, plus validity checks.
 
 Indexing starts at j = 0 and polynomial formulas use (j + 1), so the first
 polynomial step equals gamma.
@@ -13,12 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MOMENTUM_CLAMP = 1.0 - 1e-12
+ECHO_LIMIT = 60
+
+
+def shorten(text: str) -> str:
+    """A value's text as a refusal line echoes it: whole up to ECHO_LIMIT
+    characters, else its two ends around '...'. A value from outside the
+    program may be of any length, and the line must stay one short line."""
+    if len(text) <= ECHO_LIMIT:
+        return text
+    half = (ECHO_LIMIT - 3) // 2
+    return f"{text[:half]}...{text[-half:]}"
 
 
 def require_int(value, name: str) -> int:
     """value as an int; a bool, fraction or string is refused, not cast."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, "
+                         f"got {shorten(repr(value))}")
     return int(value)
 
 
@@ -28,7 +40,7 @@ def require_float(value, name: str) -> float:
             and isinstance(value, (int, float, np.integer, np.floating))):
         with contextlib.suppress(OverflowError):
             return float(value)
-    raise ValueError(f"{name} must be a number, got {value!r}")
+    raise ValueError(f"{name} must be a number, got {shorten(repr(value))}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +56,8 @@ class PolynomialStep:
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
 
-    def step_size(self, j):
-        return self.gamma / (np.asarray(j, dtype=float) + 1.0) ** self.alpha
+    def steps(self, n: int) -> np.ndarray:
+        return self.gamma / (np.arange(n) + 1.0) ** self.alpha
 
 
 @dataclass(frozen=True)
@@ -56,8 +68,8 @@ class ConstantStep:
         if not self.a > 0:
             raise ValueError("constant step must be positive")
 
-    def step_size(self, j):
-        return np.full_like(np.asarray(j, dtype=float), self.a)
+    def steps(self, n: int) -> np.ndarray:
+        return np.full(n, self.a, dtype=float)
 
 
 def require_stage_step(a, m: float | None = None) -> float:
@@ -93,23 +105,18 @@ class StagedStep:
     """Piecewise-constant step: a_k for n_k iterations, strictly decreasing."""
 
     stages: tuple
-    _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stages = require_stages(self.stages)
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "_ends",
-                           np.cumsum([n for _, n in stages]))
+        object.__setattr__(self, "stages", require_stages(self.stages))
 
-    def step_size(self, j):
-        j_arr = np.asarray(j)
-        if np.any(j_arr >= self._ends[-1]) or np.any(j_arr < 0):
-            raise ValueError(
-                f"index beyond final stage (total length {int(self._ends[-1])})"
-            )
-        stage_idx = np.searchsorted(self._ends, j_arr, side="right")
-        values = np.asarray([a for a, _ in self.stages])[stage_idx]
-        return values if np.ndim(j) else float(values)
+    def steps(self, n: int) -> np.ndarray:
+        t, start = np.empty(n), 0
+        for a, length in self.stages:
+            t[start:start + length] = a     # the slice stops at n
+            start += length
+        if start < n:
+            raise ValueError(f"index beyond final stage (total length {start})")
+        return t
 
 
 StepSchedule = PolynomialStep | ConstantStep | StagedStep
@@ -117,8 +124,8 @@ StepSchedule = PolynomialStep | ConstantStep | StagedStep
 
 @dataclass(frozen=True)
 class ZeroMomentum:
-    def weight(self, j, t_j):
-        return np.zeros_like(np.asarray(j, dtype=float))
+    def weights(self, t: np.ndarray) -> np.ndarray:
+        return np.zeros(len(t))
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,8 @@ class ConstantMomentum:
         if not 0 <= self.eta < 1:
             raise ValueError("eta must lie in [0, 1)")
 
-    def weight(self, j, t_j):
-        return np.full_like(np.asarray(j, dtype=float), self.eta)
+    def weights(self, t: np.ndarray) -> np.ndarray:
+        return np.full(len(t), self.eta, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -146,8 +153,8 @@ class PolynomialMomentum:
         if not self.beta > 0:
             raise ValueError("beta must be positive")
 
-    def weight(self, j, t_j):
-        return self.c / (np.asarray(j, dtype=float) + 1.0) ** self.beta
+    def weights(self, t: np.ndarray) -> np.ndarray:
+        return self.c / (np.arange(len(t)) + 1.0) ** self.beta
 
 
 @dataclass(frozen=True)
@@ -160,8 +167,8 @@ class ProportionalToStep:
         if not self.k > 0:
             raise ValueError("k must be positive")
 
-    def weight(self, j, t_j):
-        return np.minimum(self.k * np.asarray(t_j, dtype=float), MOMENTUM_CLAMP)
+    def weights(self, t: np.ndarray) -> np.ndarray:
+        return np.minimum(self.k * t, MOMENTUM_CLAMP)
 
 
 MomentumSchedule = ZeroMomentum | ConstantMomentum | PolynomialMomentum | ProportionalToStep
@@ -208,9 +215,8 @@ def validate(step: StepSchedule, momentum: MomentumSchedule, m: float,
     over j < horizon. Returns a report; a staged step that ends before the
     horizon raises ValueError, since no forced run can use it."""
     report = ValidityReport()
-    j = np.arange(horizon)
-    t = np.asarray(step.step_size(j), dtype=float)
-    eta = np.asarray(momentum.weight(j, t), dtype=float)
+    t = step.steps(horizon)
+    eta = momentum.weights(t)
     for violation in (step_violation(t, m), momentum_violation(eta)):
         if violation is not None:
             report.violations.append(violation)
@@ -226,7 +232,6 @@ def validate(step: StepSchedule, momentum: MomentumSchedule, m: float,
 
     if np.any(np.diff(t) > 0):
         report.violations.append("step sizes are not non-increasing")
-    if isinstance(momentum, (PolynomialMomentum, ProportionalToStep)) and \
-            np.any(np.diff(eta) > 1e-15):
+    if np.any(np.diff(eta) > 1e-15):
         report.violations.append("momentum weights are not non-increasing")
     return report

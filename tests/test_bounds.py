@@ -118,8 +118,8 @@ class TestSgmRecursion:
 
     def test_eta_ge_one_rejected(self):
         class Saturated:
-            def weight(self, j, t):
-                return np.ones_like(np.asarray(j, dtype=float))
+            def weights(self, t):
+                return np.ones(len(t))
 
         with pytest.raises(ValueError, match="eta"):
             sgm_recursion_bound(1.0, ConstantStep(0.1), Saturated(),
@@ -129,7 +129,7 @@ class TestSgmRecursion:
 def _numpy_scalar_sg(E0, step, m, M, sigma2, N):
     """The SG recursion stepped on numpy scalars: the oracle for the loop on
     Python floats."""
-    t = np.asarray(step.step_size(np.arange(N)), dtype=float)
+    t = step.steps(N)
     values = np.empty(N + 1)
     values[0] = E0
     noise = M + sigma2
@@ -141,8 +141,8 @@ def _numpy_scalar_sg(E0, step, m, M, sigma2, N):
 
 
 def _numpy_scalar_sgm(E0, step, momentum, m, M, sigma2, L, N):
-    t = np.asarray(step.step_size(np.arange(N)), dtype=float)
-    eta = np.asarray(momentum.weight(np.arange(N), t), dtype=float)
+    t = step.steps(N)
+    eta = momentum.weights(t)
     sqrt_M = np.sqrt(M)
     noise = M + sigma2
     L2 = L * L

@@ -62,6 +62,11 @@ def _nested(depth: int) -> str:
     return "[" * depth + "1" + "]" * depth
 
 
+# A refusal line echoes a long value by its two ends around '...': 10**400
+# as 28 of its digits and 28 more.
+_HUGE_INT = "1" + "0" * 27 + "..." + "0" * 28
+
+
 def _write(tmp_path, cfg, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -719,16 +724,49 @@ class TestBadCliInput:
           "-O", "theta0=" + "[" * 100_000 + "]" * 100_000],
          "error: override 'theta0': maximum recursion depth exceeded while "
          "decoding a JSON array from a unicode string"),
+        # A refused value from outside is echoed by its two ends: these
+        # used to print lines of 340 to 5,050 characters.
+        (["validate", "--config", "{config}", "-O", f"horizon={_nested(950)}"],
+         "error: horizon: expected an integer, got "
+         + "[" * 28 + "..." + "]" * 28),
+        (["validate", "--config", "{config}", "-O", f"variant={_nested(950)}"],
+         "error: variant: expected a name, got " + "[" * 28 + "..." + "]" * 28),
+        (["validate", "--config", "{config}", "-O", "replicates=1e300"],
+         "error: replicates must be <= 2**32, got "
+         "1000000000000000052504760255...5669472196386865459400540160"),
+        (["validate", "--config", "{config}", "-O", "master_seed=-1e300"],
+         "error: master_seed must be >= 0, got "
+         "-100000000000000005250476025...5669472196386865459400540160"),
+        (["validate", "--config", "{config}",
+          "-O", 'estimator="' + "e" * 3000 + '"'],
+         "error: unknown estimator '" + "e" * 27 + "..." + "e" * 27 + "'"),
+        (["validate", "--config", "{long_cell_config}"],
+         "error: {long_cell}: non-numeric cell at row 2, column 3: '"
+         + "z" * 27 + "..." + "z" * 27 + "'"),
+        # A file that is not UTF-8 is named, as for any other read failure.
+        (["run", "--config", "{not_utf8}", "--out", "{out}"],
+         "error: cannot read config {not_utf8}: 'utf-8' codec can't decode "
+         "byte 0xff in position 0: invalid start byte"),
+        (["fit", "--summary", "{not_utf8}", "--window", "1", "10"],
+         "error: cannot read summary {not_utf8}: 'utf-8' codec can't decode "
+         "byte 0xff in position 0: invalid start byte"),
     ], ids=["malformed_row", "missing_config", "override_without_value",
             "override_path_not_found", "deep_theta0_run",
             "deep_theta0_validate", "deep_center_run", "deep_center_validate",
-            "deep_theta0_override", "deep_json", "deep_json_override"])
+            "deep_theta0_override", "deep_json", "deep_json_override",
+            "deep_horizon", "deep_variant", "huge_replicates",
+            "huge_negative_seed", "long_estimator", "long_csv_cell",
+            "not_utf8_config", "not_utf8_summary"])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, capsys, argv,
                                                 line):
         summary = tmp_path / "summary.csv"
         summary.write_text("checkpoint,mse_mean,mse_sem\n1,x,0.1\n")
         deep_json = tmp_path / "deep.json"
         deep_json.write_text("[" * 100_000 + "]" * 100_000)
+        long_cell = tmp_path / "long_cell.csv"
+        long_cell.write_text("1,0,1\n0,1," + "z" * 5000 + "\n")
+        not_utf8 = tmp_path / "not_utf8"
+        not_utf8.write_bytes(b"\xff\xfe")
         ball = {"center": json.loads(_nested(500)), "radius": 2.0}
         paths = {"summary": summary, "missing": tmp_path / "none.json",
                  "config": _write(tmp_path, _base_run_config()),
@@ -736,7 +774,11 @@ class TestBadCliInput:
                      theta0=json.loads(_nested(500))), "deep_theta0.json"),
                  "deep_center": _write(tmp_path, _base_run_config(
                      domain={"ball": ball}), "deep_center.json"),
-                 "deep_json": deep_json, "out": tmp_path / "o"}
+                 "deep_json": deep_json, "out": tmp_path / "o",
+                 "long_cell": long_cell, "not_utf8": not_utf8,
+                 "long_cell_config": _write(tmp_path, _base_run_config(
+                     problem={"erm_csv": {"path": str(long_cell)}}),
+                     "long_cell.json")}
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert _stderr_line(capsys) == line.format(**paths)
         assert not paths["out"].exists()
@@ -824,7 +866,7 @@ class TestRefusedConfigLeavesNoOutput:
         ({"domain": {"ball": {"center": [0.0, False], "radius": 2.0}}},
          "error: domain.ball.center[1]: expected a number, got False"),
         ({"domain": {"ball": {"center": [10**400, 0], "radius": 2.0}}},
-         f"error: domain.ball.center[0]: expected a number, got {10**400}"),
+         f"error: domain.ball.center[0]: expected a number, got {_HUGE_INT}"),
         ({"problem": {"quadratic": {"hessian_diag": [True, True],
                                     "theta_star": [0.0, 0.0]}}},
          "error: problem.quadratic.hessian_diag[0]: expected a number, "
@@ -832,7 +874,7 @@ class TestRefusedConfigLeavesNoOutput:
         ({"problem": {"quadratic": {"hessian_diag": [1, 10**400],
                                     "theta_star": [0.0, 0.0]}}},
          "error: problem.quadratic.hessian_diag[1]: expected a number, "
-         f"got {10**400}"),
+         f"got {_HUGE_INT}"),
         ({"problem": {"quadratic": {"hessian_diag": [[1.0, "1"]],
                                     "theta_star": [[0.0, 0.0]]}}},
          "error: problem.quadratic.hessian_diag[0][1]: expected a number, "
@@ -1375,6 +1417,30 @@ def test_non_finite_ball_exits_2(tmp_path, capsys, command, ball, line):
         argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert _stderr_line(capsys) == line
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("box, line", [
+    ({"lower": [-1.0, -1.0], "upper": [1.0, float("inf")]},
+     "error: box upper bound must be finite, got [1.0, inf]"),
+    ({"lower": [float("nan"), -1.0], "upper": [1.0, 1.0]},
+     "error: box lower bound must be finite, got [nan, -1.0]"),
+    ({"lower": [-1e308, -1.0], "upper": [1e308, 1.0]},
+     "error: box diameter ||upper - lower|| overflows"),
+], ids=["inf_upper", "nan_lower", "overflowing_edge"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_box_exits_2(tmp_path, capsys, command, box, line):
+    # Not later, as a non-finite problem constant M, after two numpy
+    # overflow warnings for the overflowing edge: the box itself is refused.
+    cfg = _write(tmp_path, _base_run_config(domain={"box": box},
+                                            theta0="random-interior"))
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg]
+    if command == "run":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert _stderr_line(capsys) == line
+    assert not out.exists()
 
 
 def _erm_csv_config(tmp_path, rows, noise):

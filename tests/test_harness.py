@@ -779,8 +779,8 @@ def _reference_advance(config, theta0, rngs, rep_lo=0):
     step at a time: the final iterates and the squared estimator errors."""
     problem = config.problem
     gradient = prob_mod.noise_kind(problem)[4]
-    t = config.step.step_size(np.arange(config.horizon))
-    eta = config.momentum.weight(np.arange(config.horizon), t)
+    t = config.step.steps(config.horizon)
+    eta = config.momentum.weights(t)
     state = Batch(theta0, config.variant, problem.domain)
     estimator = make_estimator(config.estimator, config.suffix_start)
     estimator.observe(state.theta_curr, 0)

@@ -4,31 +4,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgmlab.schedules import (ConstantMomentum, ConstantStep, PolynomialMomentum,
-                              PolynomialStep, ProportionalToStep, StagedStep,
-                              ZeroMomentum, validate)
+from sgmlab.schedules import (ConstantMomentum, ConstantStep, MomentumSchedule,
+                              PolynomialMomentum, PolynomialStep,
+                              ProportionalToStep, StagedStep, StepSchedule,
+                              ZeroMomentum, shorten, validate)
 from sgmlab.cli import from_config
 
 
 class TestStepSize:
     def test_polynomial(self):
-        assert PolynomialStep(gamma=0.5, alpha=1.0).step_size(4) == pytest.approx(0.1)
+        assert PolynomialStep(gamma=0.5, alpha=1.0).steps(5)[4] == pytest.approx(0.1)
 
     def test_constant(self):
         s = ConstantStep(a=0.05)
-        assert s.step_size(0) == 0.05
-        assert s.step_size(10**6) == 0.05
+        assert s.steps(0).size == 0
+        assert np.all(s.steps(10**6) == 0.05)
 
     def test_staged_second_stage(self):
         s = StagedStep(stages=((0.1, 2), (0.05, 4)))
-        assert s.step_size(1) == 0.1
-        assert s.step_size(2) == 0.05
+        assert s.steps(3).tolist() == [0.1, 0.1, 0.05]
 
     def test_staged_exhausted(self):
         s = StagedStep(stages=((0.1, 2), (0.05, 4)))
+        assert s.steps(6).tolist() == [0.1] * 2 + [0.05] * 4
         with pytest.raises(ValueError, match=(
                 r"^index beyond final stage \(total length 6\)$")):
-            s.step_size(6)
+            s.steps(7)
+
+    def test_staged_stage_past_the_horizon(self):
+        # Only the first n steps are laid out: a stage far longer than the
+        # horizon, or than an int64, costs nothing.
+        s = StagedStep(stages=((0.1, 2), (0.05, 10**20)))
+        assert s.steps(4).tolist() == [0.1, 0.1, 0.05, 0.05]
+        with pytest.raises(ValueError):     # as numpy refuses any such array
+            s.steps(10**30)
 
     def test_staged_must_decrease(self):
         with pytest.raises(ValueError):
@@ -44,9 +53,12 @@ class TestStepSize:
     @pytest.mark.parametrize("step", [True, "0.5", None, 10**400])
     def test_staged_step_must_be_a_number(self, step):
         # A casting float() would run True as a step of 1.0 and "0.5" as 0.5,
-        # and raise an OverflowError on an int past the float range.
+        # and raise an OverflowError on an int past the float range, which
+        # is echoed by its two ends.
+        echo = ("1" + "0" * 27 + r"\.\.\." + "0" * 28 if step == 10**400
+                else repr(step))
         with pytest.raises(ValueError, match=(
-                rf"^stage step must be a number, got {step!r}$")):
+                rf"^stage step must be a number, got {echo}$")):
             StagedStep(stages=((step, 2), (0.05, 3)))
 
     def test_staged_numpy_step(self):
@@ -62,17 +74,18 @@ class TestStepSize:
 
 class TestMomentumWeight:
     def test_polynomial(self):
-        assert PolynomialMomentum(c=1.0, beta=0.5).weight(3, 0.1) == 0.5
+        assert PolynomialMomentum(c=1.0, beta=0.5).weights(np.zeros(4))[3] == 0.5
 
     def test_proportional(self):
-        assert ProportionalToStep(k=9.0).weight(0, 0.1) == pytest.approx(0.9)
+        w = ProportionalToStep(k=9.0).weights(np.array([0.1, 0.05]))
+        assert w.tolist() == pytest.approx([0.9, 0.45])
 
     def test_proportional_clamps(self):
-        w = ProportionalToStep(k=20.0).weight(0, 0.1)
-        assert w == 1.0 - 1e-12
+        w = ProportionalToStep(k=20.0).weights(np.array([0.1]))
+        assert w.tolist() == [1.0 - 1e-12]
 
     def test_zero(self):
-        assert ZeroMomentum().weight(123, 0.5) == 0.0
+        assert ZeroMomentum().weights(np.full(124, 0.5)).tolist() == [0.0] * 124
 
 
 class TestValidate:
@@ -124,14 +137,37 @@ class TestValidate:
                      horizon=20)
 
 
-@given(j=st.integers(0, 10**6))
+STEPS = [PolynomialStep(gamma=0.7, alpha=0.8), ConstantStep(a=1),
+         ConstantStep(a=0.05), StagedStep(stages=((0.5, 3), (0.2, 50),
+                                                  (0.1, 10**20)))]
+MOMENTA = [ZeroMomentum(), ConstantMomentum(eta=0), ConstantMomentum(eta=0.5),
+           PolynomialMomentum(c=0.9, beta=0.6), ProportionalToStep(k=9.0),
+           ProportionalToStep(k=20.0)]
+
+
+@given(n=st.integers(0, 3000), data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_purity(j):
-    s = PolynomialStep(gamma=0.7, alpha=0.8)
-    mom = PolynomialMomentum(c=0.9, beta=0.6)
-    t = s.step_size(j)
-    assert s.step_size(j) == t
-    assert mom.weight(j, t) == mom.weight(j, t)
+def test_schedules_are_prefix_consistent_sequences(n, data):
+    # Every schedule class, each a sequence: the first k values do not
+    # depend on how many more are asked for, bit for bit.
+    assert {type(s) for s in STEPS} == set(StepSchedule.__args__)
+    assert {type(m) for m in MOMENTA} == set(MomentumSchedule.__args__)
+    k = data.draw(st.integers(0, n))
+    for step in STEPS:
+        t = step.steps(n)
+        assert t.dtype == np.float64 and t.shape == (n,)
+        assert t[:k].tobytes() == step.steps(k).tobytes()
+        for momentum in MOMENTA:
+            eta = momentum.weights(t)
+            assert eta.dtype == np.float64 and eta.shape == (n,)
+            assert eta[:k].tobytes() == momentum.weights(t[:k]).tobytes()
+
+
+def test_shorten():
+    # A value is echoed whole up to 60 characters, else by its two ends.
+    for text in ["", "x" * 60]:
+        assert shorten(text) == text
+    assert shorten("x" * 28 + "y" * 5 + "z" * 28) == "x" * 28 + "..." + "z" * 28
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.0])
@@ -139,7 +175,7 @@ def test_square_summable_above_half(alpha):
     step = PolynomialStep(gamma=1.0, alpha=alpha)
 
     def sum_t(n, power=1):
-        return float(np.sum(step.step_size(np.arange(n)) ** power))
+        return float(np.sum(step.steps(n) ** power))
 
     # dyadic tail blocks of sum t^2 shrink geometrically when 2*alpha > 1
     tail = [sum_t(2 * n, 2) - sum_t(n, 2) for n in (1000, 2000, 4000, 8000)]
