@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import (MomentumSchedule, StepSchedule, momentum_violation,
-                        require_stage_step, shorten, step_violation)
+from .schedules import (MomentumSchedule, StepSchedule, lookup,
+                        momentum_violation, require_stage_step, shorten,
+                        step_violation)
 
 
 @dataclass(frozen=True)
@@ -30,19 +31,25 @@ class BoundSequence:
         return self.values[np.asarray(j)]
 
 
+# The envelope shapes, constant * shape(N) with constant = 1, by case.
+ENVELOPE_SHAPES = {
+    "inv_n": lambda N, beta: 1.0 / (N + 1.0),
+    "log_n_over_n": lambda N, beta: np.log(N + 1.0) / (N + 1.0),
+    "inv_n_beta": lambda N, beta: 1.0 / ((1.0 - beta) * (N + 1.0) ** beta),
+}
+
+
 @dataclass(frozen=True)
 class RateEnvelope:
-    """constant * shape(N) with shape one of 1/(N+1), log(N+1)/(N+1),
-    1/((1-beta)(N+1)^beta). A constant of None means 'calibrate from data'."""
+    """constant * shape(N) with the shape of `case` in ENVELOPE_SHAPES. A
+    constant of None means 'calibrate from data'."""
 
-    case: str                      # "inv_n" | "log_n_over_n" | "inv_n_beta"
+    case: str
     constant: float | None = None
     beta: float | None = None
 
     def __post_init__(self):
-        if self.case not in ("inv_n", "log_n_over_n", "inv_n_beta"):
-            raise ValueError("unknown envelope case "
-                             f"{shorten(repr(self.case))}")
+        lookup(ENVELOPE_SHAPES, self.case, "envelope case")
         if self.case == "inv_n_beta":
             if self.beta is None or not 0 < self.beta < 1:
                 raise ValueError("inv_n_beta requires beta in (0, 1)")
@@ -51,12 +58,7 @@ class RateEnvelope:
 
     def shape(self, N):
         """The envelope with constant = 1."""
-        N = np.asarray(N, dtype=float)
-        if self.case == "inv_n":
-            return 1.0 / (N + 1.0)
-        if self.case == "log_n_over_n":
-            return np.log(N + 1.0) / (N + 1.0)
-        return 1.0 / ((1.0 - self.beta) * (N + 1.0) ** self.beta)
+        return ENVELOPE_SHAPES[self.case](np.asarray(N, dtype=float), self.beta)
 
     def at(self, N):
         """constant * shape(N); N >= 1 (accepted as real for testing)."""

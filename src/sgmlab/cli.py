@@ -22,13 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import geometry, problems, schedules
+from . import geometry, optimizers, problems, schedules
 from .harness import (ExperimentConfig, RunSummary, WorkerLostError,
                       calibration_half, dominance_check, fit_rate,
                       run_multistage, run_replicates, stage_configs,
                       window_mask)
-from .optimizers import NumericFailureError, variant_from_name
-from .schedules import shorten
+from .optimizers import NumericFailureError
+from .schedules import lookup, shorten
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -67,15 +67,13 @@ def _fail_closed(cfg: dict, allowed: set, required: set, where: str):
         raise ValueError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _kind(spec, section: str, kinds) -> tuple:
-    """Split a single-key `{kind: params}` object; kind must be in `kinds`."""
+def _kind(spec, section: str, kinds: dict) -> tuple:
+    """Split a single-key `{kind: params}` object into the kind, its entry
+    in `kinds` and the params."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"{section}: expected a single-key object")
     (kind, params), = spec.items()
-    if kind not in kinds:
-        raise ValueError(f"unknown {section} kind {shorten(repr(kind))} "
-                         f"(expected one of {', '.join(kinds)})")
-    return kind, params
+    return kind, lookup(kinds, kind, f"{section} kind"), params
 
 
 # The config format: section -> kind -> class. A class's init fields are the
@@ -97,6 +95,8 @@ CONFIG_KINDS = {
                  "polynomial": schedules.PolynomialMomentum,
                  "proportional": schedules.ProportionalToStep},
 }
+VARIANTS = {"sg": optimizers.SG, "sgm": optimizers.SGM,
+            "nsgm": optimizers.NormalizedSGM, "qhm": optimizers.QHM}
 
 
 def _coerce(value, type_name: str, where: str, depth: int = 0):
@@ -144,7 +144,7 @@ def _stages(stages, where: str) -> list:
 def from_config(section: str, spec, **context):
     """Build the `section` object described by `{kind: params}`; `context`
     supplies init fields that do not come from params."""
-    kind, params = _kind(spec, section, CONFIG_KINDS[section])
+    kind, cls, params = _kind(spec, section, CONFIG_KINDS[section])
     where = f"{section}.{kind}"
     if kind == "erm_csv":   # a CSV path, not the class's fields
         _fail_closed(params, {"path"}, {"path"}, where)
@@ -153,7 +153,6 @@ def from_config(section: str, spec, **context):
         except OSError as exc:
             raise ValueError(f"{where}: cannot read {params['path']!r}: "
                              f"{exc.strerror}") from None
-    cls = CONFIG_KINDS[section][kind]
     types = {f.name: f.type for f in dataclasses.fields(cls)
              if f.init and f.name not in context}
     _fail_closed(params, set(types), set(types), where)
@@ -174,16 +173,16 @@ def build_problem(cfg: dict) -> problems.Problem:
 
 def _variant(resolved: dict):
     """The variant named by 'variant', QHM's v coming from 'qhm_v'."""
-    name, v = resolved["variant"], resolved.get("qhm_v")
-    if not isinstance(name, str):
-        raise ValueError("variant: expected a name, "
-                         f"got {shorten(repr(name))}")
+    cls = lookup(VARIANTS, resolved["variant"], "variant")
+    v = resolved.get("qhm_v")
     v = None if v is None else _coerce(v, "float", "qhm_v")
+    if cls is not optimizers.QHM:
+        return cls()
+    if v is None:
+        raise ValueError("qhm_v: qhm variant requires the interpolation parameter v")
     try:
-        return variant_from_name(name, v)
+        return cls(v=v)
     except ValueError as exc:
-        if name != "qhm":   # the name, not v, was refused
-            raise
         raise ValueError(f"qhm_v: {exc}") from None
 
 
@@ -242,9 +241,10 @@ RECURSIONS = {"sg": ("sg_recursion_bound", ()),
               "sgm": ("sgm_recursion_bound", ("momentum", "L"))}
 
 
-def _recursion(kind: str, **values) -> bounds_mod.BoundSequence:
-    """The `kind` recursion bound, over the keys it takes from `values`."""
-    name, extra = RECURSIONS[kind]
+def _recursion(entry: tuple, **values) -> bounds_mod.BoundSequence:
+    """The recursion bound of a RECURSIONS entry, over the keys it takes
+    from `values`."""
+    name, extra = entry
     return getattr(bounds_mod, name)(
         **{k: values[k] for k in (*RECURSION_KEYS, *extra)})
 
@@ -262,19 +262,16 @@ def _build_bound(resolved: dict, config: ExperimentConfig):
     if r is None:
         return None
     _fail_closed(r, {"kind", "E0"}, {"kind"}, "recursion_bound")
-    if r["kind"] not in tuple(RECURSIONS):      # a kind may be unhashable
-        raise ValueError("unknown recursion_bound kind "
-                         f"{shorten(repr(r['kind']))} "
-                         f"(expected one of {', '.join(RECURSIONS)})")
+    entry = lookup(RECURSIONS, r["kind"], "recursion_bound kind")
     consts = config.problem.constants()
     if r.get("E0") is not None:
         E0 = _coerce(r["E0"], "float", "recursion_bound.E0")
     elif not isinstance(config.theta0, str):
-        delta = config.theta0 - consts.theta_star
+        delta = config.theta0 - config.problem.theta_star
         E0 = float(delta @ delta)
     else:
         raise ValueError("recursion_bound with random theta0 needs explicit E0")
-    return _recursion(r["kind"], E0=E0, step=config.step, N=config.horizon,
+    return _recursion(entry, E0=E0, step=config.step, N=config.horizon,
                       momentum=config.momentum, **vars(consts))
 
 
@@ -441,16 +438,16 @@ def cmd_multistage(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = _load_json(args.config)
     _fail_closed(cfg, {"bound"}, {"bound"}, "config")
-    name, p = _kind(cfg["bound"], "bound",
-                    [f"{kind}_recursion" for kind in RECURSIONS])
-    kind = name.removesuffix("_recursion")
-    keys = (*RECURSION_KEYS, *RECURSIONS[kind][1])
+    name, entry, p = _kind(cfg["bound"], "bound",
+                           {f"{kind}_recursion": entry
+                            for kind, entry in RECURSIONS.items()})
+    keys = (*RECURSION_KEYS, *entry[1])
     _fail_closed(p, set(keys), set(keys), f"bound.{name}")
     values = {k: _coerce(p[k], "int" if k == "N" else "float",
                          f"bound.{name}.{k}")
               for k in keys if k not in CONFIG_KINDS}
     values.update((k, from_config(k, p[k])) for k in keys if k in CONFIG_KINDS)
-    seq = _recursion(kind, **values)
+    seq = _recursion(entry, **values)
     sys.stdout.write(_table("j,bound", enumerate(seq.values)))
     return EXIT_OK
 
@@ -464,14 +461,19 @@ def cmd_fit(args) -> int:
     if header[:3] != ["checkpoint", "mse_mean", "mse_sem"]:
         raise ValueError(f"{args.summary}: unexpected header "
                          f"{shorten(repr(header[:3]))}")
-    try:
-        rows = [line.split(",") for line in text[1:]]
-        cps = tuple(int(r[0]) for r in rows)
-        mse = np.asarray([float(r[1]) for r in rows])
-        sem = np.asarray([float(r[2]) for r in rows])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{args.summary}: malformed row ({exc})") from None
-    fit = fit_rate(RunSummary(cps, mse, sem), tuple(args.window))
+    columns = ([], [], [])
+    for i, line in enumerate(text[1:], 2):
+        cells = line.split(",")
+        for name, cast, column, cell in zip(header, (int, float, float),
+                                            columns, cells + [""] * 3):
+            try:
+                column.append(cast(cell))
+            except ValueError:
+                raise ValueError(f"{args.summary}: malformed row {i}, column "
+                                 f"{name}: {shorten(repr(cell))}") from None
+    cps, mse, sem = columns
+    fit = fit_rate(RunSummary(tuple(cps), np.asarray(mse), np.asarray(sem)),
+                   tuple(args.window))
     print(json.dumps(dataclasses.asdict(fit)))
     return EXIT_OK
 
@@ -532,10 +534,7 @@ TEMPLATES = {
 
 def gen_config(template: str) -> dict:
     """A fresh copy of the named template config."""
-    if template not in TEMPLATES:
-        raise ValueError(f"unknown template {shorten(repr(template))}; "
-                         f"available: {', '.join(TEMPLATES)}")
-    return copy.deepcopy(TEMPLATES[template])
+    return copy.deepcopy(lookup(TEMPLATES, template, "template"))
 
 
 def cmd_gen_config(args) -> int:
@@ -565,7 +564,8 @@ def _apply_overrides(resolved: dict, overrides):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        except RecursionError as exc:
+        # Past the parser's recursion limit, or an int of too many digits.
+        except (RecursionError, ValueError) as exc:
             raise ValueError(f"override {shorten(repr(key))}: {exc}") from None
         target = resolved
         parts = key.split(".")
@@ -580,8 +580,26 @@ def _apply_overrides(resolved: dict, overrides):
         target[parts[-1]] = value
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises its refusals, for main to print as its one
+    error line, in place of printing usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _typed(cast):
+    """An argparse type: cast(text), a refused text echoed by shorten."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            return cast(text)
+        raise argparse.ArgumentTypeError(
+            f"invalid {cast.__name__} value: {shorten(repr(text))}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgmlab",
         description="Stochastic gradient / momentum convergence laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -589,9 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_typed(int), default=None,
                        help="override master_seed")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=_typed(int), default=None,
                        help="override worker count")
         p.add_argument("--force-schedule", action="store_true",
                        help="downgrade schedule validation errors to warnings")
@@ -608,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="log-log rate fit of a summary.csv")
     p_fit.add_argument("--summary", required=True)
-    p_fit.add_argument("--window", nargs=2, type=float, required=True,
+    p_fit.add_argument("--window", nargs=2, type=_typed(float), required=True,
                        metavar=("J_LO", "J_HI"))
 
     p_val = sub.add_parser("validate",
@@ -636,8 +654,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise ValueError("unrecognized arguments: "
+                             f"{shorten(' '.join(extra))}")
         return COMMANDS[args.command](args)
     except (ValueError, MemoryError, WorkerLostError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,7 +69,6 @@ RunningEstimator = Last | SuffixAverage | WeightedAverage
 
 ESTIMATORS = {"last": Last, "suffix": SuffixAverage,
               "weighted": WeightedAverage}
-ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 
 def make_estimator(kind: str, suffix_start: int = 0) -> RunningEstimator:

@@ -27,11 +27,14 @@ from .geometry import contains
 from .optimizers import NumericFailureError, SGM, Variant
 from .problems import Problem
 from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
-                        ValidityReport, require_int, require_stages,
+                        ValidityReport, lookup, require_int, require_stages,
                         shorten, validate)
 
 NOISE_CHUNK = 512
 NOISE_TILE = 64
+# The most float64 values one numpy array can hold. Past it np.arange may
+# return an empty array rather than refuse.
+MAX_HORIZON = np.iinfo(np.intp).max // 8
 
 
 def __getattr__(name):
@@ -66,6 +69,14 @@ def default_checkpoints(horizon: int, estimator: str = "last",
 
 class ScheduleValidationError(ValueError):
     """An unforced schedule whose validation report has a violation."""
+
+
+class HorizonError(ValueError):
+    """A horizon too long for its schedule's arrays, named by `name`."""
+
+    def __init__(self, name: str, horizon: int, reason: str):
+        super().__init__(f"{name} {shorten(str(horizon))} is too long: {reason}")
+        self.reason = reason
 
 
 class WorkerLostError(RuntimeError):
@@ -114,9 +125,10 @@ class ExperimentConfig:
                              f"got {shorten(str(self.workers))}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.estimator not in est_mod.ESTIMATOR_NAMES:
-            raise ValueError("unknown estimator "
-                             f"{shorten(repr(self.estimator))}")
+        if self.horizon > MAX_HORIZON:
+            raise HorizonError("horizon", self.horizon,
+                               "more steps than one array can hold")
+        lookup(est_mod.ESTIMATORS, self.estimator, "estimator")
         suffix = self.estimator == "suffix"
         if suffix and self.suffix_start < 0:
             raise ValueError(f"suffix_start must be >= 0, got "
@@ -150,10 +162,14 @@ class ExperimentConfig:
                 raise ValueError(f"theta0 must be a {d}-vector in the "
                                  f"domain, got {shorten(repr(self.theta0))}")
             object.__setattr__(self, "theta0", theta0.astype(float))
-        report = validate(self.step, self.momentum,
-                          self.problem.constants().m, self.horizon)
+        try:
+            report = validate(self.step, self.momentum,
+                              self.problem.constants().m, self.horizon)
+        except MemoryError as exc:
+            raise HorizonError("horizon", self.horizon, str(exc)) from None
         if not report.ok and not self.force_schedule:
-            raise ScheduleValidationError(f"schedule validation failed:\n{report}")
+            raise ScheduleValidationError("schedule validation failed: "
+                                          + "; ".join(report.violations))
         object.__setattr__(self, "schedule_report", report)
         if self.workers > 1:
             _pool_class()   # the import belongs to setup, not the engine
@@ -637,6 +653,8 @@ def stage_configs(problem: Problem, stages, momentum: MomentumSchedule, *,
                 force_schedule=force_schedule))
         except ScheduleValidationError as err:
             raise ScheduleValidationError(f"stage {k} {err}") from None
+        except HorizonError as err:
+            raise HorizonError(f"stages[{k}].n", length, err.reason) from None
     return tuple(configs)
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain, contains
-from .schedules import shorten
 
 
 class NumericFailureError(RuntimeError):
@@ -104,19 +103,6 @@ class QHM:
 
 
 Variant = SG | SGM | NormalizedSGM | QHM
-
-VARIANT_NAMES = {"sg": SG, "sgm": SGM, "nsgm": NormalizedSGM, "qhm": QHM}
-
-
-def variant_from_name(name: str, qhm_v: float | None = None) -> Variant:
-    if name not in VARIANT_NAMES:
-        raise ValueError(f"unknown variant {shorten(repr(name))} "
-                         f"(expected one of {sorted(VARIANT_NAMES)})")
-    if name == "qhm":
-        if qhm_v is None:
-            raise ValueError("qhm variant requires the interpolation parameter v")
-        return QHM(v=float(qhm_v))
-    return VARIANT_NAMES[name]()
 
 
 class Batch:

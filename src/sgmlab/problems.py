@@ -99,18 +99,12 @@ class ProblemConstants:
     M: float
     sigma2: float
     L: float
-    theta_star: np.ndarray
 
     def __post_init__(self):
-        for name in ("m", "M", "sigma2", "L"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not np.isfinite(value):
                 raise ValueError(f"problem constant {name} = {value} is not "
                                  "finite")
-
-    @property
-    def sqrt_M(self) -> float:
-        return float(np.sqrt(self.M))
 
 
 def _square(x: float) -> float:
@@ -164,8 +158,7 @@ class _Problem:
         sigma2 = (self._noise_sigma2(sqrt_M)
                   if isinstance(self.noise, Minibatch) else self.noise.sigma2)
         object.__setattr__(self, "_constants", ProblemConstants(
-            m=m, M=_square(sqrt_M), sigma2=sigma2, L=self.domain.diameter(),
-            theta_star=self.theta_star))
+            m=m, M=_square(sqrt_M), sigma2=sigma2, L=self.domain.diameter()))
 
     def _sqrt_M(self, curvature: float) -> float:
         """A bound over the domain on the deterministic subgradient's norm."""

@@ -26,6 +26,15 @@ def shorten(text: str) -> str:
     return f"{text[:half]}...{text[-half:]}"
 
 
+def lookup(table: dict, name, what: str):
+    """table[name]; a name that is not a str, or not in the table, is
+    refused with the names that are, in the table's order."""
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"unknown {what} {shorten(repr(name))} "
+                         f"(expected one of {', '.join(table)})")
+    return table[name]
+
+
 def require_int(value, name: str) -> int:
     """value as an int; a bool, fraction or string is refused, not cast."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

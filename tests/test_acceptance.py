@@ -220,7 +220,7 @@ def test_criterion_9_assumption_verifiers():
         fy - fx - np.sum(gx * (ys - pts), axis=1)
         - 0.5 * c.m * np.sum((ys - pts) ** 2, axis=1)) >= -1e-9
     gap = np.min(fx - 0.0 - 0.5 * c.m * np.sum(pts ** 2, axis=1)) >= -1e-9
-    grad_bound = np.max(np.linalg.norm(gx, axis=1)) <= c.sqrt_M * (1 + 1e-12)
+    grad_bound = np.max(np.linalg.norm(gx, axis=1)) <= np.sqrt(c.M) * (1 + 1e-12)
 
     draws = Gaussian(sigma2=1.0).sample(rng, 1_000_000, 2)
     per_coord = np.sqrt(0.5)

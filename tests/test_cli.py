@@ -231,9 +231,9 @@ class TestMultistage:
             momentum={"polynomial": {"c": 5, "beta": 1}}))
         assert main(["multistage", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: stage 0 schedule validation failed:")
-        assert "eta_j >= 1" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            "error: stage 0 schedule validation failed: eta_j >= 1 at j=0 "
+            "(5 indices)\n")
 
     def test_forced_stage_warnings_reach_stderr(self, tmp_path, capsys):
         path = _write(tmp_path, _multistage_config(
@@ -454,9 +454,9 @@ class TestGenConfig:
         assert main(["gen-config", "lemma99",
                      "--out", str(tmp_path / "x.json")]) == 2
         assert _stderr_line(capsys) == (
-            "error: unknown template 'lemma99'; available: lemma1, "
+            "error: unknown template 'lemma99' (expected one of lemma1, "
             "theorem1-i, theorem1-ii, theorem1-iii, plateau, theorem2, "
-            "corollary1")
+            "corollary1)")
 
     def test_edited_template_leaves_the_next_copy_alone(self):
         cfg = gen_config("corollary1")
@@ -673,6 +673,63 @@ class TestErrorWording:
         assert message in _stderr_line(capsys)
 
 
+# Every table of names a config or the command line looks a name up in: what
+# the refusal calls a name, the names in the table's order, and the config
+# or argv that gives the name. A name in a key's place (a section's kind, a
+# bound's kind, a template) is always a string; one in a value's place may
+# be any JSON value.
+def _section(section):
+    return lambda tmp_path, name: ["validate", "--config", _write(
+        tmp_path, _base_run_config(**{section: {name: {}}}))]
+
+
+def _value(key, wrap=lambda name: name):
+    return lambda tmp_path, name: ["validate", "--config", _write(
+        tmp_path, _base_run_config(**{key: wrap(name)}))]
+
+
+_KEY_TABLES = [
+    ("domain kind", "ball, box", _section("domain")),
+    ("noise kind", "gaussian, bounded_rademacher, minibatch",
+     _section("noise")),
+    ("problem kind", "quadratic, quad_plus_l1, erm_csv", _section("problem")),
+    ("step kind", "polynomial, constant, staged", _section("step")),
+    ("momentum kind", "zero, constant, polynomial, proportional",
+     _section("momentum")),
+    ("bound kind", "sg_recursion, sgm_recursion",
+     lambda tmp_path, name: ["bounds", "--config",
+                             _write(tmp_path, {"bound": {name: {}}})]),
+    ("template", "lemma1, theorem1-i, theorem1-ii, theorem1-iii, plateau, "
+                 "theorem2, corollary1",
+     lambda tmp_path, name: ["gen-config", name,
+                             "--out", str(tmp_path / "o")]),
+]
+_VALUE_TABLES = [
+    ("variant", "sg, sgm, nsgm, qhm", _value("variant")),
+    ("estimator", "last, suffix, weighted", _value("estimator")),
+    ("envelope case", "inv_n, log_n_over_n, inv_n_beta",
+     _value("envelope", lambda name: {"case": name})),
+    ("recursion_bound kind", "sg, sgm",
+     _value("recursion_bound", lambda name: {"kind": name})),
+]
+_STRINGS = {"unknown": ("nope", "'nope'"),
+            "long": ("n" * 5000, "'" + "n" * 27 + "..." + "n" * 27 + "'")}
+_NON_STRINGS = {"list": (["sg"], "['sg']"), "object": ({"sg": 1}, "{'sg': 1}")}
+
+
+@pytest.mark.parametrize("what, names, argv, name, echo", [
+    pytest.param(*table, *case, id=f"{table[0].replace(' ', '_')}-{kind}")
+    for tables, cases in ((_KEY_TABLES, _STRINGS),
+                          (_VALUE_TABLES, {**_STRINGS, **_NON_STRINGS}))
+    for table in tables for kind, case in cases.items()])
+def test_unknown_name_is_refused_with_the_names_that_exist(
+        tmp_path, capsys, what, names, argv, name, echo):
+    assert main(argv(tmp_path, name)) == 2
+    assert capsys.readouterr() == (
+        "", f"error: unknown {what} {echo} (expected one of {names})\n")
+    assert not (tmp_path / "o").exists()
+
+
 class TestBadCliInput:
     def test_fit_empty_file(self, tmp_path, capsys):
         p = tmp_path / "summary.csv"
@@ -693,8 +750,7 @@ class TestBadCliInput:
 
     @pytest.mark.parametrize("argv, line", [
         (["fit", "--summary", "{summary}", "--window", "1", "10"],
-         "error: {summary}: malformed row (could not convert string to "
-         "float: 'x')"),
+         "error: {summary}: malformed row 2, column mse_mean: 'x'"),
         (["run", "--config", "{missing}", "--out", "{out}"],
          "error: cannot read config {missing}: [Errno 2] No such file or "
          "directory: '{missing}'"),
@@ -730,7 +786,8 @@ class TestBadCliInput:
          "error: horizon: expected an integer, got "
          + "[" * 28 + "..." + "]" * 28),
         (["validate", "--config", "{config}", "-O", f"variant={_nested(950)}"],
-         "error: variant: expected a name, got " + "[" * 28 + "..." + "]" * 28),
+         "error: unknown variant " + "[" * 28 + "..." + "]" * 28
+         + " (expected one of sg, sgm, nsgm, qhm)"),
         (["validate", "--config", "{config}", "-O", "replicates=1e300"],
          "error: replicates must be <= 2**32, got "
          "1000000000000000052504760255...5669472196386865459400540160"),
@@ -739,7 +796,8 @@ class TestBadCliInput:
          "-100000000000000005250476025...5669472196386865459400540160"),
         (["validate", "--config", "{config}",
           "-O", 'estimator="' + "e" * 3000 + '"'],
-         "error: unknown estimator '" + "e" * 27 + "..." + "e" * 27 + "'"),
+         "error: unknown estimator '" + "e" * 27 + "..." + "e" * 27
+         + "' (expected one of last, suffix, weighted)"),
         (["validate", "--config", "{long_cell_config}"],
          "error: {long_cell}: non-numeric cell at row 2, column 3: '"
          + "z" * 27 + "..." + "z" * 27 + "'"),
@@ -750,17 +808,50 @@ class TestBadCliInput:
         (["fit", "--summary", "{not_utf8}", "--window", "1", "10"],
          "error: cannot read summary {not_utf8}: 'utf-8' codec can't decode "
          "byte 0xff in position 0: invalid start byte"),
+        # Refusals that used to lose the key, or print usage and a
+        # 5,000-character echo.
+        (["validate", "--config", "{config}", "-O", "replicates=" + "1" * 5000],
+         "error: override 'replicates': Exceeds the limit (4300 digits) for "
+         "integer string conversion: value has 5000 digits; use "
+         "sys.set_int_max_str_digits() to increase the limit"),
+        (["validate", "--config", "{config}", "-O", "horizon=1e300"],
+         "error: horizon 1000000000000000052504760255...56694721963868654594"
+         "00540160 is too long: more steps than one array can hold"),
+        # np.arange(2**63) is an empty array: this horizon used to pass.
+        (["validate", "--config", "{config}", "-O", f"horizon={2**63}"],
+         "error: horizon 9223372036854775808 is too long: more steps than "
+         "one array can hold"),
+        (["validate", "--config", "{multistage}",
+          "-O", 'stages=[{{"a": 0.2, "n": 1e300}}]'],
+         "error: stages[0].n 1000000000000000052504760255...566947219638686"
+         "5459400540160 is too long: more steps than one array can hold"),
+        (["run", "--out", "{out}"],
+         "error: the following arguments are required: --config"),
+        (["run", "--config", "{config}", "--out", "{out}",
+          "--seed", "1" * 5000],
+         "error: argument --seed: invalid int value: '" + "1" * 27 + "..."
+         + "1" * 27 + "'"),
+        (["run", "--config", "{config}", "--out", "{out}", "z" * 5000],
+         "error: unrecognized arguments: " + "z" * 28 + "..." + "z" * 28),
+        (["fit", "--summary", "{long_summary}", "--window", "1", "10"],
+         "error: {long_summary}: malformed row 3, column mse_mean: '"
+         + "x" * 27 + "..." + "x" * 27 + "'"),
     ], ids=["malformed_row", "missing_config", "override_without_value",
             "override_path_not_found", "deep_theta0_run",
             "deep_theta0_validate", "deep_center_run", "deep_center_validate",
             "deep_theta0_override", "deep_json", "deep_json_override",
             "deep_horizon", "deep_variant", "huge_replicates",
             "huge_negative_seed", "long_estimator", "long_csv_cell",
-            "not_utf8_config", "not_utf8_summary"])
+            "not_utf8_config", "not_utf8_summary", "huge_override",
+            "huge_horizon", "horizon_2_63", "huge_stage_n", "missing_flag",
+            "huge_seed_flag", "long_extra_argument", "long_fit_cell"])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, capsys, argv,
                                                 line):
         summary = tmp_path / "summary.csv"
         summary.write_text("checkpoint,mse_mean,mse_sem\n1,x,0.1\n")
+        long_summary = tmp_path / "long_summary.csv"
+        long_summary.write_text("checkpoint,mse_mean,mse_sem\n1,0.5,0.1\n"
+                                f"2,{'x' * 5000},0.1\n")
         deep_json = tmp_path / "deep.json"
         deep_json.write_text("[" * 100_000 + "]" * 100_000)
         long_cell = tmp_path / "long_cell.csv"
@@ -769,7 +860,10 @@ class TestBadCliInput:
         not_utf8.write_bytes(b"\xff\xfe")
         ball = {"center": json.loads(_nested(500)), "radius": 2.0}
         paths = {"summary": summary, "missing": tmp_path / "none.json",
+                 "long_summary": long_summary,
                  "config": _write(tmp_path, _base_run_config()),
+                 "multistage": _write(tmp_path, _multistage_config(),
+                                      "multistage.json"),
                  "deep_theta0": _write(tmp_path, _base_run_config(
                      theta0=json.loads(_nested(500))), "deep_theta0.json"),
                  "deep_center": _write(tmp_path, _base_run_config(
@@ -840,7 +934,7 @@ class TestRefusedConfigLeavesNoOutput:
         ({"workers": 0}, "error: workers must be >= 1, got 0"),
         ({"momentum": {"polynomial": {"c": 5, "beta": 1}}}, None),
         ({"variant": ["sg"]},
-         "error: variant: expected a name, got ['sg']"),
+         "error: unknown variant ['sg'] (expected one of sg, sgm, nsgm, qhm)"),
         ({"variant": "qhm", "qhm_v": "x"},
          "error: qhm_v: expected a number, got 'x'"),
         ({"variant": "qhm", "qhm_v": True},
@@ -886,8 +980,7 @@ class TestRefusedConfigLeavesNoOutput:
         ({"theta0": [1, True]},
          "error: theta0[1]: expected a number, got True"),
         ({"variant": "adam"},
-         "error: unknown variant 'adam' (expected one of ['nsgm', 'qhm', "
-         "'sg', 'sgm'])"),
+         "error: unknown variant 'adam' (expected one of sg, sgm, nsgm, qhm)"),
         ({"problem": {"erm_csv": {"path": "no/such/file.csv"}}},
          "error: problem.erm_csv: cannot read 'no/such/file.csv': No such "
          "file or directory"),
@@ -948,7 +1041,9 @@ class TestRefusedConfigLeavesNoOutput:
          "sgm)"),
         ({"recursion_bound": {"kind": "sg"}, "theta0": "random-interior"},
          "error: recursion_bound with random theta0 needs explicit E0"),
-        ({"estimator": "median"}, "error: unknown estimator 'median'"),
+        ({"estimator": "median"},
+         "error: unknown estimator 'median' (expected one of last, suffix, "
+         "weighted)"),
         ({"horizon": 0}, "error: horizon must be >= 1"),
         ({"step": {"polynomial": {"gamma": -1, "alpha": 1.0}}},
          "error: gamma must be positive"),
@@ -966,12 +1061,18 @@ class TestRefusedConfigLeavesNoOutput:
          "error: stage step a = -0.1 must be positive"),
         ({"envelope": {"case": "inv_n", "constant": -1}},
          "error: envelope constant must be positive"),
+        # every violation on one line; each used to take a line of its own
+        ({"step": {"constant": {"a": 5.0}},
+          "momentum": {"polynomial": {"c": 1.0, "beta": 1.0}}},
+         "error: schedule validation failed: t_j*m = 5 not in (0, 1] at j=0 "
+         "(50 indices over horizon); eta_j >= 1 at j=0 (1 indices)"),
     ], ids=["recursion_bound_kind", "recursion_bound_kind_list",
             "recursion_bound_without_E0", "estimator", "zero_horizon",
             "negative_gamma", "no_checkpoints", "negative_suffix_start",
             "envelope_and_recursion_bound", "params_not_an_object",
             "section_not_an_object", "zero_constant_step",
-            "negative_stage_step", "negative_envelope_constant"])
+            "negative_stage_step", "negative_envelope_constant",
+            "two_schedule_violations"])
     def test_refused_run_config(self, tmp_path, capsys, no_engine, changes,
                                 line):
         # Keys only `run` takes.
@@ -990,7 +1091,8 @@ class TestRefusedConfigLeavesNoOutput:
         ({"recursion_bound": {"kind": "sgm", "E0": -1}},
          "error: E0 must be nonnegative"),
         ({"envelope": {"case": "bogus"}},
-         "error: unknown envelope case 'bogus'"),
+         "error: unknown envelope case 'bogus' (expected one of inv_n, "
+         "log_n_over_n, inv_n_beta)"),
         ({"envelope": {"case": "inv_n"}, "recursion_bound": {"kind": "sg"}},
          "error: envelope and recursion_bound: give at most one"),
         *((changes, _NOT_1D_LINE) for changes in _NOT_1D_PROBLEMS.values()),
@@ -1009,14 +1111,23 @@ class TestRefusedConfigLeavesNoOutput:
 
     def test_unallocatable_horizon(self, tmp_path, capsys, no_engine):
         # The schedule of 10**15 steps needs 8 PB, a request no machine
-        # can map, so it fails before any memory is touched.
+        # can map, so it fails before any memory is touched. The line used
+        # to be numpy's alone, naming no key.
         path = _write(tmp_path, _base_run_config(horizon=10**15))
         out = tmp_path / "o"
         assert main(["validate", "--config", path]) == 2
         line = _stderr_line(capsys)
-        assert line.startswith("error: Unable to allocate")
+        assert line.startswith("error: horizon 1000000000000000 is too long: "
+                               "Unable to allocate")
         assert main(["run", "--config", path, "--out", str(out)]) == 2
         assert _stderr_line(capsys) == line
+        assert not out.exists()
+        path = _write(tmp_path, _multistage_config(
+            stages=[{"a": 0.2, "n": 50}, {"a": 0.1, "n": 10**15}]))
+        assert main(["multistage", "--config", path, "--out", str(out)]) == 2
+        assert _stderr_line(capsys).startswith(
+            "error: stages[1].n 1000000000000000 is too long: Unable to "
+            "allocate")
         assert not out.exists()
 
     def test_memory_error_removes_the_directory_made(self, tmp_path, capsys,

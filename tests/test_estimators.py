@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sgmlab.estimators import (ESTIMATOR_NAMES, Last, SuffixAverage,
-                               WeightedAverage, make_estimator)
+from sgmlab.estimators import (Last, SuffixAverage, WeightedAverage,
+                               make_estimator)
 
 
 class TestLast:
@@ -90,4 +90,3 @@ def test_make_estimator():
     assert isinstance(make_estimator("suffix", suffix_start=4), SuffixAverage)
     assert isinstance(make_estimator("weighted"), WeightedAverage)
     assert make_estimator("suffix", suffix_start=4).start_index == 4
-    assert set(ESTIMATOR_NAMES) == {"last", "suffix", "weighted"}

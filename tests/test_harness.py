@@ -233,7 +233,9 @@ class TestRunReplicates:
 
     def test_invalid_schedule_gated(self):
         with pytest.raises(harness.ScheduleValidationError,
-                           match="^schedule validation failed:\nviolation"):
+                           match=r"^schedule validation failed: t_j\*m = 2 "
+                                 r"not in \(0, 1\] at j=0 \(\d+ indices over "
+                                 r"horizon\)$"):
             _config(step=ConstantStep(2.0))   # t*m = 2 > 1
         forced = _config(step=ConstantStep(0.9), momentum=ConstantMomentum(0.9),
                          variant=SGM(), horizon=20, force_schedule=True)
@@ -379,7 +381,8 @@ class TestMultistage:
         momentum = PolynomialMomentum(c=5.0, beta=1.0)
         stages = [(0.2, 10), (0.1, 10)]
         with pytest.raises(ValueError,
-                           match="^stage 0 schedule validation failed:\n"):
+                           match=r"^stage 0 schedule validation failed: "
+                                 r"eta_j >= 1 at j=0 \(5 indices\)$"):
             stage_configs(_quadratic(), stages, momentum, replicates=4)
         configs = stage_configs(_quadratic(), stages, momentum,
                                 replicates=4, force_schedule=True)

@@ -6,7 +6,7 @@ import pytest
 from sgmlab.geometry import Ball, Box, contains
 from sgmlab.optimizers import (QHM, SG, SGM, Batch, NormalizedSGM,
                                NumericFailureError, map_qhm_to_nsgm,
-                               reference_step, step, variant_from_name)
+                               reference_step, step)
 
 BIG = Box(lower=[-1e12], upper=[1e12])
 BALL10 = Ball(center=[0.0], radius=10.0)
@@ -252,11 +252,3 @@ def test_nsgm_replays_sgm_with_eta_one_minus_beta():
     assert np.max(np.abs(ref - sgm(1.0 - beta))) <= 1e-12
     assert np.max(np.abs(ref - sgm(alpha * (1.0 - beta)))) > 1e-12
 
-
-def test_variant_from_name():
-    assert variant_from_name("sg") == SG()
-    assert variant_from_name("qhm", 0.7) == QHM(v=0.7)
-    with pytest.raises(ValueError):
-        variant_from_name("adam")
-    with pytest.raises(ValueError):
-        variant_from_name("qhm")

@@ -110,8 +110,10 @@ class TestConstantsExamples:
                       noise=NO_NOISE)
         c = p.constants()
         assert c.m == 1.0
-        assert c.sqrt_M == 4.0
+        assert c.M == 16.0
         assert c.L == 2.0
+        # the four constants the bounds read, and nothing else
+        assert list(vars(c)) == ["m", "M", "sigma2", "L"]
 
     def test_erm_identity_design(self):
         # gram matrix I/2, so the strong convexity constant is 1/2
@@ -846,7 +848,7 @@ def test_optimality_gap_inequality(p):
     c = p.constants()
     pts = _random_interior(p.domain, rng, 10_000)
     g = _subgradients(p, pts)
-    delta = pts - c.theta_star
+    delta = pts - p.theta_star
     lhs = np.sum(g * delta, axis=1)
     rhs = 0.5 * c.m * np.sum(delta * delta, axis=1)
     assert np.min(lhs - rhs) >= -1e-9
@@ -858,7 +860,7 @@ def test_subgradient_norm_bound(p):
     c = p.constants()
     pts = _random_interior(p.domain, rng, 10_000)
     norms = np.linalg.norm(_subgradients(p, pts), axis=1)
-    assert np.max(norms) <= c.sqrt_M * (1 + 1e-12)
+    assert np.max(norms) <= np.sqrt(c.M) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("noise", [Gaussian(sigma2=2.5),
