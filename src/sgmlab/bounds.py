@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import (MomentumSchedule, StepSchedule, lookup,
-                        momentum_violation, require_stage_step, shorten,
-                        step_violation)
+from .schedules import (HorizonError, MomentumSchedule, StepSchedule,
+                        lookup, momentum_violation, require_horizon,
+                        require_stage_step, shorten, step_violation)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,10 @@ def _steps(E0: float, step: StepSchedule, m: float, M: float, sigma2: float,
         raise ValueError(f"L = {L} must be positive")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {shorten(str(N))}")
-    t = step.steps(N)
+    try:
+        t = step.steps(require_horizon(N, "N"))
+    except MemoryError as exc:
+        raise HorizonError("N", N, str(exc)) from None
     violation = step_violation(t, m)
     if violation is not None:
         raise ValueError(violation)

@@ -582,10 +582,15 @@ def _apply_overrides(resolved: dict, overrides):
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises its refusals, for main to print as its one
-    error line, in place of printing usage and exiting."""
+    error line, in place of printing usage and exiting. The command, the
+    one argument with choices, is looked up as every other name is."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def _check_value(self, action, value):
+        if action.choices is not None:
+            lookup(action.choices, value, "command")
 
 
 def _typed(cast):

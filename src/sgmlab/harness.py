@@ -26,15 +26,12 @@ from .bounds import BoundSequence, RateEnvelope, constant_step_plateau, stage_bu
 from .geometry import contains
 from .optimizers import NumericFailureError, SGM, Variant
 from .problems import Problem
-from .schedules import (ConstantStep, MomentumSchedule, StepSchedule,
-                        ValidityReport, lookup, require_int, require_stages,
-                        shorten, validate)
+from .schedules import (ConstantStep, HorizonError, MomentumSchedule,
+                        StepSchedule, ValidityReport, lookup, require_horizon,
+                        require_int, require_stages, shorten, validate)
 
 NOISE_CHUNK = 512
 NOISE_TILE = 64
-# The most float64 values one numpy array can hold. Past it np.arange may
-# return an empty array rather than refuse.
-MAX_HORIZON = np.iinfo(np.intp).max // 8
 
 
 def __getattr__(name):
@@ -69,14 +66,6 @@ def default_checkpoints(horizon: int, estimator: str = "last",
 
 class ScheduleValidationError(ValueError):
     """An unforced schedule whose validation report has a violation."""
-
-
-class HorizonError(ValueError):
-    """A horizon too long for its schedule's arrays, named by `name`."""
-
-    def __init__(self, name: str, horizon: int, reason: str):
-        super().__init__(f"{name} {shorten(str(horizon))} is too long: {reason}")
-        self.reason = reason
 
 
 class WorkerLostError(RuntimeError):
@@ -125,9 +114,7 @@ class ExperimentConfig:
                              f"got {shorten(str(self.workers))}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.horizon > MAX_HORIZON:
-            raise HorizonError("horizon", self.horizon,
-                               "more steps than one array can hold")
+        require_horizon(self.horizon, "horizon")
         lookup(est_mod.ESTIMATORS, self.estimator, "estimator")
         suffix = self.estimator == "suffix"
         if suffix and self.suffix_start < 0:
@@ -305,13 +292,18 @@ def _replicate_rngs(master_seed: int, lo: int, hi: int) -> list:
             for r, state in zip(range(lo, hi), states)]
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _process_lanes(workers: int) -> int:
     """How many threads one of a run's `workers` processes may draw noise
     on: the CPUs this process may run on, shared out among the workers, at
     least one."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else 1)
-    return max(1, cpus // workers)
+    return max(1, _cpus() // workers)
 
 
 def _on_threads(calls, *args):
@@ -489,15 +481,16 @@ def _worker_ranges(replicates: int, workers: int):
 def _mse(stages: tuple, replicates: int, workers: int) -> tuple:
     """Mean and standard error over the replicates of the squared estimator
     errors at every stage's checkpoints. The worker ranges run in a process
-    pool when there is more than one; the blocks are joined in replicate
-    order."""
+    pool, of at most one process per CPU, when there is more than one; the
+    blocks are joined in replicate order."""
     ranges = _worker_ranges(replicates, workers)
     if len(ranges) == 1:
         blocks = [_run_block(stages, *ranges[0])]
     else:
         from concurrent.futures.process import BrokenProcessPool
+        processes = min(len(ranges), _cpus())
         try:
-            with _pool_class()(max_workers=len(ranges)) as pool:
+            with _pool_class()(max_workers=processes) as pool:
                 futures = [pool.submit(_run_block, stages, lo, hi)
                            for lo, hi in ranges]
                 blocks = [f.result() for f in futures]

@@ -203,11 +203,6 @@ class Quadratic(_Diagonal):
     domain: Domain
     noise: NoiseModel
 
-    def value(self, theta) -> float:
-        theta = _check_in_domain(self.domain, theta)
-        delta = theta - self.theta_star
-        return float(0.5 * np.sum(self.hessian_diag * delta * delta))
-
     def _subgradient(self, theta) -> np.ndarray:
         hessian_diag, theta_star = full_operands(
             self, theta, (self.hessian_diag, self.theta_star))
@@ -228,12 +223,6 @@ class QuadPlusL1(_Diagonal):
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be nonnegative")
         super().__post_init__()
-
-    def value(self, theta) -> float:
-        theta = _check_in_domain(self.domain, theta)
-        delta = theta - self.theta_star
-        quad = 0.5 * np.sum(self.hessian_diag * delta * delta)
-        return float(quad + self.l1_weight * np.sum(np.abs(delta)))
 
     def _subgradient(self, theta) -> np.ndarray:
         # At a kink coordinate (theta_k == theta*_k) the l1 component is 0,
@@ -319,11 +308,6 @@ class ErmLeastSquares(_Problem):
     def __setstate__(self, state):
         self.__dict__.update(state, design=state["_rows"][:, :-1],
                              targets=state["_rows"][:, -1])
-
-    def value(self, theta) -> float:
-        theta = _check_in_domain(self.domain, theta)
-        r = self.design @ theta - self.targets
-        return float(0.5 * np.mean(r * r))
 
     def _subgradient(self, theta) -> np.ndarray:
         resid = theta @ self.design.T - self.targets

@@ -14,6 +14,9 @@ import numpy as np
 
 MOMENTUM_CLAMP = 1.0 - 1e-12
 ECHO_LIMIT = 60
+# The most float64 values one numpy array can hold. Past it np.arange may
+# return an empty array rather than refuse.
+MAX_HORIZON = np.iinfo(np.intp).max // 8
 
 
 def shorten(text: str) -> str:
@@ -50,6 +53,22 @@ def require_float(value, name: str) -> float:
         with contextlib.suppress(OverflowError):
             return float(value)
     raise ValueError(f"{name} must be a number, got {shorten(repr(value))}")
+
+
+class HorizonError(ValueError):
+    """A horizon too long for its schedule's arrays, named by `name`."""
+
+    def __init__(self, name: str, horizon: int, reason: str):
+        super().__init__(f"{name} {shorten(str(horizon))} is too long: {reason}")
+        self.reason = reason
+
+
+def require_horizon(n: int, name: str) -> int:
+    """n, a number of steps that a refusal calls `name`; more than one array
+    of steps can hold (MAX_HORIZON) is refused."""
+    if n > MAX_HORIZON:
+        raise HorizonError(name, n, "more steps than one array can hold")
+    return n
 
 
 @dataclass(frozen=True)

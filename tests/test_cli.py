@@ -1,10 +1,13 @@
+import contextlib
 import errno
 import functools
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -73,6 +76,50 @@ def _write(tmp_path, cfg, name="config.json"):
     return str(p)
 
 
+def _no_engine():
+    """harness._mse patched to fail the test if a run enters it."""
+    return mock.patch.object(harness, "_mse",
+                             side_effect=AssertionError("the engine ran"))
+
+
+@pytest.fixture
+def no_engine():
+    with _no_engine():
+        yield
+
+
+def _refused(tmp_path, capsys, argv, line, engine=False):
+    """argv exits 2 with `line` as its whole output, one line on stderr (or
+    `line` as the whole (stdout, stderr) pair), and leaves no --out
+    (tmp_path / 'o') behind. Unless `engine`, it refuses before the engine
+    runs, and without a RuntimeWarning."""
+    with contextlib.ExitStack() as stack:
+        if not engine:
+            stack.enter_context(_no_engine())
+            stack.enter_context(warnings.catch_warnings())
+            warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    assert capsys.readouterr() == (
+        ("", line + "\n") if isinstance(line, str) else line)
+    assert not (tmp_path / "o").exists()
+
+
+def _key_id(value):
+    """A refusal row's id: its config changes by index, its line by the key
+    the line names, as in 'error: <key>: ...'."""
+    if isinstance(value, str):
+        return value.removeprefix("error: ").partition(": ")[0]
+
+
+def _refused_config(tmp_path, capsys, command, cfg, line, engine=False):
+    """`command` over cfg, with --out tmp_path / 'o' unless it is validate,
+    is refused with `line` as _refused checks."""
+    argv = [command, "--config", _write(tmp_path, cfg)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "o")]
+    _refused(tmp_path, capsys, argv, line, engine)
+
+
 class TestRun:
     def test_minimal_run_writes_three_files(self, tmp_path):
         cfg = _write(tmp_path, _base_run_config())
@@ -83,14 +130,19 @@ class TestRun:
         header = (out / "summary.csv").read_text().splitlines()[0]
         assert header == "checkpoint,mse_mean,mse_sem"
 
-    def test_unknown_key_fails_closed(self, tmp_path):
-        cfg = _write(tmp_path, _base_run_config(learning_rate=0.1))
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    def test_unknown_key_fails_closed(self, tmp_path, capsys):
+        for command, cfg in (("run", _base_run_config),
+                             ("multistage", _multistage_config),
+                             ("validate", _base_run_config)):
+            _refused_config(tmp_path, capsys, command, cfg(learning_rate=0.1),
+                            "error: unknown keys in config: ['learning_rate']")
 
-    def test_bad_step_exponent_exits_2(self, tmp_path):
-        cfg = _write(tmp_path, _base_run_config(
-            step={"polynomial": {"gamma": 1.0, "alpha": 1.5}}))
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    def test_bad_step_exponent_exits_2(self, tmp_path, capsys):
+        cfg = _base_run_config(step={"polynomial": {"gamma": 1.0,
+                                                    "alpha": 1.5}})
+        for command in ("run", "validate"):
+            _refused_config(tmp_path, capsys, command, cfg,
+                            "error: alpha must lie in (0, 1]")
 
     def test_oversized_constant_step_gated(self, tmp_path):
         cfg = _write(tmp_path, _base_run_config(step={"constant": {"a": 2.0}}))
@@ -142,10 +194,12 @@ class TestRun:
         resolved = json.loads((out / "config.resolved.json").read_text())
         assert resolved["step"]["polynomial"]["alpha"] == 0.7
 
-    def test_override_unknown_key_rejected(self, tmp_path):
+    def test_override_unknown_key_rejected(self, tmp_path, capsys):
         cfg = _write(tmp_path, _base_run_config())
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "-O", "stepsize=0.1"]) == 2
+        for argv in (["run", "--config", cfg, "--out", str(tmp_path / "o")],
+                     ["validate", "--config", cfg]):
+            _refused(tmp_path, capsys, [*argv, "-O", "stepsize=0.1"],
+                     "error: override key 'stepsize' not in config")
 
     def test_envelope_adds_verdict_column(self, tmp_path):
         cfg = _write(tmp_path, _base_run_config(
@@ -201,39 +255,29 @@ class TestMultistage:
         {"workers": 0},
     ])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, changes):
-        run_cfg = _write(tmp_path, _base_run_config(**changes), "run.json")
-        assert main(["run", "--config", run_cfg,
-                     "--out", str(tmp_path / "r")]) == 2
-        run_error = _stderr_line(capsys)
-        assert main(["multistage", "--config",
-                     _write(tmp_path, _multistage_config(**changes)),
-                     "--out", str(tmp_path / "m")]) == 2
-        assert _stderr_line(capsys) == run_error
+        assert main(["run", "--config", _write(tmp_path, _base_run_config(
+            **changes)), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        _refused_config(tmp_path, capsys, "multistage",
+                        _multistage_config(**changes), ("", err))
 
-    def test_nondecreasing_stages_exit_2(self, tmp_path):
-        cfg = _base_run_config()
-        for key in ("variant", "step", "horizon"):
-            cfg.pop(key)
-        cfg["stages"] = [{"a": 0.1, "n": 50}, {"a": 0.1, "n": 50}]
-        path = _write(tmp_path, cfg)
-        assert main(["multistage", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
+    def test_nondecreasing_stages_exit_2(self, tmp_path, capsys):
+        _refused_config(tmp_path, capsys, "multistage", _multistage_config(
+            stages=[{"a": 0.1, "n": 50}, {"a": 0.1, "n": 50}]),
+            "error: stage steps must be strictly decreasing")
 
     def test_empty_stage_list_exits_2(self, tmp_path, capsys):
-        path = _write(tmp_path, _multistage_config(stages=[]))
-        assert main(["multistage", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
-        assert _stderr_line(capsys) == "error: need at least one stage"
+        _refused_config(tmp_path, capsys, "multistage",
+                        _multistage_config(stages=[]),
+                        "error: need at least one stage")
 
     def test_stage_schedules_gated_like_run(self, tmp_path, capsys):
         # eta_0 = 5: run rejects this momentum, so every stage must too
-        path = _write(tmp_path, _multistage_config(
-            momentum={"polynomial": {"c": 5, "beta": 1}}))
-        assert main(["multistage", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == (
+        _refused_config(tmp_path, capsys, "multistage", _multistage_config(
+            momentum={"polynomial": {"c": 5, "beta": 1}}),
             "error: stage 0 schedule validation failed: eta_j >= 1 at j=0 "
-            "(5 indices)\n")
+            "(5 indices)")
 
     def test_forced_stage_warnings_reach_stderr(self, tmp_path, capsys):
         path = _write(tmp_path, _multistage_config(
@@ -351,9 +395,9 @@ class TestBoundsAndFit:
             if kind == "sgm":
                 params.update(momentum={"constant": {"eta": 0.5}}, L=2.0)
             params[key] = value
-            cfg = _write(tmp_path, {"bound": {f"{kind}_recursion": params}})
-            assert main(["bounds", "--config", cfg]) == 2
-            assert _stderr_line(capsys) == f"error: {line}"
+            _refused(tmp_path, capsys, ["bounds", "--config", _write(
+                tmp_path, {"bound": {f"{kind}_recursion": params}})],
+                f"error: {line}")
 
     def test_fit_reads_summary(self, tmp_path, capsys):
         rows = ["checkpoint,mse_mean,mse_sem"]
@@ -370,14 +414,23 @@ class TestBoundsAndFit:
         ({"staged": {"stages": [{"a": 0.1, "n": 5}]}}, 20,
          "error: index beyond final stage (total length 5)"),
         ({"constant": {"a": 0.1}}, -1, "error: N must be >= 0, got -1"),
+        # N past one array's length, or past what can be allocated, is named
+        # as a horizon is; these used to print numpy's line alone.
+        ({"constant": {"a": 0.1}}, 1e300,
+         "error: N 1000000000000000052504760255...5669472196386865459400540160"
+         " is too long: more steps than one array can hold"),
+        ({"constant": {"a": 0.1}}, 2**63, "error: N 9223372036854775808 is "
+         "too long: more steps than one array can hold"),
+        ({"constant": {"a": 0.1}}, 1e15, "error: N 1000000000000000 is too "
+         "long: Unable to allocate 7.11 PiB for an array with shape "
+         "(1000000000000000,) and data type float64"),
     ])
     def test_bounds_past_the_schedule_exit_2(self, tmp_path, capsys, step,
                                              N, message):
-        cfg = _write(tmp_path, {"bound": {"sg_recursion": {
-            "E0": 1.0, "step": step, "m": 1.0, "M": 1.0, "sigma2": 0.0,
-            "N": N}}})
-        assert main(["bounds", "--config", cfg]) == 2
-        assert _stderr_line(capsys) == message
+        _refused(tmp_path, capsys, ["bounds", "--config", _write(
+            tmp_path, {"bound": {"sg_recursion": {
+                "E0": 1.0, "step": step, "m": 1.0, "M": 1.0, "sigma2": 0.0,
+                "N": N}}})], message)
 
 
 class TestValidate:
@@ -385,9 +438,12 @@ class TestValidate:
         cfg = _write(tmp_path, _base_run_config())
         assert main(["validate", "--config", cfg]) == 0
 
-    def test_bad_schedule_exits_2(self, tmp_path):
+    def test_bad_schedule_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, _base_run_config(step={"constant": {"a": 5.0}}))
         assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr() == (
+            "violation: t_j*m = 5 not in (0, 1] at j=0 (50 indices over "
+            "horizon)\n", "")
 
     @pytest.mark.parametrize("changes, line", [
         ({"estimator": "suffix", "suffix_start": -1},
@@ -396,9 +452,8 @@ class TestValidate:
          "error: replicates must be <= 2**32, got 4294967297"),
     ], ids=["negative_suffix_start", "too_many_replicates"])
     def test_refused_plan_exits_2(self, tmp_path, capsys, changes, line):
-        cfg = _write(tmp_path, _base_run_config(**changes))
-        assert main(["validate", "--config", cfg]) == 2
-        assert _stderr_line(capsys) == line
+        _refused_config(tmp_path, capsys, "validate",
+                        _base_run_config(**changes), line)
 
     def test_multistage_config(self, tmp_path, capsys):
         path = _write(tmp_path, _multistage_config())
@@ -451,12 +506,11 @@ class TestGenConfig:
                          "--force-schedule"]) == 0
 
     def test_unknown_template_exits_2(self, tmp_path, capsys):
-        assert main(["gen-config", "lemma99",
-                     "--out", str(tmp_path / "x.json")]) == 2
-        assert _stderr_line(capsys) == (
-            "error: unknown template 'lemma99' (expected one of lemma1, "
-            "theorem1-i, theorem1-ii, theorem1-iii, plateau, theorem2, "
-            "corollary1)")
+        _refused(tmp_path, capsys,
+                 ["gen-config", "lemma99", "--out", str(tmp_path / "o")],
+                 "error: unknown template 'lemma99' (expected one of lemma1, "
+                 "theorem1-i, theorem1-ii, theorem1-iii, plateau, theorem2, "
+                 "corollary1)")
 
     def test_edited_template_leaves_the_next_copy_alone(self):
         cfg = gen_config("corollary1")
@@ -495,11 +549,12 @@ class TestSuffixStart:
         assert cps[0] >= 50 and cps[-1] == 200
 
     def test_explicit_checkpoint_before_start_exits_2(self, tmp_path, capsys):
-        cfg = _write(tmp_path, _base_run_config(
-            horizon=200, estimator="suffix", suffix_start=50,
-            checkpoints=[10, 60, 200]))
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "checkpoint 10" in _stderr_line(capsys)
+        cfg = _base_run_config(horizon=200, estimator="suffix",
+                               suffix_start=50, checkpoints=[10, 60, 200])
+        for command in ("run", "validate"):
+            _refused_config(tmp_path, capsys, command, cfg,
+                            "error: checkpoint 10 lies before suffix_start "
+                            "50; the suffix average is empty there")
 
     def test_negative_start_runs_without_the_suffix_estimator(self,
                                                               tmp_path):
@@ -511,10 +566,11 @@ class TestSuffixStart:
         assert _checkpoints(out)[0] == 1
 
     def test_start_past_horizon_exits_2(self, tmp_path, capsys):
-        cfg = _write(tmp_path, _base_run_config(
-            horizon=200, estimator="suffix", suffix_start=201))
-        assert main(["validate", "--config", cfg]) == 2
-        assert "suffix_start 201" in _stderr_line(capsys)
+        cfg = _base_run_config(horizon=200, estimator="suffix",
+                               suffix_start=201)
+        for command in ("run", "validate"):
+            _refused_config(tmp_path, capsys, command, cfg,
+                            "error: suffix_start 201 exceeds horizon 200")
 
 
 class TestHorizonOverride:
@@ -546,7 +602,8 @@ class TestWrongTypedValues:
                                        "theta_star": [0.0, 0.0],
                                        "l1_weight": 0.1}}}, None),
     ])
-    def test_exits_2_with_one_line(self, tmp_path, capsys, changes, override):
+    def test_exits_2_with_one_line(self, tmp_path, capsys, no_engine, changes,
+                                   override):
         cfg = _write(tmp_path, _base_run_config(**changes))
         argv = ["run", "--config", cfg, "--out", str(tmp_path / "o")]
         if override is not None:
@@ -554,66 +611,64 @@ class TestWrongTypedValues:
         assert main(argv) == 2
         assert _stderr_line(capsys).startswith("error: ")
 
-    @pytest.mark.parametrize("changes, key", [
-        ({"horizon": True}, "horizon"),
-        ({"horizon": "40"}, "horizon"),
-        ({"horizon": 100.7}, "horizon"),
-        ({"replicates": 3.9}, "replicates"),
-        ({"master_seed": 1.5}, "master_seed"),
-        ({"checkpoints": [1.5, 50]}, "checkpoints[0]"),
-        ({"checkpoints": "123"}, "checkpoints"),
+    @pytest.mark.parametrize("changes, line", [
+        ({"horizon": True}, "error: horizon: expected an integer, got True"),
+        ({"horizon": "40"}, "error: horizon: expected an integer, got '40'"),
+        ({"horizon": 100.7}, "error: horizon: expected an integer, got 100.7"),
+        ({"replicates": 3.9},
+         "error: replicates: expected an integer, got 3.9"),
+        ({"master_seed": 1.5},
+         "error: master_seed: expected an integer, got 1.5"),
+        ({"checkpoints": [1.5, 50]},
+         "error: checkpoints[0]: expected an integer, got 1.5"),
+        ({"checkpoints": "123"},
+         "error: checkpoints: expected a list of integers, got '123'"),
         ({"noise": {"minibatch": {"batch_size": 8.5}}},
-         "noise.minibatch.batch_size"),
+         "error: noise.minibatch.batch_size: expected an integer, got 8.5"),
         ({"step": {"staged": {"stages": [{"a": 0.1, "n": 10.5}]}}},
-         "step.staged.stages[0].n"),
-    ])
+         "error: step.staged.stages[0].n: expected an integer, got 10.5"),
+    ], ids=_key_id)
     def test_integer_field_not_truncated(self, tmp_path, capsys, changes,
-                                         key):
-        cfg = _write(tmp_path, _base_run_config(**changes))
-        assert main(["run", "--config", cfg, "--out",
-                     str(tmp_path / "o")]) == 2
-        assert _stderr_line(capsys).startswith(f"error: {key}: expected a")
+                                         line):
+        _refused_config(tmp_path, capsys, "run", _base_run_config(**changes),
+                        line)
 
-    @pytest.mark.parametrize("changes, key", [
-        ({"stages": [{"a": 0.2, "n": 10.5}]}, "stages[0].n"),
-        ({"replicates": False}, "replicates"),
-    ])
+    @pytest.mark.parametrize("changes, line", [
+        ({"stages": [{"a": 0.2, "n": 10.5}]},
+         "error: stages[0].n: expected an integer, got 10.5"),
+        ({"replicates": False},
+         "error: replicates: expected an integer, got False"),
+    ], ids=_key_id)
     def test_multistage_integer_field_not_truncated(self, tmp_path, capsys,
-                                                    changes, key):
-        path = _write(tmp_path, _multistage_config(**changes))
-        assert main(["multistage", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
-        assert _stderr_line(capsys).startswith(f"error: {key}: expected a")
+                                                    changes, line):
+        _refused_config(tmp_path, capsys, "multistage",
+                        _multistage_config(**changes), line)
 
-    @pytest.mark.parametrize("changes, key", [
-        ({"noise": {"gaussian": {"sigma2": True}}}, "noise.gaussian.sigma2"),
+    @pytest.mark.parametrize("changes, line", [
+        ({"noise": {"gaussian": {"sigma2": True}}},
+         "error: noise.gaussian.sigma2: expected a number, got True"),
         ({"noise": {"gaussian": {"sigma2": 10 ** 400}}},
-         "noise.gaussian.sigma2"),
-        ({"step": {"constant": {"a": "0.1"}}}, "step.constant.a"),
+         f"error: noise.gaussian.sigma2: expected a number, got {_HUGE_INT}"),
+        ({"step": {"constant": {"a": "0.1"}}},
+         "error: step.constant.a: expected a number, got '0.1'"),
         ({"step": {"polynomial": {"gamma": "1.0", "alpha": 1.0}}},
-         "step.polynomial.gamma"),
+         "error: step.polynomial.gamma: expected a number, got '1.0'"),
         ({"step": {"staged": {"stages": [{"a": False, "n": 10}]}}},
-         "step.staged.stages[0].a"),
-        ({"fit_window": ["10", 50]}, "fit_window"),
-    ])
+         "error: step.staged.stages[0].a: expected a number, got False"),
+        ({"fit_window": ["10", 50]},
+         "error: fit_window: expected a number, got '10'"),
+    ], ids=_key_id)
     def test_float_field_takes_only_numbers(self, tmp_path, capsys, changes,
-                                            key):
-        cfg = _write(tmp_path, _base_run_config(**changes))
-        assert main(["run", "--config", cfg, "--out",
-                     str(tmp_path / "o")]) == 2
-        assert (_stderr_line(capsys)
-                .startswith(f"error: {key}: expected a number, got "))
-        assert not list(tmp_path.glob("o/*"))
+                                            line):
+        _refused_config(tmp_path, capsys, "run", _base_run_config(**changes),
+                        line)
 
     @pytest.mark.parametrize("a", [True, "0.2"])
     def test_multistage_float_field_takes_only_numbers(self, tmp_path, capsys,
                                                        a):
-        path = _write(tmp_path, _multistage_config(
-            stages=[{"a": a, "n": 50}, {"a": 0.1, "n": 100}]))
-        assert main(["multistage", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
-        assert (_stderr_line(capsys)
-                .startswith("error: stages[0].a: expected a number, got "))
+        _refused_config(tmp_path, capsys, "multistage", _multistage_config(
+            stages=[{"a": a, "n": 50}, {"a": 0.1, "n": 100}]),
+            f"error: stages[0].a: expected a number, got {a!r}")
 
     def test_whole_valued_floats_are_integers(self, tmp_path):
         cfg = _write(tmp_path, _base_run_config(
@@ -646,19 +701,16 @@ class TestWrongTypedValues:
             assert not out.exists()
 
     def test_multistage_stages_not_a_list(self, tmp_path, capsys):
-        cfg = _base_run_config()
-        for key in ("variant", "step", "horizon"):
-            cfg.pop(key)
-        cfg["stages"] = 5
-        path = _write(tmp_path, cfg)
-        assert main(["multistage", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "stages" in _stderr_line(capsys)
+        for command in ("multistage", "validate"):
+            _refused_config(tmp_path, capsys, command,
+                            _multistage_config(stages=5),
+                            "error: stages: expected a list of {a, n} objects")
 
 
 class TestErrorWording:
     @pytest.mark.parametrize("section, spec, message", [
-        ("noise", {"laplace": {}}, "unknown noise kind 'laplace' (expected one of"),
+        ("noise", {"laplace": {}}, "unknown noise kind 'laplace' (expected one "
+         "of gaussian, bounded_rademacher, minibatch)"),
         ("step", {"constant": {"a": 0.1, "b": 1}},
          "unknown keys in step.constant: ['b']"),
         ("momentum", {"polynomial": {"c": 0.9}},
@@ -668,9 +720,10 @@ class TestErrorWording:
     ])
     def test_one_form_for_all_sections(self, tmp_path, capsys, section, spec,
                                        message):
-        cfg = _write(tmp_path, _base_run_config(**{section: spec}))
-        assert main(["validate", "--config", cfg]) == 2
-        assert message in _stderr_line(capsys)
+        for command in ("validate", "run"):
+            _refused_config(tmp_path, capsys, command,
+                            _base_run_config(**{section: spec}),
+                            f"error: {message}")
 
 
 # Every table of names a config or the command line looks a name up in: what
@@ -734,19 +787,23 @@ class TestBadCliInput:
     def test_fit_empty_file(self, tmp_path, capsys):
         p = tmp_path / "summary.csv"
         p.write_text("")
-        assert main(["fit", "--summary", str(p), "--window", "1", "10"]) == 2
-        assert "unexpected header" in _stderr_line(capsys)
+        _refused(tmp_path, capsys, ["fit", "--summary", str(p), "--window",
+                                    "1", "10"],
+                 f"error: {p}: unexpected header []")
 
     def test_fit_missing_file(self, tmp_path, capsys):
-        assert main(["fit", "--summary", str(tmp_path / "none.csv"),
-                     "--window", "1", "10"]) == 2
-        assert "cannot read" in _stderr_line(capsys)
+        p = tmp_path / "none.csv"
+        _refused(tmp_path, capsys, ["fit", "--summary", str(p), "--window",
+                                    "1", "10"],
+                 f"error: cannot read summary {p}: [Errno 2] No such file or "
+                 f"directory: '{p}'")
 
     def test_fit_checks_header_before_rows(self, tmp_path, capsys):
         p = tmp_path / "summary.csv"
         p.write_text("j,bound\n0,not-a-number\n")
-        assert main(["fit", "--summary", str(p), "--window", "1", "10"]) == 2
-        assert "unexpected header" in _stderr_line(capsys)
+        _refused(tmp_path, capsys, ["fit", "--summary", str(p), "--window",
+                                    "1", "10"],
+                 f"error: {p}: unexpected header ['j', 'bound']")
 
     @pytest.mark.parametrize("argv, line", [
         (["fit", "--summary", "{summary}", "--window", "1", "10"],
@@ -836,6 +893,13 @@ class TestBadCliInput:
         (["fit", "--summary", "{long_summary}", "--window", "1", "10"],
          "error: {long_summary}: malformed row 3, column mse_mean: '"
          + "x" * 27 + "..." + "x" * 27 + "'"),
+        # An unknown command is looked up as any other name; a long one
+        # used to be echoed whole by argparse, in 5,121 characters.
+        (["zzz"], "error: unknown command 'zzz' (expected one of run, "
+         "multistage, bounds, fit, validate, gen-config)"),
+        (["z" * 5000], "error: unknown command '" + "z" * 27 + "..." + "z" * 27
+         + "' (expected one of run, multistage, bounds, fit, validate, "
+         "gen-config)"),
     ], ids=["malformed_row", "missing_config", "override_without_value",
             "override_path_not_found", "deep_theta0_run",
             "deep_theta0_validate", "deep_center_run", "deep_center_validate",
@@ -844,7 +908,8 @@ class TestBadCliInput:
             "huge_negative_seed", "long_estimator", "long_csv_cell",
             "not_utf8_config", "not_utf8_summary", "huge_override",
             "huge_horizon", "horizon_2_63", "huge_stage_n", "missing_flag",
-            "huge_seed_flag", "long_extra_argument", "long_fit_cell"])
+            "huge_seed_flag", "long_extra_argument", "long_fit_cell",
+            "unknown_command", "long_command"])
     def test_bad_argument_exits_2_with_one_line(self, tmp_path, capsys, argv,
                                                 line):
         summary = tmp_path / "summary.csv"
@@ -873,16 +938,15 @@ class TestBadCliInput:
                  "long_cell_config": _write(tmp_path, _base_run_config(
                      problem={"erm_csv": {"path": str(long_cell)}}),
                      "long_cell.json")}
-        assert main([arg.format(**paths) for arg in argv]) == 2
-        assert _stderr_line(capsys) == line.format(**paths)
-        assert not paths["out"].exists()
+        _refused(tmp_path, capsys, [arg.format(**paths) for arg in argv],
+                 line.format(**paths))
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_flag(self, tmp_path, capsys, workers):
-        cfg = _write(tmp_path, _base_run_config())
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--workers", workers]) == 2
-        assert "workers" in _stderr_line(capsys)
+        _refused(tmp_path, capsys, [
+            "run", "--config", _write(tmp_path, _base_run_config()),
+            "--out", str(tmp_path / "o"), "--workers", workers],
+            f"error: workers must be >= 1, got {workers}")
 
     @pytest.mark.parametrize("domain, message", [
         ({"ball": {"center": [], "radius": 1.0}},
@@ -892,10 +956,8 @@ class TestBadCliInput:
     ])
     def test_empty_hessian_diag(self, tmp_path, capsys, domain, message):
         problem = {"quadratic": {"hessian_diag": [], "theta_star": []}}
-        cfg = _base_run_config(problem=problem, domain=domain, theta0=[])
-        assert main(["run", "--config", _write(tmp_path, cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert _stderr_line(capsys) == message
+        _refused_config(tmp_path, capsys, "run", _base_run_config(
+            problem=problem, domain=domain, theta0=[]), message)
 
 
 class TestOutputPathErrors:
@@ -922,17 +984,19 @@ class TestRefusedConfigLeavesNoOutput:
     or an uncreatable --out still stops the command before the engine
     runs."""
 
-    @pytest.fixture
-    def no_engine(self, monkeypatch):
-        def engine(*args, **kwargs):
-            raise AssertionError("the engine ran")
-        monkeypatch.setattr(harness, "_mse", engine)
-
     @pytest.mark.parametrize("command", ["run", "multistage", "validate"])
     @pytest.mark.parametrize("changes, line", [
         ({"master_seed": -1}, "error: master_seed must be >= 0, got -1"),
         ({"workers": 0}, "error: workers must be >= 1, got 0"),
-        ({"momentum": {"polynomial": {"c": 5, "beta": 1}}}, None),
+        # An unforced schedule refusal; validate reports every stage.
+        ({"momentum": {"polynomial": {"c": 5, "beta": 1}}}, {
+            "run": "error: schedule validation failed: eta_j >= 1 at j=0 "
+                   "(5 indices)",
+            "multistage": "error: stage 0 schedule validation failed: "
+                          "eta_j >= 1 at j=0 (5 indices)",
+            "validate": ("stage 0: violation: eta_j >= 1 at j=0 (5 indices)\n"
+                         "stage 1: violation: eta_j >= 1 at j=0 (5 indices)"
+                         "\n", "")}),
         ({"variant": ["sg"]},
          "error: unknown variant ['sg'] (expected one of sg, sgm, nsgm, qhm)"),
         ({"variant": "qhm", "qhm_v": "x"},
@@ -1014,23 +1078,13 @@ class TestRefusedConfigLeavesNoOutput:
             "theta0_mixed", "unknown_variant", "missing_csv", "zero_batch",
             "erm_theta_star_outside", "flat_curvature", "negative_l1_weight",
             "zero_c", "zero_beta", "zero_k"])
-    def test_refused_config(self, tmp_path, capsys, no_engine, command,
-                            changes, line):
+    def test_refused_config(self, tmp_path, capsys, command, changes, line):
         # validate reads the multistage config here; the run config's
         # refusals are checked by test_validate_refuses_what_run_refuses.
         cfg = (_base_run_config(**changes) if command == "run"
                else _multistage_config(**changes))
-        out = tmp_path / "o"
-        argv = [command, "--config", _write(tmp_path, cfg)]
-        if command != "validate":
-            argv += ["--out", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        if line is not None:
-            assert err == line + "\n"
-        elif command != "validate":     # validate prints the report
-            assert "schedule validation failed" in err
-        assert not out.exists()
+        _refused_config(tmp_path, capsys, command, cfg,
+                        line[command] if isinstance(line, dict) else line)
 
     @pytest.mark.parametrize("changes, line", [
         ({"recursion_bound": {"kind": "sgm2"}},
@@ -1073,15 +1127,10 @@ class TestRefusedConfigLeavesNoOutput:
             "section_not_an_object", "zero_constant_step",
             "negative_stage_step", "negative_envelope_constant",
             "two_schedule_violations"])
-    def test_refused_run_config(self, tmp_path, capsys, no_engine, changes,
-                                line):
+    def test_refused_run_config(self, tmp_path, capsys, changes, line):
         # Keys only `run` takes.
-        out = tmp_path / "o"
-        assert main(["run", "--config",
-                     _write(tmp_path, _base_run_config(**changes)),
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == line + "\n"
-        assert not out.exists()
+        _refused_config(tmp_path, capsys, "run", _base_run_config(**changes),
+                        line)
 
     @pytest.mark.parametrize("changes, line", [
         ({"fit_window": [1, 3]},
@@ -1100,14 +1149,10 @@ class TestRefusedConfigLeavesNoOutput:
             "unknown_envelope", "envelope_and_recursion_bound",
             *_NOT_1D_PROBLEMS])
     def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
-                                               no_engine, changes, line):
-        path = _write(tmp_path, _base_run_config(**changes))
-        out = tmp_path / "o"
-        assert main(["validate", "--config", path]) == 2
-        assert capsys.readouterr().err == line + "\n"
-        assert main(["run", "--config", path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == line + "\n"
-        assert not out.exists()
+                                               changes, line):
+        for command in ("validate", "run"):
+            _refused_config(tmp_path, capsys, command,
+                            _base_run_config(**changes), line)
 
     def test_unallocatable_horizon(self, tmp_path, capsys, no_engine):
         # The schedule of 10**15 steps needs 8 PB, a request no machine
@@ -1165,30 +1210,30 @@ class TestRefusedConfigLeavesNoOutput:
         assert not (tmp_path / "made").exists()
 
     @pytest.mark.parametrize("command", ["run", "multistage"])
-    def test_seed_flag_refused(self, tmp_path, capsys, no_engine, command):
+    def test_seed_flag_refused(self, tmp_path, capsys, command):
         cfg = _base_run_config() if command == "run" else _multistage_config()
-        out = tmp_path / "o"
-        assert main([command, "--config", _write(tmp_path, cfg),
-                     "--out", str(out), "--seed", "-1"]) == 2
-        assert _stderr_line(capsys) == "error: master_seed must be >= 0, got -1"
-        assert not out.exists()
+        _refused(tmp_path, capsys, [
+            command, "--config", _write(tmp_path, cfg),
+            "--out", str(tmp_path / "o"), "--seed", "-1"],
+            "error: master_seed must be >= 0, got -1")
 
-    def test_bad_step(self, tmp_path, no_engine):
-        cfg = _write(tmp_path, _base_run_config(step={"constant": {"a": 2.0}}))
-        out = tmp_path / "o"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert not out.exists()
+    def test_bad_step(self, tmp_path, capsys):
+        _refused_config(tmp_path, capsys, "run", _base_run_config(
+            step={"constant": {"a": 2.0}}),
+            "error: schedule validation failed: t_j*m = 2 not in (0, 1] at "
+            "j=0 (50 indices over horizon)")
 
-    @pytest.mark.parametrize("stages", [
-        [{"a": 0.1, "n": 50}, {"a": 0.1, "n": 50}],
-        [{"a": 0.2, "n": 50}, {"a": 0.1, "n": 0}],
-        [],
+    @pytest.mark.parametrize("stages, line", [
+        ([{"a": 0.1, "n": 50}, {"a": 0.1, "n": 50}],
+         "error: stage steps must be strictly decreasing"),
+        ([{"a": 0.2, "n": 50}, {"a": 0.1, "n": 0}],
+         "error: stage length must be >= 1"),
+        ([], "error: need at least one stage"),
     ], ids=["not_decreasing", "empty_stage", "no_stages"])
-    def test_bad_stage(self, tmp_path, no_engine, stages):
-        path = _write(tmp_path, _multistage_config(stages=stages))
-        out = tmp_path / "o"
-        assert main(["multistage", "--config", path, "--out", str(out)]) == 2
-        assert not out.exists()
+    def test_bad_stage(self, tmp_path, capsys, stages, line):
+        for command in ("multistage", "validate"):
+            _refused_config(tmp_path, capsys, command,
+                            _multistage_config(stages=stages), line)
 
     @pytest.mark.parametrize("command, name", [("run", "summary.csv"),
                                                ("multistage", "stages.csv")])
@@ -1303,30 +1348,22 @@ class TestRefusedConfigLeavesNoOutput:
         ({"checkpoints": [50], "envelope": {"case": "inv_n"}},
          "need at least 2 checkpoints to calibrate"),
     ], ids=["short_window", "reversed_window", "one_checkpoint_envelope"])
-    def test_too_few_checkpoints(self, tmp_path, capsys, no_engine, changes,
-                                 line):
-        out = tmp_path / "o"
-        assert main(["run", "--config", _write(tmp_path, _base_run_config(
-            **changes)), "--out", str(out)]) == 2
-        assert _stderr_line(capsys) == "error: " + line
-        assert not out.exists()
+    def test_too_few_checkpoints(self, tmp_path, capsys, changes, line):
+        _refused_config(tmp_path, capsys, "run", _base_run_config(**changes),
+                        "error: " + line)
 
     @pytest.mark.parametrize("command", ["run", "multistage"])
     @pytest.mark.parametrize("theta0", [
         [[1.0, 0.0], [0.5, 0.0]], [[1.0, 0.0]], 1.0, [3.0, 0.0], {"x": 1.0}],
         ids=["matrix", "row", "scalar", "outside", "object"])
-    def test_bad_theta0(self, tmp_path, capsys, no_engine, command, theta0):
+    def test_bad_theta0(self, tmp_path, capsys, command, theta0):
         # A matrix used to fail inside the engine with numpy's broadcast
         # error, a scalar with a dimension error, and a 1x2 row ran; an
         # object crashed `multistage` with a TypeError.
         cfg = (_base_run_config(theta0=theta0) if command == "run"
                else _multistage_config(theta0=theta0))
-        out = tmp_path / "o"
-        assert main([command, "--config", _write(tmp_path, cfg),
-                     "--out", str(out)]) == 2
-        assert _stderr_line(capsys) == (
-            f"error: theta0 must be a 2-vector in the domain, got {theta0!r}")
-        assert not out.exists()
+        _refused_config(tmp_path, capsys, command, cfg, "error: theta0 must "
+                        f"be a 2-vector in the domain, got {theta0!r}")
 
 
 @pytest.mark.parametrize("command, calls", [("run", 1), ("multistage", 2),
@@ -1460,28 +1497,27 @@ def test_module_entry_point_has_no_runpy_warning():
     assert "RuntimeWarning" not in proc.stderr
 
 
-@pytest.mark.parametrize("changes, line", [
+@pytest.mark.parametrize("changes, line, engine", [
     ({"envelope": {"case": "inv_n", "constant": "x"}},
-     "error: envelope.constant: expected a number, got 'x'"),
-    ({"fit_window": 5}, "error: fit_window: expected [lo, hi], got 5"),
+     "error: envelope.constant: expected a number, got 'x'", False),
+    ({"fit_window": 5}, "error: fit_window: expected [lo, hi], got 5", False),
     ({"fit_window": ["a", 10]},
-     "error: fit_window: expected a number, got 'a'"),
+     "error: fit_window: expected a number, got 'a'", False),
     # Every squared error is 0: the fit fails after the engine has run.
     ({"fit_window": [1, 50], "theta0": [0.0, 0.0],
       "noise": {"gaussian": {"sigma2": 0.0}}},
-     "error: all mse_mean values in the window must be positive"),
+     "error: all mse_mean values in the window must be positive", True),
     # So does the calibration of an envelope; it used to be refused as a
     # constant the user had not given.
     ({"envelope": {"case": "inv_n"}, "theta0": [0.0, 0.0],
       "noise": {"gaussian": {"sigma2": 0.0}}},
      "error: cannot calibrate the envelope: mse_mean is 0 at all 7 "
-     "calibration checkpoints"),
+     "calibration checkpoints", True),
 ], ids=[f"changes{i}" for i in range(5)])
-def test_bad_envelope_or_fit_window_exits_2(tmp_path, capsys, changes, line):
-    cfg = _write(tmp_path, _base_run_config(**changes))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert _stderr_line(capsys) == line
-    assert not (tmp_path / "o").exists()
+def test_bad_envelope_or_fit_window_exits_2(tmp_path, capsys, changes, line,
+                                            engine):
+    _refused_config(tmp_path, capsys, "run", _base_run_config(**changes),
+                    line, engine)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -1490,24 +1526,16 @@ def test_envelope_numbers_take_only_numbers(tmp_path, capsys, key, value):
     # `constant: true` used to run as 1.0, and `constant: "2"` to fail with
     # a comparison of str and int.
     envelope = {"case": "inv_n_beta", "beta": 0.5, key: value}
-    cfg = _write(tmp_path, _base_run_config(envelope=envelope))
-    out = tmp_path / "o"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    assert _stderr_line(capsys) == (
+    _refused_config(tmp_path, capsys, "run", _base_run_config(
+        envelope=envelope),
         f"error: envelope.{key}: expected a number, got {value!r}")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_overflowing_constants_exit_2(tmp_path, capsys, command):
-    cfg = _write(tmp_path, _base_run_config(problem={"quadratic": {
-        "hessian_diag": [1.0, 1e160], "theta_star": [0.0, 0.0]}}))
-    argv = [command, "--config", cfg]
-    if command == "run":
-        argv += ["--out", str(tmp_path / "o")]
-    assert main(argv) == 2
-    assert (_stderr_line(capsys)
-            == "error: problem constant M = inf is not finite")
+    _refused_config(tmp_path, capsys, command, _base_run_config(problem={
+        "quadratic": {"hessian_diag": [1.0, 1e160], "theta_star": [0.0, 0.0]}}),
+        "error: problem constant M = inf is not finite")
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -1522,12 +1550,8 @@ def test_overflowing_constants_exit_2(tmp_path, capsys, command):
 def test_non_finite_ball_exits_2(tmp_path, capsys, command, ball, line):
     # Not later, as a non-finite problem constant or theta0 outside the
     # domain: the ball itself is refused.
-    cfg = _write(tmp_path, _base_run_config(domain={"ball": ball}))
-    argv = [command, "--config", cfg]
-    if command == "run":
-        argv += ["--out", str(tmp_path / "o")]
-    assert main(argv) == 2
-    assert _stderr_line(capsys) == line
+    _refused_config(tmp_path, capsys, command,
+                    _base_run_config(domain={"ball": ball}), line)
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -1539,19 +1563,11 @@ def test_non_finite_ball_exits_2(tmp_path, capsys, command, ball, line):
     ({"lower": [-1e308, -1.0], "upper": [1e308, 1.0]},
      "error: box diameter ||upper - lower|| overflows"),
 ], ids=["inf_upper", "nan_lower", "overflowing_edge"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_box_exits_2(tmp_path, capsys, command, box, line):
     # Not later, as a non-finite problem constant M, after two numpy
     # overflow warnings for the overflowing edge: the box itself is refused.
-    cfg = _write(tmp_path, _base_run_config(domain={"box": box},
-                                            theta0="random-interior"))
-    out = tmp_path / "o"
-    argv = [command, "--config", cfg]
-    if command == "run":
-        argv += ["--out", str(out)]
-    assert main(argv) == 2
-    assert _stderr_line(capsys) == line
-    assert not out.exists()
+    _refused_config(tmp_path, capsys, command, _base_run_config(
+        domain={"box": box}, theta0="random-interior"), line)
 
 
 def _erm_csv_config(tmp_path, rows, noise):
@@ -1573,17 +1589,17 @@ def test_non_finite_csv_cell_exits_2(tmp_path, capsys, noise, cell):
     cfg, data = _erm_csv_config(
         tmp_path, [["1", "0", "1"], ["0", "1", "2"], [cell, "1", "3"],
                    ["1", "1", "3"]], noise)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert _stderr_line(capsys) == (
-        f"error: {data}: non-finite cell at row 3, column 1: '{cell}'")
+    _refused(tmp_path, capsys, ["run", "--config", cfg, "--out",
+                                str(tmp_path / "o")],
+             f"error: {data}: non-finite cell at row 3, column 1: '{cell}'")
 
 
 def test_undecodable_csv_exits_2_naming_the_row(tmp_path, capsys):
     cfg, data = _erm_csv_config(tmp_path, [], ERM_NOISES[0])
     data.write_bytes(b"1,0,1\r\n0,1,2\r\ncaf\xe9,1,3\r\n1,1,3\r\n")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert _stderr_line(capsys) == (
-        f"error: {data}: cannot decode row 3 as UTF-8 (byte 0xe9)")
+    _refused(tmp_path, capsys, ["run", "--config", cfg, "--out",
+                                str(tmp_path / "o")],
+             f"error: {data}: cannot decode row 3 as UTF-8 (byte 0xe9)")
 
 
 def test_overlong_csv_cell_exits_2_with_one_line(tmp_path):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,35 @@ class TestPoolImport:
                                      ZeroMomentum(), replicates=4, workers=2))
         run_replicates(_config(horizon=20))
         assert len(entered) == 2
+
+    def test_at_most_one_process_per_cpu(self, monkeypatch):
+        # A pool that runs each block here and records its size: six
+        # replicate ranges on two CPUs ask for two processes, and start none.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        one = run_replicates(_config(replicates=6))
+        six = run_replicates(_config(replicates=6, workers=6))
+        assert sizes == [2]
+        assert one.mse_mean.tobytes() == six.mse_mean.tobytes()
+        assert one.mse_sem.tobytes() == six.mse_sem.tobytes()
 
 
 class TestNoiseChunkInvariance:
